@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, evaluate, family_matrix
-from .identities import _factorial, _reduced_pair, gram_matrix
+from .ensembles import EnsembleSpec, evaluate, family_matrix, weight_factorization
+from .identities import _factorial, gram_matrix
 from .linalg import determinant
 from .quadrature import DEFAULT_NODES_1D, gauss_rule
 
@@ -167,12 +167,14 @@ def biorthogonality_residuals(
     """
     spec = system.source
     rule = gauss_rule(spec.domain, n_nodes)
-    reduced = _reduced_pair(spec)
-    left_values = np.array([fn(rule.nodes) for fn in reduced.left_fns])
-    right_values = np.array([fn(rule.nodes) for fn in reduced.right_fns])
+    (left_fns, right_fns), point_factor = weight_factorization(
+        (spec.left, spec.right), spec.domain
+    )
+    left_values = np.array([fn(rule.nodes) for fn in left_fns])
+    right_values = np.array([fn(rule.nodes) for fn in right_fns])
     weights = rule.weights
-    if reduced.point_factor is not None:
-        weights = weights * reduced.point_factor(rule.nodes)
+    if point_factor is not None:
+        weights = weights * point_factor(rule.nodes)
     recombined_left = system.c @ left_values
     recombined_right = system.d @ right_values
     return recombined_left @ (weights[:, None] * recombined_right.T)

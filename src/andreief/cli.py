@@ -70,7 +70,7 @@ CHEBYSHEV_FUNCTIONS = {
     "cos": np.cos,
 }
 
-_INT_KEYS = {"size", "n_nodes", "mc_samples", "seed", "nu", "m", "rows", "cols", "instances"}
+_INT_KEYS = {"size", "n_nodes", "mc_samples", "seed", "nu", "rows", "cols", "instances"}
 _FLOAT_KEYS = {"tolerance", "theta", "c", "a", "b"}
 
 
@@ -148,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--theta", type=float, help="stretching exponent")
     parser.add_argument("--c", type=float, help="Laguerre weight exponent")
     parser.add_argument("--nu", type=int, help="product-kernel offset")
-    parser.add_argument("--m", type=int, help="number of product-kernel factors")
     parser.add_argument("--shifts", help="comma-separated shift list")
     parser.add_argument("--kernel", help="antisymmetric kernel name (verify-debruijn)")
     parser.add_argument("--rows", type=int, help="row count M (verify-discrete)")
@@ -197,6 +196,10 @@ def _load_config_text(text: str) -> dict:
         raise UsageError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError("config must be a flat JSON object")
+    settings = {action.dest for action in build_parser()._actions}
+    unknown = sorted(set(raw) - (settings - {"help", "config"}))
+    if unknown:
+        raise UsageError("unknown config key(s): " + ", ".join(map(repr, unknown)))
     return {key: _coerce(key, value) for key, value in raw.items()}
 
 
@@ -251,7 +254,6 @@ def parse_config(source) -> RunConfig:
         c=pick("c", 0.0),
         shifts=shifts,
         nu=pick("nu", 1),
-        m=pick("m", 1),
     )
     ensemble_params = {
         "name": name,
@@ -260,7 +262,6 @@ def parse_config(source) -> RunConfig:
         "c": pick("c", 0.0),
         "shifts": None if shifts is None else list(shifts),
         "nu": pick("nu", 1),
-        "m": pick("m", 1),
     }
 
     extras: dict = {}

@@ -2,9 +2,12 @@
 
 An ensemble pair is two same-size families {f_j}, {phi_j} on a common
 domain; the identity engines integrate products of their determinants.
-This module owns the catalogue of built-in pairs and the weight
-factorization that bridges each family to the embedded weight of the
-domain's Gauss rule (see quadrature).
+This module owns the catalogue of built-in pairs and the one weight
+reduction, weight_factorization, that bridges families to the embedded
+weight omega of the domain's Gauss rule (see quadrature): a family with a
+closed form f_j / omega absorbs one power of omega, any other family is
+evaluated as is, and the single leftover power omega**(absorbed - 1)
+becomes a per-point factor.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import determinant
-from .quadrature import Domain
+from .quadrature import EMBEDDED_WEIGHTS, Domain
 
 __all__ = [
     "BUILTIN_ENSEMBLE_NAMES",
@@ -25,11 +28,9 @@ __all__ = [
     "FunctionFamily",
     "KernelFunction",
     "Weight",
-    "WeightFactorization",
     "build_ensemble",
     "evaluate",
     "family_matrix",
-    "matches_embedded",
     "rescale",
     "vandermonde_check",
     "weight_factorization",
@@ -183,20 +184,6 @@ def family_matrix(family: FunctionFamily, x) -> np.ndarray:
     return np.stack([evaluate(family, j, arr) for j in range(family.size)])
 
 
-@dataclass(frozen=True, eq=False)
-class WeightFactorization:
-    """Per-member smooth parts with smooth_j(x) * omega(x) = f_j(x).
-
-    matches_embedded is true when the smooth parts come from a closed form
-    that cannot overflow on the domain; otherwise the fallback f_j / omega
-    is used and overflow_risk is set.
-    """
-
-    smooth: tuple[Callable, ...]
-    matches_embedded: bool
-    overflow_risk: bool = False
-
-
 def _smooth_closed_form(family: FunctionFamily, domain: Domain):
     """Closed-form smooth parts when the family's decay matches the
     domain's embedded weight; None when no safe closed form exists."""
@@ -243,47 +230,52 @@ def _smooth_closed_form(family: FunctionFamily, domain: Domain):
     return None
 
 
-def matches_embedded(family: FunctionFamily, domain: Domain) -> bool:
-    """True when the family factorizes over the domain's embedded weight
-    without the overflow-prone f/omega fallback."""
-    ensure_family_legal(family, domain)
-    if domain.kind == "finite":
-        return True
-    return _smooth_closed_form(family, domain) is not None
-
-
-def weight_factorization(family: FunctionFamily, domain: Domain) -> WeightFactorization:
-    """Express each f_j as smooth_j * omega for the domain's embedded weight.
-
-    On finite domains omega = 1 and smooth_j = f_j.  On infinite domains a
-    closed-form smooth part is used when the family's own decay matches the
-    embedded weight; otherwise the fallback smooth_j = f_j / omega is
-    returned with overflow_risk set (and a RuntimeWarning, since the ratio
-    grows without bound).
-    """
-    ensure_family_legal(family, domain)
-    if domain.kind == "finite":
-        smooth = [
-            lambda x, j=j: evaluate(family, j, x) for j in range(family.size)
-        ]
-        return WeightFactorization(tuple(smooth), matches_embedded=True)
-    closed = _smooth_closed_form(family, domain)
-    if closed is not None:
-        return WeightFactorization(tuple(closed), matches_embedded=True)
-    if domain.kind == "half_line":
-        inv = lambda x: np.exp(np.asarray(x, float))
-    else:
-        inv = lambda x: np.exp(np.asarray(x, float) ** 2)
-    warnings.warn(
-        f"{family.kind} on {domain} has no decay matching the embedded "
-        "weight; falling back to f/omega, which may overflow",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    smooth = [
-        lambda x, j=j: evaluate(family, j, x) * inv(x) for j in range(family.size)
+def _raw_members(family: FunctionFamily) -> list:
+    return [
+        lambda x, j=j: np.asarray(evaluate(family, j, x), dtype=float)
+        for j in range(family.size)
     ]
-    return WeightFactorization(tuple(smooth), matches_embedded=False, overflow_risk=True)
+
+
+def weight_factorization(
+    families: Sequence[FunctionFamily], domain: Domain
+) -> tuple[list[list[Callable]], Callable | None]:
+    """Reduce one or two families against the domain's embedded weight omega.
+
+    Returns (member_fns_per_family, point_factor).  A family with a closed
+    form f_j / omega absorbs one power of omega; any other family is used
+    as is.  The Gauss rule divides out one power, so the integrand of the
+    product of one member per family carries point_factor =
+    omega**(absorbed - 1), with None meaning 1 (always so on finite
+    domains).  With no family absorbing, point_factor is 1/omega, which
+    grows without bound: a RuntimeWarning says so.
+    """
+    if not 1 <= len(families) <= 2:
+        raise ValueError(f"expected one or two families, got {len(families)}")
+    for family in families:
+        ensure_family_legal(family, domain)
+    if domain.kind == "finite":
+        return [_raw_members(family) for family in families], None
+    closed = [_smooth_closed_form(family, domain) for family in families]
+    member_fns = [
+        _raw_members(family) if fns is None else fns
+        for family, fns in zip(families, closed)
+    ]
+    power = len(families) - closed.count(None) - 1
+    if power == 0:
+        return member_fns, None
+    if power == 1:
+        return member_fns, EMBEDDED_WEIGHTS[domain.kind]
+    kinds = " and ".join(family.kind for family in families)
+    warnings.warn(
+        f"{kinds} on {domain}: no family carries the embedded weight; "
+        "dividing by the weight directly, which may overflow",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    if domain.kind == "half_line":
+        return member_fns, lambda x: np.exp(np.asarray(x, dtype=float))
+    return member_fns, lambda x: np.exp(np.asarray(x, dtype=float) ** 2)
 
 
 def ensure_family_legal(family: FunctionFamily, domain: Domain) -> None:
@@ -311,26 +303,14 @@ def ensure_family_legal(family: FunctionFamily, domain: Domain) -> None:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Named pair of same-size families on a common domain.
-
-    m counts Meijer-type kernel factors in product ensembles; only the
-    m = 1 specialization (plain x^{nu+j} e^{-x} members) is supported.
-    """
+    """Named pair of same-size families on a common domain."""
 
     name: str
     domain: Domain
     left: FunctionFamily
     right: FunctionFamily
-    m: int = 1
 
     def __post_init__(self):
-        if self.m >= 2:
-            raise NotImplementedError(
-                "m >= 2 not implemented: only single-factor (m = 1) "
-                "product kernels are supported"
-            )
-        if self.m != 1:
-            raise ValueError("m must be a positive integer")
         if self.left.size != self.right.size:
             raise ValueError(
                 f"family sizes differ: {self.left.size} vs {self.right.size}"
@@ -424,7 +404,6 @@ def build_ensemble(
     c: float = 0.0,
     shifts: Sequence[float] | None = None,
     nu: int = 1,
-    m: int = 1,
 ) -> EnsembleSpec:
     """Construct a built-in ensemble pair by name.
 
@@ -435,23 +414,23 @@ def build_ensemble(
         raise ValueError("size must be at least 1")
     mono = FunctionFamily(size, "monomial")
     if name == "uniform-monomial":
-        return EnsembleSpec(name, Domain.finite(0.0, 1.0), mono, mono, m=m)
+        return EnsembleSpec(name, Domain.finite(0.0, 1.0), mono, mono)
     if name == "legendre-monomial":
-        return EnsembleSpec(name, Domain.finite(-1.0, 1.0), mono, mono, m=m)
+        return EnsembleSpec(name, Domain.finite(-1.0, 1.0), mono, mono)
     if name == "gue-monomial":
         left = FunctionFamily(size, "weighted_monomial", weight=Weight("gaussian"))
-        return EnsembleSpec(name, Domain.real_line(), left, mono, m=m)
+        return EnsembleSpec(name, Domain.real_line(), left, mono)
     if name == "muttalib-borodin":
         left = FunctionFamily(size, "weighted_monomial", weight=Weight("laguerre", c=c))
         right = FunctionFamily(size, "stretched_monomial", theta=theta)
-        return EnsembleSpec(name, Domain.half_line(), left, right, m=m)
+        return EnsembleSpec(name, Domain.half_line(), left, right)
     if name == "shifted-gue":
         resolved = _default_shifts(size) if shifts is None else tuple(shifts)
         right = FunctionFamily(size, "shifted_gaussian", shifts=resolved)
-        return EnsembleSpec(name, Domain.real_line(), mono, right, m=m)
+        return EnsembleSpec(name, Domain.real_line(), mono, right)
     if name == "laguerre-product":
         right = FunctionFamily(size, "laguerre_meijer", nu=nu)
-        return EnsembleSpec(name, Domain.half_line(), mono, right, m=m)
+        return EnsembleSpec(name, Domain.half_line(), mono, right)
     raise ValueError(
         f"unknown ensemble {name!r}; built-ins: " + ", ".join(BUILTIN_ENSEMBLE_NAMES)
     )

@@ -12,17 +12,17 @@ Four computations share this module:
   its double-integral form, which is non-negative for co-monotone pairs;
 * the bundled pass/fail report combining the routes above.
 
-Weighted families on infinite domains are handled through the reduction in
-ensembles.weight_factorization: exactly the members that carry the embedded
-weight are swapped for their smooth parts, and any leftover weight factors
-appear as an explicit per-point factor.  The same reduced integrand feeds
-the tensor, Monte Carlo, and Gram routes.
+Every engine integrates against the same measure by calling the one
+reduction ensembles.weight_factorization, with the ensemble's two families
+or the Pfaffian side's single family: it returns the member functions and
+one per-point factor (a power of the embedded weight, or None).  The same
+reduced integrand feeds the tensor, Monte Carlo, permutation, and Gram
+routes.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,8 +32,6 @@ from .ensembles import (
     EnsembleSpec,
     FunctionFamily,
     KernelFunction,
-    evaluate,
-    matches_embedded,
     weight_factorization,
 )
 from .linalg import (
@@ -48,7 +46,6 @@ from .quadrature import (
     DEFAULT_EVAL_BUDGET,
     DEFAULT_NODES_1D,
     DEFAULT_NODES_TENSOR,
-    EMBEDDED_WEIGHTS,
     BudgetError,
     Domain,
     MCEstimate,
@@ -154,96 +151,6 @@ def mc_agrees(estimate: MCEstimate, reference: float) -> bool:
 # ---------------------------------------------------------------------------
 # reduced integrands
 
-_RAW = "raw"
-_SMOOTH = "smooth"
-
-
-def _member_callables(family: FunctionFamily, domain: Domain, mode: str):
-    if mode == _RAW:
-        return [
-            lambda x, j=j: np.asarray(evaluate(family, j, x), dtype=float)
-            for j in range(family.size)
-        ]
-    return list(weight_factorization(family, domain).smooth)
-
-
-@dataclass(frozen=True, eq=False)
-class _ReducedPair:
-    """Weight-reduced pair evaluation.
-
-    The Gram entry (j, k) integrand is left_fns[j] * right_fns[k] *
-    point_factor; the tensor integrand over N variables carries one
-    point_factor per variable.  point_factor None means 1.
-    """
-
-    left_fns: list
-    right_fns: list
-    point_factor: Callable | None
-
-
-def _inverse_weight(domain: Domain) -> Callable:
-    if domain.kind == "half_line":
-        return lambda x: np.exp(np.asarray(x, dtype=float))
-    return lambda x: np.exp(np.asarray(x, dtype=float) ** 2)
-
-
-def _reduced_pair(spec: EnsembleSpec) -> _ReducedPair:
-    domain = spec.domain
-    if domain.kind == "finite":
-        return _ReducedPair(
-            _member_callables(spec.left, domain, _RAW),
-            _member_callables(spec.right, domain, _RAW),
-            None,
-        )
-    left_matches = matches_embedded(spec.left, domain)
-    right_matches = matches_embedded(spec.right, domain)
-    if left_matches and right_matches:
-        # both families absorb one weight factor; restore the single
-        # factor the measure actually carries
-        return _ReducedPair(
-            _member_callables(spec.left, domain, _SMOOTH),
-            _member_callables(spec.right, domain, _SMOOTH),
-            EMBEDDED_WEIGHTS[domain.kind],
-        )
-    if left_matches:
-        return _ReducedPair(
-            _member_callables(spec.left, domain, _SMOOTH),
-            _member_callables(spec.right, domain, _RAW),
-            None,
-        )
-    if right_matches:
-        return _ReducedPair(
-            _member_callables(spec.left, domain, _RAW),
-            _member_callables(spec.right, domain, _SMOOTH),
-            None,
-        )
-    warnings.warn(
-        f"neither family of {spec.name!r} matches the embedded weight on "
-        f"{domain}; dividing by the weight directly, which may overflow",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return _ReducedPair(
-        _member_callables(spec.left, domain, _RAW),
-        _member_callables(spec.right, domain, _RAW),
-        _inverse_weight(domain),
-    )
-
-
-def _reduced_family(family: FunctionFamily, domain: Domain):
-    """Single-family reduction for the Pfaffian-side engines."""
-    if domain.kind == "finite":
-        return _member_callables(family, domain, _RAW), None
-    if matches_embedded(family, domain):
-        return _member_callables(family, domain, _SMOOTH), None
-    warnings.warn(
-        f"{family.kind} family does not match the embedded weight on "
-        f"{domain}; dividing by the weight directly, which may overflow",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return _member_callables(family, domain, _RAW), _inverse_weight(domain)
-
 
 def _value_stack(fns, points: np.ndarray) -> np.ndarray:
     """(P, len(fns), N) stack with [p, j, k] = fns[j](points[p, k])."""
@@ -258,13 +165,17 @@ def _point_factor_product(point_factor, points: np.ndarray) -> np.ndarray:
     return np.prod(vals.reshape(points.shape), axis=1)
 
 
-def _pair_integrand(reduced: _ReducedPair) -> Callable:
+def _pair_integrand(spec: EnsembleSpec) -> Callable:
+    (left_fns, right_fns), point_factor = weight_factorization(
+        (spec.left, spec.right), spec.domain
+    )
+
     def integrand(points: np.ndarray) -> np.ndarray:
         values = determinant_batch(
-            _value_stack(reduced.left_fns, points)
-        ) * determinant_batch(_value_stack(reduced.right_fns, points))
-        if reduced.point_factor is not None:
-            values = values * _point_factor_product(reduced.point_factor, points)
+            _value_stack(left_fns, points)
+        ) * determinant_batch(_value_stack(right_fns, points))
+        if point_factor is not None:
+            values = values * _point_factor_product(point_factor, points)
         return values
 
     return integrand
@@ -277,17 +188,18 @@ def _pair_integrand(reduced: _ReducedPair) -> Callable:
 def gram_matrix(spec: EnsembleSpec, n_nodes: int = DEFAULT_NODES_1D) -> GramMatrix:
     """Pairwise-integral matrix of the ensemble, by 1-D Gauss quadrature."""
     rule = gauss_rule(spec.domain, n_nodes)
-    reduced = _reduced_pair(spec)
+    (left_fns, right_fns), point_factor = weight_factorization(
+        (spec.left, spec.right), spec.domain
+    )
     n = spec.size
     entries = np.empty((n, n))
     for j in range(n):
         for k in range(n):
-            lf, rf = reduced.left_fns[j], reduced.right_fns[k]
-            if reduced.point_factor is None:
+            lf, rf = left_fns[j], right_fns[k]
+            if point_factor is None:
                 f = lambda x, lf=lf, rf=rf: lf(x) * rf(x)
             else:
-                pf = reduced.point_factor
-                f = lambda x, lf=lf, rf=rf, pf=pf: lf(x) * rf(x) * pf(x)
+                f = lambda x, lf=lf, rf=rf: lf(x) * rf(x) * point_factor(x)
             entries[j, k] = integrate_1d(rule, f)
     descriptor = f"gauss({spec.domain}, n={n_nodes})"
     return GramMatrix(order=n, entries=entries, rule_descriptor=descriptor)
@@ -337,7 +249,7 @@ def andreief_lhs_quadrature(
         "use andreief_lhs_mc or pass force=True",
     )
     rule = gauss_rule(spec.domain, n_nodes)
-    integrand = _pair_integrand(_reduced_pair(spec))
+    integrand = _pair_integrand(spec)
     try:
         return integrate_nd(rule, n, integrand, budget=budget)
     except BudgetError as err:
@@ -346,7 +258,7 @@ def andreief_lhs_quadrature(
 
 def andreief_lhs_mc(spec: EnsembleSpec, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of the same N-fold integral."""
-    integrand = _pair_integrand(_reduced_pair(spec))
+    integrand = _pair_integrand(spec)
     return monte_carlo_nd(spec.domain, spec.size, integrand, samples, seed)
 
 
@@ -363,15 +275,17 @@ def andreief_lhs_permutation_oracle(
         n, TENSOR_SIZE_LIMIT, n_nodes, False, "oracle is tensor-bound"
     )
     rule = gauss_rule(spec.domain, n_nodes)
-    reduced = _reduced_pair(spec)
+    (left_fns, right_fns), point_factor = weight_factorization(
+        (spec.left, spec.right), spec.domain
+    )
 
     def integrand(points: np.ndarray) -> np.ndarray:
         prod = np.ones(points.shape[0])
         for j in range(n):
-            prod *= np.asarray(reduced.left_fns[j](points[:, j]), dtype=float)
-        values = prod * determinant_batch(_value_stack(reduced.right_fns, points))
-        if reduced.point_factor is not None:
-            values = values * _point_factor_product(reduced.point_factor, points)
+            prod *= np.asarray(left_fns[j](points[:, j]), dtype=float)
+        values = prod * determinant_batch(_value_stack(right_fns, points))
+        if point_factor is not None:
+            values = values * _point_factor_product(point_factor, points)
         return values
 
     return _factorial(n) * integrate_nd(rule, n, integrand)
@@ -405,7 +319,7 @@ def debruijn_rhs(
     """
     _check_debruijn_size(two_n, left.size)
     rule = gauss_rule(domain, n_nodes)
-    fns, point_factor = _reduced_family(left, domain)
+    (fns,), point_factor = weight_factorization((left,), domain)
     h = kernel.antisymmetrized()
     weighted = np.array(
         [np.asarray(fn(rule.nodes), dtype=float) * rule.weights for fn in fns]
@@ -442,7 +356,7 @@ def debruijn_lhs_quadrature(
         "pass force=True to run anyway",
     )
     rule = gauss_rule(domain, n_nodes)
-    fns, point_factor = _reduced_family(left, domain)
+    (fns,), point_factor = weight_factorization((left,), domain)
     h = kernel.antisymmetrized()
 
     def integrand(points: np.ndarray) -> np.ndarray:

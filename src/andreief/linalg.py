@@ -12,7 +12,6 @@ The package-wide relative-tolerance convention lives here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -21,9 +20,7 @@ __all__ = [
     "EXPANSION_LIMIT",
     "PIVOT_FLOOR",
     "SKEW_TOLERANCE",
-    "Permutation",
     "SkewMatrix",
-    "all_permutations",
     "det_by_permutation_expansion",
     "determinant",
     "determinant_batch",
@@ -239,32 +236,6 @@ def permutation_signature(images: Sequence[int]) -> int:
     return 1 if inversions % 2 == 0 else -1
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..n} together with its signature."""
-
-    images: tuple[int, ...]
-    signature: int
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"images {self.images} are not a bijection of 1..{n}")
-        if self.signature != permutation_signature(self.images):
-            raise ValueError("signature does not match inversion parity")
-
-    @classmethod
-    def from_images(cls, images: Iterable[int]) -> "Permutation":
-        imgs = tuple(int(i) for i in images)
-        return cls(imgs, permutation_signature(imgs))
-
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """All n! permutations of {1..n} in lexicographic order."""
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images, permutation_signature(images))
-
-
 def det_by_permutation_expansion(m):
     """Leibniz-sum determinant: sum over all n! permutations P of
     sign(P) * prod_j m[j, P(j)].
@@ -281,10 +252,10 @@ def det_by_permutation_expansion(m):
         raise ValueError(f"expansion oracle size limit: order {n} > {EXPANSION_LIMIT}")
     rows = a.tolist()
     total = 0
-    for perm in all_permutations(n):
-        term = perm.signature
-        for j, image in enumerate(perm.images):
-            term = term * rows[j][image - 1]
+    for images in itertools.permutations(range(n)):
+        term = permutation_signature(images)
+        for j, image in enumerate(images):
+            term = term * rows[j][image]
         total = total + term
     return total
 

@@ -116,8 +116,12 @@ class TestParseConfig:
             )
 
     def test_two_factor_kernel_rejected(self):
-        with pytest.raises(NotImplementedError, match="m >= 2 not implemented"):
+        with pytest.raises(UsageError, match="unknown config key.*'m'"):
             parse_config('{"command": "partition", "ensemble": "laguerre-product", "m": 2}')
+
+    def test_misspelt_config_key_rejected(self):
+        with pytest.raises(UsageError, match="unknown config key.*'ensembel'"):
+            parse_config('{"command": "partition", "ensembel": "gue-monomial"}')
 
     def test_invalid_tolerance(self):
         with pytest.raises(UsageError, match="tolerance must be positive"):
@@ -186,6 +190,14 @@ class TestExitCodes:
         code, _, err = run_main(capsys, ["verify-debruijn", "--n", "3"])
         assert code == 2
         assert "size must be even" in err
+
+    def test_unknown_config_key_is_two(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"ensembel": "gue-monomial"}))
+        code, out, err = run_main(capsys, ["partition", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "'ensembel'" in err
 
     def test_argparse_rejection_is_two(self, capsys):
         code, _, _ = run_main(capsys, ["verify-andreief", "--bogus"])

@@ -20,7 +20,7 @@ from andreief.ensembles import (
     weight_factorization,
 )
 from andreief.linalg import determinant, within_tolerance
-from andreief.quadrature import Domain
+from andreief.quadrature import EMBEDDED_WEIGHTS, Domain
 
 
 def random_domain_points(domain, rng, n):
@@ -115,55 +115,73 @@ class TestFamilyValidation:
             Weight("cosine")
 
 
+OMEGA = {
+    "finite": lambda x: np.ones_like(x),
+    "half_line": lambda x: np.exp(-x),
+    "real_line": lambda x: np.exp(-(x**2)),
+}
+
+
 class TestWeightFactorization:
     def test_gaussian_weight_on_real_line(self):
         fam = FunctionFamily(3, "weighted_monomial", weight=Weight("gaussian"))
-        fact = weight_factorization(fam, Domain.real_line())
-        assert fact.matches_embedded
-        assert not fact.overflow_risk
+        (fns,), point_factor = weight_factorization((fam,), Domain.real_line())
+        assert point_factor is None
         x = np.array([0.5, -1.5])
-        assert fact.smooth[2](x) == pytest.approx(x**2)
+        assert fns[2](x) == pytest.approx(x**2)
 
     def test_monomial_on_finite(self):
         fam = FunctionFamily(3, "monomial")
-        fact = weight_factorization(fam, Domain.finite(0.0, 1.0))
-        assert fact.matches_embedded
-        assert fact.smooth[2](0.5) == pytest.approx(0.25)
+        (fns,), point_factor = weight_factorization((fam,), Domain.finite(0.0, 1.0))
+        assert point_factor is None
+        assert fns[2](0.5) == pytest.approx(0.25)
 
     def test_laguerre_meijer_on_half_line(self):
         fam = FunctionFamily(2, "laguerre_meijer", nu=2)
-        fact = weight_factorization(fam, Domain.half_line())
-        assert fact.matches_embedded
+        (fns,), point_factor = weight_factorization((fam,), Domain.half_line())
+        assert point_factor is None
         x = np.array([1.0, 3.0])
-        assert fact.smooth[1](x) == pytest.approx(x**3)
+        assert fns[1](x) == pytest.approx(x**3)
+
+    def test_two_absorbing_families_restore_one_weight(self):
+        fam = FunctionFamily(2, "weighted_monomial", weight=Weight("gaussian"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, point_factor = weight_factorization((fam, fam), Domain.real_line())
+        assert point_factor is EMBEDDED_WEIGHTS["real_line"]
 
     def test_fallback_warns(self):
         fam = FunctionFamily(2, "monomial")
-        with pytest.warns(RuntimeWarning, match="may overflow"):
-            fact = weight_factorization(fam, Domain.half_line())
-        assert not fact.matches_embedded
-        assert fact.overflow_risk
-        # round trip still exact at moderate x
+        with pytest.warns(RuntimeWarning, match="may overflow") as record:
+            (fns,), point_factor = weight_factorization((fam,), Domain.half_line())
+        assert len(record) == 1
+        assert "monomial" in str(record[0].message)
+        assert "half_line" in str(record[0].message)
         x = np.array([0.5, 2.0])
-        assert fact.smooth[1](x) * np.exp(-x) == pytest.approx(x)
+        assert np.array_equal(point_factor(x), np.exp(x))
+        with pytest.warns(RuntimeWarning, match="monomial and monomial on real_line"):
+            weight_factorization((fam, fam), Domain.real_line())
+        # one absorbing family leaves omega**0: nothing to divide, no warning
+        gauss = FunctionFamily(2, "weighted_monomial", weight=Weight("gaussian"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, point_factor = weight_factorization((gauss, fam), Domain.real_line())
+        assert point_factor is None
 
     @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
     def test_round_trip_catalogue(self, name):
         spec = build_ensemble(name, 4)
         rng = np.random.default_rng(99)
         pts = random_domain_points(spec.domain, rng, 100)
-        omega = {
-            "finite": lambda x: np.ones_like(x),
-            "half_line": lambda x: np.exp(-x),
-            "real_line": lambda x: np.exp(-(x**2)),
-        }[spec.domain.kind]
+        omega = OMEGA[spec.domain.kind]
         for fam in (spec.left, spec.right):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                fact = weight_factorization(fam, spec.domain)
+                (fns,), point_factor = weight_factorization((fam,), spec.domain)
+            factor = 1.0 if point_factor is None else point_factor(pts)
             for j in range(fam.size):
                 want = evaluate(fam, j, pts)
-                got = fact.smooth[j](pts) * omega(pts)
+                got = fns[j](pts) * factor * omega(pts)
                 for a, b in zip(got, want):
                     assert within_tolerance(a, b, 1e-13)
 
@@ -234,10 +252,6 @@ class TestEnsembleSpec:
                 FunctionFamily(2, "monomial"),
                 FunctionFamily(3, "monomial"),
             )
-
-    def test_m_two_not_implemented(self):
-        with pytest.raises(NotImplementedError, match="m >= 2 not implemented"):
-            build_ensemble("laguerre-product", 2, m=2)
 
     def test_positive_kind_illegal_on_real_line(self):
         with pytest.raises(ValueError, match="only legal"):

@@ -8,6 +8,7 @@ import pytest
 
 from andreief.ensembles import (
     BUILTIN_ENSEMBLE_NAMES,
+    EnsembleSpec,
     FunctionFamily,
     KernelFunction,
     Weight,
@@ -336,6 +337,34 @@ class TestChebyshevGap:
     def test_requires_finite_domain(self):
         with pytest.raises(ValueError, match="finite domain"):
             chebyshev_gap(lambda x: x, lambda x: x, Domain.half_line())
+
+
+class TestInverseWeightPath:
+    """Families with no closed form against the embedded weight omega are
+    integrated as f / omega.  Both routes then share the weighted node
+    measure, on which Cauchy-Binet (and minor summation) hold exactly."""
+
+    @pytest.mark.parametrize("domain", [Domain.half_line(), Domain.real_line()], ids=str)
+    def test_andreief_monomial_pair(self, domain):
+        mono = FunctionFamily(3, "monomial")
+        spec = EnsembleSpec("monomial-pair", domain, mono, mono)
+        with pytest.warns(RuntimeWarning, match="may overflow"):
+            lhs = andreief_lhs_quadrature(spec, 12)
+        with pytest.warns(RuntimeWarning, match="may overflow"):
+            rhs = andreief_rhs(gram_matrix(spec, 12))
+        assert rhs != 0.0
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+    @pytest.mark.parametrize("kernel", [DIFFERENCE, SIGN], ids=["difference", "sign"])
+    def test_debruijn_monomial_on_real_line(self, kernel):
+        mono = FunctionFamily(2, "monomial")
+        dom = Domain.real_line()
+        with pytest.warns(RuntimeWarning, match="may overflow"):
+            lhs = debruijn_lhs_quadrature(mono, kernel, dom, 12, 2)
+        with pytest.warns(RuntimeWarning, match="may overflow"):
+            rhs = debruijn_rhs(mono, kernel, dom, 12, 2)
+        assert rhs != 0.0
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 class TestVerifyAndreief:

@@ -1,13 +1,13 @@
 """Tests for the dense linear algebra kernel."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from andreief.linalg import (
     EXPANSION_LIMIT,
-    Permutation,
     SkewMatrix,
-    all_permutations,
     det_by_permutation_expansion,
     determinant,
     determinant_batch,
@@ -96,22 +96,17 @@ class TestPermutations:
         assert permutation_signature((2, 3, 1)) == 1
 
     def test_count(self):
-        assert sum(1 for _ in all_permutations(4)) == 24
+        signs = [permutation_signature(p) for p in itertools.permutations(range(1, 5))]
+        assert len(signs) == 24
+        assert signs.count(1) == signs.count(-1) == 12
 
     def test_signatures_sum_to_zero(self):
-        assert sum(p.signature for p in all_permutations(4)) == 0
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError, match="bijection"):
-            Permutation((1, 1, 3), 1)
-
-    def test_rejects_wrong_signature(self):
-        with pytest.raises(ValueError, match="signature"):
-            Permutation((2, 1), 1)
+        assert sum(
+            permutation_signature(p) for p in itertools.permutations(range(1, 5))
+        ) == 0
 
     def test_from_images(self):
-        p = Permutation.from_images([3, 1, 2])
-        assert p.signature == 1
+        assert permutation_signature([3, 1, 2]) == 1
 
 
 class TestSkewMatrix:
