@@ -9,18 +9,28 @@ specializes it back to Cauchy-Binet up to a shape-dependent sign.
 All operations accept integer matrices and then compute in exact integer
 arithmetic (fraction-free elimination for determinants, recursive
 expansion for Pfaffians), so the discrete identities can be checked for
-literal equality.  Float input falls back to the elimination routines.
+literal equality.  Float input gathers the row subsets into stacks and
+evaluates them with the batched determinant and Pfaffian kernels.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .ensembles import EnsembleSpec, family_matrix
-from .linalg import SkewMatrix, determinant, pfaffian, pfaffian_by_expansion, subsets
+from .linalg import (
+    SkewMatrix,
+    determinant,
+    determinant_batch,
+    pfaffian,
+    pfaffian_batch,
+    pfaffian_by_expansion,
+    subsets,
+)
 
 __all__ = [
     "DiscretePointSet",
@@ -32,6 +42,10 @@ __all__ = [
     "minor_summation_lhs",
     "minor_summation_rhs",
 ]
+
+
+# Row subsets gathered into one determinant/Pfaffian stack on the float path.
+_SUBSET_BLOCK = 1 << 14
 
 
 def _is_exact(*arrays) -> bool:
@@ -87,6 +101,15 @@ def _row_indices(m: int, n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(i - 1 for i in chosen)
 
 
+def _subset_blocks(m: int, n: int) -> Iterator[np.ndarray]:
+    """The row subsets in _row_indices order, as (c, n) index arrays of at
+    most _SUBSET_BLOCK subsets each, so a gathered stack stays bounded."""
+    chosen = subsets(m, n)
+    while block := list(itertools.islice(chosen, _SUBSET_BLOCK)):
+        # subsets() enumerates 1-based
+        yield np.array(block, dtype=int).reshape(len(block), n) - 1
+
+
 def cauchy_binet_lhs(x, y):
     """Sum over all column-count row subsets K of det(X_K) * det(Y_K).
 
@@ -106,9 +129,8 @@ def cauchy_binet_lhs(x, y):
             )
         return total
     total = 0.0
-    for rows in _row_indices(m, n):
-        idx = list(rows)
-        total += determinant(xa[idx, :]) * determinant(ya[idx, :])
+    for idx in _subset_blocks(m, n):
+        total += float(np.sum(determinant_batch(xa[idx]) * determinant_batch(ya[idx])))
     return total
 
 
@@ -234,10 +256,10 @@ def minor_summation_lhs(a, t):
             total += pf * _int_det([[tr[i][j] for j in cols] for i in range(n_rows)])
         return total
     total = 0.0
-    for cols in _row_indices(m, n_rows):
-        idx = list(cols)
-        sub = entries[np.ix_(idx, idx)]
-        total += pfaffian(sub) * determinant(ta[:, idx])
+    for idx in _subset_blocks(m, n_rows):
+        subs = entries[idx[:, :, None], idx[:, None, :]]
+        minors = ta[:, idx].transpose(1, 0, 2)
+        total += float(np.sum(pfaffian_batch(subs) * determinant_batch(minors)))
     return total
 
 

@@ -7,13 +7,12 @@ reduction, weight_factorization, that bridges families to the embedded
 weight omega of the domain's Gauss rule (see quadrature): a family with a
 closed form f_j / omega absorbs one power of omega, any other family is
 evaluated as is, and the single leftover power omega**(absorbed - 1)
-becomes a per-point factor.
+becomes a per-point factor.  A leftover omega**-1 would mean integrating
+families that do not decay over an infinite domain, so it is rejected.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -247,8 +246,9 @@ def weight_factorization(
     as is.  The Gauss rule divides out one power, so the integrand of the
     product of one member per family carries point_factor =
     omega**(absorbed - 1), with None meaning 1 (always so on finite
-    domains).  With no family absorbing, point_factor is 1/omega, which
-    grows without bound: a RuntimeWarning says so.
+    domains).  With no family absorbing there is nothing that decays (the
+    families without a closed form are monomial and stretched_monomial),
+    so the integral diverges and a ValueError says so.
     """
     if not 1 <= len(families) <= 2:
         raise ValueError(f"expected one or two families, got {len(families)}")
@@ -267,15 +267,9 @@ def weight_factorization(
     if power == 1:
         return member_fns, EMBEDDED_WEIGHTS[domain.kind]
     kinds = " and ".join(family.kind for family in families)
-    warnings.warn(
-        f"{kinds} on {domain}: no family carries the embedded weight; "
-        "dividing by the weight directly, which may overflow",
-        RuntimeWarning,
-        stacklevel=3,
+    raise ValueError(
+        f"{kinds} on {domain}: no family decays, so the integral diverges"
     )
-    if domain.kind == "half_line":
-        return member_fns, lambda x: np.exp(np.asarray(x, dtype=float))
-    return member_fns, lambda x: np.exp(np.asarray(x, dtype=float) ** 2)
 
 
 def ensure_family_legal(family: FunctionFamily, domain: Domain) -> None:

@@ -1,9 +1,11 @@
 """Dense real linear algebra: determinants, Pfaffians, and the combinatorial
 expansions used as brute-force cross-checks.
 
-Everything operates on plain numpy arrays (or array-likes).  The elimination
-routines convert to float64; the expansion oracles keep the input dtype so
-that integer inputs are evaluated in exact integer arithmetic.
+Everything operates on plain numpy arrays (or array-likes).  Determinants
+come from LAPACK's row-pivoted LU (numpy.linalg.det), Pfaffians from
+skew-symmetric Gaussian elimination; both convert to float64.  The
+expansion oracles keep the input dtype so that integer inputs are
+evaluated in exact integer arithmetic.
 
 The package-wide relative-tolerance convention lives here:
 |a - b| <= tol * max(1, |a|, |b|).
@@ -34,7 +36,7 @@ __all__ = [
     "within_tolerance",
 ]
 
-# Pivots at or below this magnitude are treated as exact zeros.
+# Pfaffian elimination treats pivots at or below this magnitude as exact zeros.
 PIVOT_FLOOR = 1e-300
 
 # Absolute asymmetry tolerated by the SkewMatrix constructor.
@@ -62,61 +64,24 @@ def _as_square(m, dtype=float) -> np.ndarray:
 
 
 def determinant(m) -> float:
-    """Determinant by row-pivoted Gaussian elimination.
+    """Determinant by LAPACK's row-pivoted LU factorization (``getrf``).
 
-    Partial pivoting with explicit sign tracking for row swaps.  A pivot at
-    or below ``PIVOT_FLOOR`` in magnitude short-circuits to 0.0; singular
-    input is not an error.
+    Singular input is not an error: an exactly zero pivot gives 0.0.
     """
-    a = _as_square(m).copy()
-    n = a.shape[0]
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= PIVOT_FLOOR:
-            return 0.0
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
-            det = -det
-        det *= a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k + 1 :])
-    return det
+    return float(np.linalg.det(_as_square(m)))
 
 
 def determinant_batch(stack) -> np.ndarray:
     """Determinants of a (P, n, n) stack of matrices.
 
-    Same partial-pivot elimination as :func:`determinant`, applied to every
-    matrix in lockstep; per-matrix results are bit-identical to the scalar
+    The same LAPACK factorization as :func:`determinant`, applied to every
+    matrix of the stack; per-matrix results are bit-identical to the scalar
     routine.
     """
-    a = np.asarray(stack, dtype=float).copy()
+    a = np.asarray(stack, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"(P, n, n) stack required, got shape {a.shape}")
-    p_count, n = a.shape[0], a.shape[1]
-    det = np.ones(p_count)
-    alive = np.ones(p_count, dtype=bool)
-    rows = np.arange(p_count)
-    for k in range(n):
-        piv_row = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-        pivots = a[rows, piv_row, k]
-        dead = np.abs(pivots) <= PIVOT_FLOOR
-        det[alive & dead] = 0.0
-        alive &= ~dead
-        swap = piv_row != k
-        if swap.any():
-            rk = a[:, k, :].copy()
-            rp = a[rows, piv_row, :].copy()
-            a[:, k, :] = np.where(swap[:, None], rp, rk)
-            a[rows, piv_row, :] = np.where(swap[:, None], rk, rp)
-            det = np.where(swap & alive, -det, det)
-        pivot = a[:, k, k]
-        det = np.where(alive, det * pivot, det)
-        if k + 1 < n:
-            safe = np.where(np.abs(pivot) > PIVOT_FLOOR, pivot, 1.0)
-            factors = a[:, k + 1 :, k] / safe[:, None]
-            a[:, k + 1 :, k + 1 :] -= factors[:, :, None] * a[:, k, None, k + 1 :]
-    return det
+    return np.linalg.det(a)
 
 
 def pfaffian_batch(stack) -> np.ndarray:

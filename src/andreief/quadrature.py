@@ -18,8 +18,6 @@ a (P,) value array.  Scalar returns are broadcast.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +34,14 @@ __all__ = [
     "integrate_1d",
     "integrate_nd",
     "monte_carlo_nd",
-    "resolve_worker_count",
 ]
 
 DEFAULT_EVAL_BUDGET = 10**8
 DEFAULT_NODES_1D = 40
 DEFAULT_NODES_TENSOR = 12
 
-# Grid points / samples handled per block.  Fixed so that the reduction
-# order (and hence the float result) never depends on worker count.
+# Grid points / samples handled per block.  Fixed, so the reduction order
+# (and hence the float result) is the same on every run.
 _GRID_CHUNK = 1 << 16
 _MC_CHUNK = 1 << 20
 
@@ -247,18 +244,6 @@ def integrate_1d(rule: QuadratureRule, f) -> float:
     return float(np.dot(rule.weights, values))
 
 
-def resolve_worker_count() -> int:
-    """Worker cap from ANDREIEF_THREADS (default 1, clamped to [1, 32])."""
-    raw = os.environ.get("ANDREIEF_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"ANDREIEF_THREADS must be an integer, got {raw!r}")
-    return max(1, min(n, 32))
-
-
 def _grid_chunk_sum(rule: QuadratureRule, dim: int, f, start: int, stop: int) -> float:
     shape = (rule.n_nodes,) * dim
     idx = np.unravel_index(np.arange(start, stop), shape)
@@ -273,12 +258,7 @@ def _grid_chunk_sum(rule: QuadratureRule, dim: int, f, start: int, stop: int) ->
         raise ValueError(
             f"integrand returned shape {values.shape}, expected ({stop - start},)"
         )
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"non-finite integrand value {values[i]} at point {points[i]}"
-        )
+    _check_finite(values, points)
     return float(np.dot(wprod, values))
 
 
@@ -288,7 +268,7 @@ def integrate_nd(rule: QuadratureRule, dim: int, f, budget: int = DEFAULT_EVAL_B
     f receives (P, dim) blocks of grid points.  The same embedded-weight
     contract as integrate_1d applies to every coordinate.  Partial sums are
     reduced in a fixed chunk order, so the result is bit-reproducible for a
-    given configuration regardless of worker count.
+    given configuration.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -298,16 +278,10 @@ def integrate_nd(rule: QuadratureRule, dim: int, f, budget: int = DEFAULT_EVAL_B
             f"budget exceeded: grid requires {total_evals} evaluations, "
             f"allowed {budget}"
         )
-    starts = list(range(0, total_evals, _GRID_CHUNK))
-    bounds = [(s, min(s + _GRID_CHUNK, total_evals)) for s in starts]
-    workers = resolve_worker_count()
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(lambda se: _grid_chunk_sum(rule, dim, f, *se), bounds)
-            )
-    else:
-        partials = [_grid_chunk_sum(rule, dim, f, s, e) for s, e in bounds]
+    partials = [
+        _grid_chunk_sum(rule, dim, f, s, min(s + _GRID_CHUNK, total_evals))
+        for s in range(0, total_evals, _GRID_CHUNK)
+    ]
     return float(sum(partials))
 
 
@@ -350,6 +324,7 @@ def monte_carlo_nd(domain: Domain, dim: int, f, samples: int, seed: int) -> MCEs
         values = np.asarray(f(points), dtype=float)
         if values.ndim == 0:
             values = np.broadcast_to(values, (samples,))
+        _check_finite(values, points)
         mean = float(np.mean(values))
         spread = float(np.std(values, ddof=1)) if samples > 1 else 0.0
     else:
@@ -363,6 +338,7 @@ def monte_carlo_nd(domain: Domain, dim: int, f, samples: int, seed: int) -> MCEs
             values = np.asarray(f(points), dtype=float)
             if values.ndim == 0:
                 values = np.broadcast_to(values, (block,))
+            _check_finite(values, points)
             total += float(np.sum(values))
             total_sq += float(np.sum(values * values))
             count += block

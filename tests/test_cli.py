@@ -191,6 +191,16 @@ class TestExitCodes:
         assert code == 2
         assert "size must be even" in err
 
+    def test_divergent_debruijn_is_two(self, capsys):
+        # shifted-gue's left family is plain monomials on the real line
+        code, out, err = run_main(
+            capsys, ["verify-debruijn", "--ensemble", "shifted-gue", "--n", "2"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "monomial on real_line" in err
+        assert "diverges" in err
+
     def test_unknown_config_key_is_two(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"ensembel": "gue-monomial"}))

@@ -1,9 +1,12 @@
 """Discrete identity checks: Cauchy-Binet, the point-measure bridge,
 minor summation, and the block specialization."""
 
+import math
+
 import numpy as np
 import pytest
 
+from andreief import discrete
 from andreief.discrete import (
     DiscretePointSet,
     block_reclaims_cauchy_binet,
@@ -65,6 +68,14 @@ class TestCauchyBinet:
         exact = cauchy_binet_rhs(x, y)
         assert relative_gap(cauchy_binet_lhs(x.astype(float), y.astype(float)), exact) < 1e-12
         assert relative_gap(cauchy_binet_rhs(x.astype(float), y.astype(float)), exact) < 1e-12
+
+    def test_float_path_spans_subset_blocks(self):
+        rng = np.random.default_rng(13)
+        x = random_int_matrix(rng, 200, 2)
+        y = random_int_matrix(rng, 200, 2)
+        assert math.comb(200, 2) > discrete._SUBSET_BLOCK
+        exact = cauchy_binet_rhs(x, y)
+        assert relative_gap(cauchy_binet_lhs(x.astype(float), y.astype(float)), exact) < 1e-12
 
     def test_zero_column_case(self):
         x = np.zeros((3, 0), dtype=int)
@@ -179,6 +190,14 @@ class TestMinorSummation:
         got_rhs = minor_summation_rhs(a.astype(float), t.astype(float))
         assert relative_gap(got_lhs, exact) < 1e-11
         assert relative_gap(got_rhs, exact) < 1e-11
+
+    def test_float_path_spans_subset_blocks(self):
+        rng = np.random.default_rng(17)
+        a = random_int_skew(rng, 200)
+        t = random_int_matrix(rng, 2, 200)
+        assert math.comb(200, 2) > discrete._SUBSET_BLOCK
+        exact = minor_summation_rhs(a, t)
+        assert relative_gap(minor_summation_lhs(a.astype(float), t.astype(float)), exact) < 1e-12
 
     def test_skew_matrix_wrapper_accepted(self):
         rng = np.random.default_rng(5)

@@ -1,7 +1,6 @@
 """Tests for function families, kernels, and the ensemble catalogue."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -145,27 +144,21 @@ class TestWeightFactorization:
 
     def test_two_absorbing_families_restore_one_weight(self):
         fam = FunctionFamily(2, "weighted_monomial", weight=Weight("gaussian"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _, point_factor = weight_factorization((fam, fam), Domain.real_line())
+        _, point_factor = weight_factorization((fam, fam), Domain.real_line())
         assert point_factor is EMBEDDED_WEIGHTS["real_line"]
 
-    def test_fallback_warns(self):
-        fam = FunctionFamily(2, "monomial")
-        with pytest.warns(RuntimeWarning, match="may overflow") as record:
-            (fns,), point_factor = weight_factorization((fam,), Domain.half_line())
-        assert len(record) == 1
-        assert "monomial" in str(record[0].message)
-        assert "half_line" in str(record[0].message)
-        x = np.array([0.5, 2.0])
-        assert np.array_equal(point_factor(x), np.exp(x))
-        with pytest.warns(RuntimeWarning, match="monomial and monomial on real_line"):
-            weight_factorization((fam, fam), Domain.real_line())
-        # one absorbing family leaves omega**0: nothing to divide, no warning
+    def test_no_absorbing_family_rejected(self):
+        mono = FunctionFamily(2, "monomial")
+        with pytest.raises(ValueError, match="monomial on half_line: .* diverges"):
+            weight_factorization((mono,), Domain.half_line())
+        with pytest.raises(ValueError, match="monomial and monomial on real_line"):
+            weight_factorization((mono, mono), Domain.real_line())
+        stretched = FunctionFamily(2, "stretched_monomial", theta=2.0)
+        with pytest.raises(ValueError, match="stretched_monomial on half_line"):
+            weight_factorization((stretched,), Domain.half_line())
+        # one absorbing family leaves omega**0: nothing to divide
         gauss = FunctionFamily(2, "weighted_monomial", weight=Weight("gaussian"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _, point_factor = weight_factorization((gauss, fam), Domain.real_line())
+        _, point_factor = weight_factorization((gauss, mono), Domain.real_line())
         assert point_factor is None
 
     @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
@@ -175,9 +168,12 @@ class TestWeightFactorization:
         pts = random_domain_points(spec.domain, rng, 100)
         omega = OMEGA[spec.domain.kind]
         for fam in (spec.left, spec.right):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                (fns,), point_factor = weight_factorization((fam,), spec.domain)
+            if not spec.domain.is_finite and fam.kind in ("monomial", "stretched_monomial"):
+                # absorbs no weight and does not decay on its own
+                with pytest.raises(ValueError, match="diverges"):
+                    weight_factorization((fam,), spec.domain)
+                continue
+            (fns,), point_factor = weight_factorization((fam,), spec.domain)
             factor = 1.0 if point_factor is None else point_factor(pts)
             for j in range(fam.size):
                 want = evaluate(fam, j, pts)

@@ -340,31 +340,31 @@ class TestChebyshevGap:
 
 
 class TestInverseWeightPath:
-    """Families with no closed form against the embedded weight omega are
-    integrated as f / omega.  Both routes then share the weighted node
-    measure, on which Cauchy-Binet (and minor summation) hold exactly."""
+    """Families with no closed form against the embedded weight omega do
+    not decay, so on an infinite domain no route has a finite integral to
+    compute: every route rejects them instead of dividing by omega."""
 
     @pytest.mark.parametrize("domain", [Domain.half_line(), Domain.real_line()], ids=str)
     def test_andreief_monomial_pair(self, domain):
         mono = FunctionFamily(3, "monomial")
         spec = EnsembleSpec("monomial-pair", domain, mono, mono)
-        with pytest.warns(RuntimeWarning, match="may overflow"):
-            lhs = andreief_lhs_quadrature(spec, 12)
-        with pytest.warns(RuntimeWarning, match="may overflow"):
-            rhs = andreief_rhs(gram_matrix(spec, 12))
-        assert rhs != 0.0
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+        for route in (
+            lambda: andreief_lhs_quadrature(spec, 12),
+            lambda: andreief_rhs(gram_matrix(spec, 12)),
+            lambda: andreief_lhs_mc(spec, 100, 1),
+            lambda: verify_andreief(spec),
+        ):
+            with pytest.raises(ValueError, match=f"monomial and monomial on {domain}: .* diverges"):
+                route()
 
     @pytest.mark.parametrize("kernel", [DIFFERENCE, SIGN], ids=["difference", "sign"])
     def test_debruijn_monomial_on_real_line(self, kernel):
         mono = FunctionFamily(2, "monomial")
         dom = Domain.real_line()
-        with pytest.warns(RuntimeWarning, match="may overflow"):
-            lhs = debruijn_lhs_quadrature(mono, kernel, dom, 12, 2)
-        with pytest.warns(RuntimeWarning, match="may overflow"):
-            rhs = debruijn_rhs(mono, kernel, dom, 12, 2)
-        assert rhs != 0.0
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+        with pytest.raises(ValueError, match="monomial on real_line: .* diverges"):
+            debruijn_lhs_quadrature(mono, kernel, dom, 12, 2)
+        with pytest.raises(ValueError, match="monomial on real_line: .* diverges"):
+            debruijn_rhs(mono, kernel, dom, 12, 2)
 
 
 class TestVerifyAndreief:

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from andreief.linalg import (
     EXPANSION_LIMIT,
@@ -202,7 +205,7 @@ class TestPfaffian:
 
 
 class TestBatchRoutines:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_determinant_batch_matches_scalar_bitwise(self, n):
         rng = np.random.default_rng(41)
         stack = rng.standard_normal((30, n, n))
@@ -230,6 +233,71 @@ class TestBatchRoutines:
     def test_pfaffian_batch_odd_rejected(self):
         with pytest.raises(ValueError, match="even order"):
             pfaffian_batch(np.zeros((4, 3, 3)))
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
+
+
+def hadamard_bound(stack):
+    """Per-matrix product of row norms, the largest |det| such rows allow;
+    the scale against which LU rounding in a determinant is measured."""
+    return np.prod(np.linalg.norm(stack, axis=2), axis=1)
+
+
+@st.composite
+def small_int_stacks(draw, orders=range(1, 7)):
+    n = draw(st.sampled_from(list(orders)))
+    p = draw(st.integers(1, 6))
+    return draw(arrays(np.int64, (p, n, n), elements=st.integers(-4, 4), fill=st.nothing()))
+
+
+@st.composite
+def float_stacks(draw, orders=range(1, 7)):
+    n = draw(st.sampled_from(list(orders)))
+    p = draw(st.integers(1, 6))
+    return draw(arrays(np.float64, (p, n, n), elements=st.floats(-2.0, 2.0), fill=st.nothing()))
+
+
+class TestDeterminantProperties:
+    @PROPERTY_SETTINGS
+    @given(small_int_stacks())
+    def test_batch_matches_permutation_expansion(self, stack):
+        batch = determinant_batch(stack)
+        scale = hadamard_bound(stack.astype(float))
+        for value, matrix, bound in zip(batch, stack, scale):
+            exact = det_by_permutation_expansion(matrix.astype(object))
+            assert abs(value - exact) <= 1e-13 * max(1.0, bound)
+
+    @PROPERTY_SETTINGS
+    @given(float_stacks(), st.data())
+    def test_unit_lower_factor_leaves_determinant(self, stack, data):
+        n = stack.shape[1]
+        strict = data.draw(
+            arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0), fill=st.nothing())
+        )
+        lower = np.tril(strict, -1) + np.eye(n)
+        product = lower @ stack
+        scale = np.maximum(hadamard_bound(product), hadamard_bound(stack))
+        gap = np.abs(determinant_batch(product) - determinant_batch(stack))
+        assert np.all(gap <= 1e-13 * np.maximum(1.0, scale))
+
+    @PROPERTY_SETTINGS
+    @given(float_stacks(), st.floats(-3.0, 3.0))
+    def test_scaling_covariance(self, stack, c):
+        n = stack.shape[1]
+        scaled = determinant_batch(c * stack)
+        expected = c**n * determinant_batch(stack)
+        scale = abs(c) ** n * hadamard_bound(stack)
+        assert np.all(np.abs(scaled - expected) <= 1e-13 * np.maximum(1.0, scale))
+
+    @PROPERTY_SETTINGS
+    @given(float_stacks(orders=(2, 4, 6, 8)))
+    def test_pfaffian_squared_is_determinant(self, raw):
+        skew = raw - np.transpose(raw, (0, 2, 1))
+        pf = pfaffian_batch(skew)
+        scale = hadamard_bound(skew)
+        gap = np.abs(pf * pf - determinant_batch(skew))
+        assert np.all(gap <= 1e-13 * np.maximum(1.0, scale))
 
 
 class TestSubsets:

@@ -15,7 +15,6 @@ from andreief.quadrature import (
     integrate_1d,
     integrate_nd,
     monte_carlo_nd,
-    resolve_worker_count,
 )
 
 UNIT = Domain.finite(0.0, 1.0)
@@ -205,44 +204,20 @@ class TestIntegrateND:
         with pytest.raises(BudgetError):
             integrate_nd(rule, 2, lambda p: np.ones(p.shape[0]), budget=99)
 
+    def test_non_finite_rejected(self):
+        rule = gauss_rule(UNIT, 4)
+
+        def f(p):
+            return np.where(p[:, 1] < 0.5, 1.0, np.nan)
+
+        with pytest.raises(ValueError, match="non-finite integrand value nan"):
+            integrate_nd(rule, 2, f)
+
     def test_chunked_matches_single_pass(self):
         # 17^4 = 83521 points spans two chunks of 2^16
         rule = gauss_rule(UNIT, 17)
         val = integrate_nd(rule, 4, lambda p: np.prod(p, axis=1))
         assert within_tolerance(val, (0.5) ** 4, 1e-13)
-
-    def test_threaded_matches_serial_bitwise(self, monkeypatch):
-        rule = gauss_rule(UNIT, 17)
-
-        def f(p):
-            return np.sin(p[:, 0]) * p[:, 1] ** 2 + p[:, 2] - p[:, 3]
-
-        monkeypatch.delenv("ANDREIEF_THREADS", raising=False)
-        serial = integrate_nd(rule, 4, f)
-        monkeypatch.setenv("ANDREIEF_THREADS", "4")
-        threaded = integrate_nd(rule, 4, f)
-        assert serial == threaded
-
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("ANDREIEF_THREADS", raising=False)
-        assert resolve_worker_count() == 1
-
-    def test_env_respected(self, monkeypatch):
-        monkeypatch.setenv("ANDREIEF_THREADS", "6")
-        assert resolve_worker_count() == 6
-
-    def test_clamped(self, monkeypatch):
-        monkeypatch.setenv("ANDREIEF_THREADS", "0")
-        assert resolve_worker_count() == 1
-        monkeypatch.setenv("ANDREIEF_THREADS", "1000")
-        assert resolve_worker_count() == 32
-
-    def test_non_integer_rejected(self, monkeypatch):
-        monkeypatch.setenv("ANDREIEF_THREADS", "many")
-        with pytest.raises(ValueError, match="ANDREIEF_THREADS"):
-            resolve_worker_count()
 
 
 class TestMonteCarlo:
@@ -292,6 +267,14 @@ class TestMonteCarlo:
         quad = integrate_1d(rule, lambda x: x**4)
         est = monte_carlo_nd(REAL, 1, lambda p: p[:, 0] ** 4, 10**5, seed)
         assert abs(est.mean - quad) <= 4 * est.std_error
+
+    @pytest.mark.parametrize("samples", [1000, (1 << 20) + 1000], ids=["one-block", "chunked"])
+    def test_non_finite_rejected(self, samples):
+        def f(p):
+            return np.where(p[:, 0] < 0.5, 1.0, np.inf)
+
+        with pytest.raises(ValueError, match="non-finite integrand value inf"):
+            monte_carlo_nd(UNIT, 2, f, samples, seed=5)
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError, match="samples"):
