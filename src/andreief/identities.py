@@ -153,16 +153,18 @@ def mc_agrees(estimate: MCEstimate, reference: float) -> bool:
 
 
 def _value_stack(fns, points: np.ndarray) -> np.ndarray:
-    """(P, len(fns), N) stack with [p, j, k] = fns[j](points[p, k])."""
-    p_count, n = points.shape
-    flat = points.reshape(-1)
-    rows = [np.asarray(fn(flat), dtype=float).reshape(p_count, n) for fn in fns]
-    return np.stack(rows, axis=1)
+    """(P, len(fns), N) stack with [p, j, k] = fns[j](points[p, k]).
+
+    Each member is evaluated on the whole (P, N) point block; the result is
+    a transposed view of the contiguous (len(fns), P, N) array of those
+    values, so the stack costs no second copy.
+    """
+    rows = [np.asarray(fn(points), dtype=float) for fn in fns]
+    return np.stack(rows).transpose(1, 0, 2)
 
 
 def _point_factor_product(point_factor, points: np.ndarray) -> np.ndarray:
-    vals = np.asarray(point_factor(points.reshape(-1)), dtype=float)
-    return np.prod(vals.reshape(points.shape), axis=1)
+    return np.prod(np.asarray(point_factor(points), dtype=float), axis=1)
 
 
 def _pair_integrand(spec: EnsembleSpec) -> Callable:

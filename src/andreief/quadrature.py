@@ -328,10 +328,13 @@ def monte_carlo_nd(domain: Domain, dim: int, f, samples: int, seed: int) -> MCEs
         mean = float(np.mean(values))
         spread = float(np.std(values, ddof=1)) if samples > 1 else 0.0
     else:
-        # fixed chunk size keeps the draw sequence and reduction order stable
+        # Fixed chunk size keeps the draw sequence and reduction order
+        # stable.  Block means and centred sums of squares are merged by the
+        # pairwise update of Chan, Golub and LeVeque; a raw sum of squares
+        # minus n*mean^2 cancels catastrophically when |mean| >> spread.
         count = 0
-        total = 0.0
-        total_sq = 0.0
+        mean = 0.0
+        centred_sq = 0.0
         while count < samples:
             block = min(_MC_CHUNK, samples - count)
             points = _sample_block(rng, domain, (block, dim))
@@ -339,12 +342,14 @@ def monte_carlo_nd(domain: Domain, dim: int, f, samples: int, seed: int) -> MCEs
             if values.ndim == 0:
                 values = np.broadcast_to(values, (block,))
             _check_finite(values, points)
-            total += float(np.sum(values))
-            total_sq += float(np.sum(values * values))
-            count += block
-        mean = total / samples
-        var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-        spread = math.sqrt(var)
+            block_mean = float(np.mean(values))
+            block_sq = float(np.sum((values - block_mean) ** 2))
+            delta = block_mean - mean
+            merged = count + block
+            mean += delta * (block / merged)
+            centred_sq += block_sq + delta * delta * (count * block / merged)
+            count = merged
+        spread = math.sqrt(centred_sq / (samples - 1))
     return MCEstimate(
         mean=factor * mean,
         std_error=factor * spread / math.sqrt(samples),

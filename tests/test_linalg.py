@@ -1,6 +1,8 @@
 """Tests for the dense linear algebra kernel."""
 
 import itertools
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +49,29 @@ class TestDeterminant:
 
     def test_singular(self):
         assert determinant([[1.0, 2.0], [2.0, 4.0]]) == 0.0
+
+    def test_singular_three_by_three_exact(self):
+        # every product and difference of the cofactor expansion is exact
+        # here; an LU factorization may round to a few ulps instead
+        assert determinant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]) == 0.0
+
+    def test_hilbert_three_by_three(self):
+        exact = det_by_permutation_expansion(
+            np.array([[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)])
+        )
+        hilbert = [[1.0 / (i + j + 1) for j in range(3)] for i in range(3)]
+        assert abs(determinant(hilbert) - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_subnormal_pivot_gives_zero_silently(self, order):
+        # at order 4 LU's second pivot underflows to zero, where
+        # numpy.linalg.det alone warns "divide by zero encountered in det"
+        c = 1.1e-308
+        m = np.eye(order)
+        m[:2, :2] = [[0.0, c], [c, c]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert determinant(m) == 0.0
 
     def test_swap_changes_sign(self):
         rng = np.random.default_rng(5)
@@ -205,13 +230,24 @@ class TestPfaffian:
 
 
 class TestBatchRoutines:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8])
     def test_determinant_batch_matches_scalar_bitwise(self, n):
         rng = np.random.default_rng(41)
         stack = rng.standard_normal((30, n, n))
         batch = determinant_batch(stack)
         for i in range(30):
             assert batch[i] == determinant(stack[i])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_determinant_batch_strided_view_bitwise(self, n):
+        # the (P, n, n) transpose of a contiguous (n, P, n) array, the layout
+        # the engines' value stacks hand over
+        rng = np.random.default_rng(47)
+        view = rng.standard_normal((n, 30, n)).transpose(1, 0, 2)
+        assert not view.flags.c_contiguous or n == 1
+        assert np.array_equal(
+            determinant_batch(view), determinant_batch(np.ascontiguousarray(view))
+        )
 
     def test_determinant_batch_singular_entries(self):
         stack = np.stack([np.eye(3), np.ones((3, 3)), 2 * np.eye(3)])

@@ -247,6 +247,13 @@ class TestMonteCarlo:
         assert a == b
         assert abs(a.mean - 1.0 / 3.0) <= 4 * a.std_error
 
+    def test_chunked_std_error_with_large_mean(self):
+        # Var(1e9 + U) = 1/12.  A raw sum of squares minus n * mean^2 at this
+        # offset keeps none of it (std error 0.0105 instead of 2.75e-4).
+        n = (1 << 20) + 50_000
+        est = monte_carlo_nd(UNIT, 1, lambda p: 1e9 + p[:, 0], n, seed=7)
+        assert est.std_error == pytest.approx(1.0 / math.sqrt(12 * n), rel=0.01)
+
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_agrees_with_quadrature_finite(self, seed):
         rule = gauss_rule(UNIT, 10)
