@@ -218,6 +218,19 @@ def _parse_shifts(value) -> tuple | None:
         raise UsageError(f"invalid value for 'shifts': {value!r}") from None
 
 
+def _join_function_names(argv: list) -> list:
+    """Join --f/--g with a following CHEBYSHEV_FUNCTIONS name into one
+    --f=NAME token, since argparse reads a dash-led name such as -x as an
+    option of its own."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in ("--f", "--g") and token in CHEBYSHEV_FUNCTIONS:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def parse_config(source) -> RunConfig:
     """Resolve a RunConfig from CLI argv tokens or JSON config text.
 
@@ -232,7 +245,7 @@ def parse_config(source) -> RunConfig:
         if command is None:
             raise UsageError("config must name a command")
     else:
-        flags = build_parser().parse_args(list(source))
+        flags = build_parser().parse_args(_join_function_names(list(source)))
         file_values = _load_config_file(flags.config) if flags.config else {}
         command = flags.command
 

@@ -2,10 +2,11 @@
 
 Four computations share this module:
 
-* the N-fold integral of det[f_j(x_k)] det[phi_j(x_k)] (by tensor
-  quadrature, by Monte Carlo, and by the permutation-expanded intermediate
-  form), against N! times the determinant of the Gram matrix of pairwise
-  integrals;
+* the N-fold integral of det[f_j(x_k)] det[phi_j(x_k)] (by Gauss
+  quadrature summed over node subsets, which is Cauchy-Binet on the node
+  measure, by Monte Carlo, and by the permutation-expanded intermediate
+  form on the tensor grid), against N! times the determinant of the Gram
+  matrix of pairwise integrals;
 * the 2n-fold integral of det[f_j(x_k)] Pf[h(x_j, x_k)] / (2n)! against the
   Pfaffian of the matrix of double integrals of f_j(x) h(x, y) f_k(y);
 * the finite-interval covariance-style gap (b-a) int fg - int f int g and
@@ -16,8 +17,8 @@ Every engine integrates against the same measure by calling the one
 reduction ensembles.weight_factorization, with the ensemble's two families
 or the Pfaffian side's single family: it returns the member functions and
 one per-point factor (a power of the embedded weight, or None).  The same
-reduced integrand feeds the tensor, Monte Carlo, permutation, and Gram
-routes.
+reduced members feed the node-subset, tensor, Monte Carlo, permutation, and
+Gram routes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .discrete import cauchy_binet_lhs
 from .ensembles import (
     EnsembleSpec,
     FunctionFamily,
@@ -49,6 +51,7 @@ from .quadrature import (
     BudgetError,
     Domain,
     MCEstimate,
+    _check_finite,
     gauss_rule,
     integrate_1d,
     integrate_nd,
@@ -78,7 +81,9 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SEED = 42
 
-# Tensor-grid size gates; an explicit force flag overrides them.
+# Size gates on the quadrature left sides; an explicit force flag overrides
+# them.  The Andreief gate guards the verdict rather than a cost: past it,
+# the max(1, |lhs|, |rhs|) verdict scale makes a pass on small values vacuous.
 TENSOR_SIZE_LIMIT = 6
 DEBRUIJN_SIZE_LIMIT = 4
 
@@ -226,7 +231,7 @@ def andreief_rhs(g: GramMatrix) -> float:
     )
 
 
-def _check_tensor_size(n: int, limit: int, n_nodes: int, force: bool, hint: str) -> None:
+def _check_tensor_size(n: int, limit: int, count: int, force: bool, hint: str) -> None:
     if n <= limit:
         return
     if not force:
@@ -234,7 +239,16 @@ def _check_tensor_size(n: int, limit: int, n_nodes: int, force: bool, hint: str)
             f"tensor grid over {n} variables exceeds the default size gate "
             f"({limit}); {hint}"
         )
-    print(f"evaluation count: {n_nodes**n}")
+    print(f"evaluation count: {count}")
+
+
+def _node_matrix(fns, nodes: np.ndarray) -> np.ndarray:
+    """(n_nodes, len(fns)) matrix with [k, j] = fns[j](nodes[k]); every
+    column is checked finite, naming the first bad node."""
+    columns = [np.asarray(fn(nodes), dtype=float) for fn in fns]
+    for column in columns:
+        _check_finite(column, nodes)
+    return np.stack(columns, axis=1)
 
 
 def andreief_lhs_quadrature(
@@ -244,18 +258,46 @@ def andreief_lhs_quadrature(
     force: bool = False,
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> float:
-    """N-fold tensor quadrature of det[f_j(x_k)] det[phi_j(x_k)]."""
+    """N-fold tensor Gauss quadrature of det[f_j(x_k)] det[phi_j(x_k)],
+    summed over node subsets.
+
+    On the rule's nodes x_k and weights w_k the n_nodes**N grid sum is
+    Cauchy-Binet: a grid point that repeats a node gives both determinants
+    two equal columns and contributes 0, and the N! orderings of one node
+    subset K contribute equally.  So the sum is
+    N! * sum_K det((W F)_K) * det(Phi_K) over the C(n_nodes, N) subsets,
+    with F[k, j] = f_j(x_k), Phi[k, j] = phi_j(x_k) and
+    W = diag(w_k * point_factor(x_k)).  Fewer nodes than N leave no subset
+    and the exact value 0.0.  The budget bounds the subset count.
+
+    Cauchy-Binet also equals det(F^T W Phi), but that is the Gram route of
+    andreief_rhs on another rule: summing the minors keeps this side
+    independent of the right side.
+    """
     n = spec.size
+    count = math.comb(n_nodes, n)
     _check_tensor_size(
-        n, TENSOR_SIZE_LIMIT, n_nodes, force,
+        n, TENSOR_SIZE_LIMIT, count, force,
         "use andreief_lhs_mc or pass force=True",
     )
     rule = gauss_rule(spec.domain, n_nodes)
-    integrand = _pair_integrand(spec)
-    try:
-        return integrate_nd(rule, n, integrand, budget=budget)
-    except BudgetError as err:
-        raise BudgetError(f"{err}; consider andreief_lhs_mc") from None
+    (left_fns, right_fns), point_factor = weight_factorization(
+        (spec.left, spec.right), spec.domain
+    )
+    if count > budget:
+        raise BudgetError(
+            f"budget exceeded: {count} node subsets, allowed {budget}; "
+            "consider andreief_lhs_mc"
+        )
+    weights = rule.weights
+    if point_factor is not None:
+        weights = weights * np.asarray(point_factor(rule.nodes), dtype=float)
+    _check_finite(weights, rule.nodes)
+    left = _node_matrix(left_fns, rule.nodes)
+    right = _node_matrix(right_fns, rule.nodes)
+    if count == 0:
+        return 0.0
+    return _factorial(n) * cauchy_binet_lhs(weights[:, None] * left, right)
 
 
 def andreief_lhs_mc(spec: EnsembleSpec, samples: int, seed: int) -> MCEstimate:
@@ -274,7 +316,7 @@ def andreief_lhs_permutation_oracle(
     """
     n = spec.size
     _check_tensor_size(
-        n, TENSOR_SIZE_LIMIT, n_nodes, False, "oracle is tensor-bound"
+        n, TENSOR_SIZE_LIMIT, n_nodes**n, False, "oracle is tensor-bound"
     )
     rule = gauss_rule(spec.domain, n_nodes)
     (left_fns, right_fns), point_factor = weight_factorization(
@@ -354,7 +396,7 @@ def debruijn_lhs_quadrature(
     divided by (2n)!."""
     _check_debruijn_size(two_n, left.size)
     _check_tensor_size(
-        two_n, DEBRUIJN_SIZE_LIMIT, n_nodes, force,
+        two_n, DEBRUIJN_SIZE_LIMIT, n_nodes**two_n, force,
         "pass force=True to run anyway",
     )
     rule = gauss_rule(domain, n_nodes)

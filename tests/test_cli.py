@@ -201,6 +201,16 @@ class TestExitCodes:
         assert "monomial on real_line" in err
         assert "diverges" in err
 
+    def test_andreief_size_gate_is_two(self, capsys):
+        # past the gate the max(1, |lhs|, |rhs|) verdict scale would pass
+        # shifted-gue at N=8 on values near 3.8e-10 that differ by 5e-4
+        code, out, err = run_main(
+            capsys, ["verify-andreief", "--ensemble", "shifted-gue", "--n", "8"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the default size gate (6)" in err
+
     def test_unknown_config_key_is_two(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"ensembel": "gue-monomial"}))
@@ -340,6 +350,15 @@ class TestCommandPayloads:
         assert code == 0
         assert report["direction_reversed"] is True
         assert report["gap"] == pytest.approx(-1.0 / 12.0, rel=1e-12)
+
+    @pytest.mark.parametrize("f, g", [("exp", "-x"), ("-x^2", "-exp")])
+    def test_chebyshev_dash_led_names_as_separate_tokens(self, capsys, f, g):
+        code, report, _ = run_json(
+            capsys, ["verify-chebyshev", "--f", f, "--g", g, "--no-timestamp"]
+        )
+        assert code == 0
+        assert report["config"]["extras"]["f"] == f
+        assert report["config"]["extras"]["g"] == g
 
     def test_chebyshev_identity_row(self, capsys):
         _, report, _ = run_json(

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from andreief.ensembles import (
     Weight,
     build_ensemble,
     rescale,
+    weight_factorization,
 )
+from andreief import identities
 from andreief.identities import (
     GramMatrix,
     VerifyConfig,
+    _pair_integrand,
     andreief_lhs_mc,
     andreief_lhs_permutation_oracle,
     andreief_lhs_quadrature,
@@ -30,7 +34,7 @@ from andreief.identities import (
     verify_andreief,
 )
 from andreief.linalg import relative_gap, within_tolerance
-from andreief.quadrature import BudgetError, Domain
+from andreief.quadrature import BudgetError, Domain, gauss_rule, integrate_nd
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -117,15 +121,52 @@ class TestAndreiefLhsQuadrature:
             andreief_lhs_quadrature(spec)
 
     def test_force_prints_count_and_runs(self, capsys):
+        # the route evaluates C(8, 7) node subsets, not 8**7 grid points
         spec = build_ensemble("uniform-monomial", 7)
-        val = andreief_lhs_quadrature(spec, 2, force=True)
-        assert "evaluation count: 128" in capsys.readouterr().out
+        val = andreief_lhs_quadrature(spec, 8, force=True)
+        assert "evaluation count: 8" in capsys.readouterr().out
         assert math.isfinite(val)
 
     def test_budget_error_suggests_mc(self):
+        # C(40, 6) = 3,838,380 node subsets
         spec = build_ensemble("uniform-monomial", 6)
         with pytest.raises(BudgetError, match="consider andreief_lhs_mc"):
-            andreief_lhs_quadrature(spec, 40)
+            andreief_lhs_quadrature(spec, 40, budget=10**6)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
+    def test_equals_tensor_grid(self, name, size):
+        spec = build_ensemble(name, size)
+        grid = integrate_nd(gauss_rule(spec.domain, 12), size, _pair_integrand(spec))
+        assert abs(andreief_lhs_quadrature(spec, 12) - grid) <= 1e-13 * abs(grid)
+
+    @pytest.mark.parametrize("size", [5, 6])
+    def test_uniform_monomial_exact_hilbert(self, size):
+        # N! det H_N with det H_N = c_N^4 / c_2N, c_n = prod_{i<n} i!;
+        # 12 Gauss-Legendre nodes integrate the degree-2(N-1) terms exactly
+        def c(n):
+            return math.prod(math.factorial(i) for i in range(n))
+
+        exact = math.factorial(size) * Fraction(c(size) ** 4, c(2 * size))
+        lhs = andreief_lhs_quadrature(build_ensemble("uniform-monomial", size), 12)
+        assert abs(Fraction(lhs) - exact) <= Fraction(1e-12) * exact
+
+    def test_fewer_nodes_than_size_is_zero(self):
+        # every grid point repeats a node, so the tensor sum is exactly 0
+        assert andreief_lhs_quadrature(build_ensemble("gue-monomial", 4), 3) == 0.0
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+    def test_non_finite_family_value_names_node(self, monkeypatch, side):
+        def poisoned(families, domain):
+            member_fns, point_factor = weight_factorization(families, domain)
+            fn = member_fns[side][1]
+            member_fns[side][1] = lambda x: np.where(x > 0.8, np.inf, fn(x))
+            return member_fns, point_factor
+
+        monkeypatch.setattr(identities, "weight_factorization", poisoned)
+        # the 3-node Gauss-Legendre rule on (0, 1) has its last node at 0.8873
+        with pytest.raises(ValueError, match=r"non-finite .* at node 0\.887"):
+            andreief_lhs_quadrature(UNIFORM2, 3)
 
 
 class TestAndreiefLhsMC:
