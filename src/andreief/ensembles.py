@@ -248,7 +248,8 @@ def weight_factorization(
     omega**(absorbed - 1), with None meaning 1 (always so on finite
     domains).  With no family absorbing there is nothing that decays (the
     families without a closed form are monomial and stretched_monomial),
-    so the integral diverges and a ValueError says so.
+    so the integral diverges and a ValueError says so.  A single family
+    therefore never carries a point factor: it is None or the call raises.
     """
     if not 1 <= len(families) <= 2:
         raise ValueError(f"expected one or two families, got {len(families)}")

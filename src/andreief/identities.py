@@ -363,13 +363,11 @@ def debruijn_rhs(
     """
     _check_debruijn_size(two_n, left.size)
     rule = gauss_rule(domain, n_nodes)
-    (fns,), point_factor = weight_factorization((left,), domain)
+    (fns,), _ = weight_factorization((left,), domain)  # one family: no point factor
     h = kernel.antisymmetrized()
     weighted = np.array(
         [np.asarray(fn(rule.nodes), dtype=float) * rule.weights for fn in fns]
     )
-    if point_factor is not None:
-        weighted = weighted * np.asarray(point_factor(rule.nodes), dtype=float)
     kernel_matrix = np.asarray(
         h(rule.nodes[:, None], rule.nodes[None, :]), dtype=float
     )
@@ -400,7 +398,7 @@ def debruijn_lhs_quadrature(
         "pass force=True to run anyway",
     )
     rule = gauss_rule(domain, n_nodes)
-    (fns,), point_factor = weight_factorization((left,), domain)
+    (fns,), _ = weight_factorization((left,), domain)  # one family: no point factor
     h = kernel.antisymmetrized()
 
     def integrand(points: np.ndarray) -> np.ndarray:
@@ -408,10 +406,7 @@ def debruijn_lhs_quadrature(
         kernels = np.asarray(
             h(points[:, :, None], points[:, None, :]), dtype=float
         )
-        values = dets * pfaffian_batch(kernels)
-        if point_factor is not None:
-            values = values * _point_factor_product(point_factor, points)
-        return values
+        return dets * pfaffian_batch(kernels)
 
     raw = integrate_nd(rule, two_n, integrand, budget=budget)
     return raw / _factorial(two_n)

@@ -13,11 +13,21 @@ tridiagonal eigenproblem of the monic three-term recurrence.
 Vectorized callable contract: 1-D integrands map an (n,) node array to an
 (n,) value array; multidimensional integrands map a (P, dim) point block to
 a (P,) value array.  Scalar returns are broadcast.
+
+The multidimensional integrators cut their work into fixed blocks (grid
+chunks, sample blocks) and evaluate up to one block per CPU at once on a
+thread pool, so an integrand may run on several threads at once and must
+not mutate shared state.  Samples are drawn on the calling thread from one
+generator, in block order, and partial results are reduced in block order,
+so a result does not depend on the number of CPUs, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +51,17 @@ DEFAULT_NODES_1D = 40
 DEFAULT_NODES_TENSOR = 12
 
 # Grid points / samples handled per block.  Fixed, so the reduction order
-# (and hence the float result) is the same on every run.
-_GRID_CHUNK = 1 << 16
-_MC_CHUNK = 1 << 20
+# (and hence the float result) is the same on every run and every CPU count.
+_GRID_CHUNK = 1 << 13
+_MC_CHUNK = 1 << 17
+
+# Blocks evaluated at once, and so the most blocks in memory at once: one
+# per CPU this process may run on.
+_WORKERS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 
 class BudgetError(ValueError):
@@ -244,6 +262,41 @@ def integrate_1d(rule: QuadratureRule, f) -> float:
     return float(np.dot(rule.weights, values))
 
 
+def _run_blocks(task, blocks) -> list:
+    """[task(block) for block in blocks], with up to _WORKERS tasks at once.
+
+    The next block is taken from the iterable, on the calling thread, only
+    once fewer than _WORKERS tasks are in flight, so at most _WORKERS blocks
+    are in memory.  Results are read in block order: the first failing
+    block raises, as in a serial run (a later block's error is dropped),
+    and leaving the pool waits for every task already submitted, so no
+    thread outlives the call.
+    """
+    results = []
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        pending = deque()
+        for block in blocks:
+            pending.append(pool.submit(task, block))
+            if len(pending) == _WORKERS:
+                results.append(pending.popleft().result())
+        results.extend(future.result() for future in pending)
+    return results
+
+
+def _block_values(f, points: np.ndarray) -> np.ndarray:
+    """f on a (P, dim) point block as a checked, finite (P,) array."""
+    count = points.shape[0]
+    values = np.asarray(f(points), dtype=float)
+    if values.ndim == 0:
+        values = np.broadcast_to(values, (count,))
+    if values.shape != (count,):
+        raise ValueError(
+            f"integrand returned shape {values.shape}, expected ({count},)"
+        )
+    _check_finite(values, points)
+    return values
+
+
 def _grid_chunk_sum(rule: QuadratureRule, dim: int, f, start: int, stop: int) -> float:
     shape = (rule.n_nodes,) * dim
     idx = np.unravel_index(np.arange(start, stop), shape)
@@ -251,24 +304,18 @@ def _grid_chunk_sum(rule: QuadratureRule, dim: int, f, start: int, stop: int) ->
     wprod = np.ones(stop - start)
     for ax in idx:
         wprod *= rule.weights[ax]
-    values = np.asarray(f(points), dtype=float)
-    if values.ndim == 0:
-        values = np.broadcast_to(values, (stop - start,))
-    if values.shape != (stop - start,):
-        raise ValueError(
-            f"integrand returned shape {values.shape}, expected ({stop - start},)"
-        )
-    _check_finite(values, points)
-    return float(np.dot(wprod, values))
+    return float(np.dot(wprod, _block_values(f, points)))
 
 
 def integrate_nd(rule: QuadratureRule, dim: int, f, budget: int = DEFAULT_EVAL_BUDGET) -> float:
     """Full tensor-product sum of f over the dim-fold grid of the rule.
 
     f receives (P, dim) blocks of grid points.  The same embedded-weight
-    contract as integrate_1d applies to every coordinate.  Partial sums are
-    reduced in a fixed chunk order, so the result is bit-reproducible for a
-    given configuration.
+    contract as integrate_1d applies to every coordinate.  Grid chunks of
+    _GRID_CHUNK points are evaluated on up to _WORKERS threads at once, so
+    f may run concurrently and must not mutate shared state; their partial
+    sums are reduced in chunk order, so the result is bit-reproducible for
+    a given configuration on any number of CPUs.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -278,10 +325,12 @@ def integrate_nd(rule: QuadratureRule, dim: int, f, budget: int = DEFAULT_EVAL_B
             f"budget exceeded: grid requires {total_evals} evaluations, "
             f"allowed {budget}"
         )
-    partials = [
-        _grid_chunk_sum(rule, dim, f, s, min(s + _GRID_CHUNK, total_evals))
-        for s in range(0, total_evals, _GRID_CHUNK)
-    ]
+    partials = _run_blocks(
+        lambda start: _grid_chunk_sum(
+            rule, dim, f, start, min(start + _GRID_CHUNK, total_evals)
+        ),
+        range(0, total_evals, _GRID_CHUNK),
+    )
     return float(sum(partials))
 
 
@@ -306,12 +355,22 @@ def _mc_factor(domain: Domain, dim: int) -> float:
     return math.pi ** (dim / 2.0)
 
 
+def _block_moments(f, points: np.ndarray) -> tuple[float, float, int]:
+    """Mean, centred sum of squares and size of f on one sample block."""
+    values = _block_values(f, points)
+    mean = float(np.mean(values))
+    return mean, float(np.sum((values - mean) ** 2)), values.size
+
+
 def monte_carlo_nd(domain: Domain, dim: int, f, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of the dim-fold integral of f over the domain.
 
     On infinite domains the estimate is of the weighted integral (the same
     quantity gauss_rule targets), and f must be the integrand divided by the
-    embedded weight.  Deterministic for a given seed.
+    embedded weight.  Deterministic for a given seed: blocks of _MC_CHUNK
+    samples are drawn in order from one generator on the calling thread,
+    evaluated on up to _WORKERS threads at once (so f may run concurrently
+    and must not mutate shared state), and merged in block order.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -319,37 +378,25 @@ def monte_carlo_nd(domain: Domain, dim: int, f, samples: int, seed: int) -> MCEs
         raise ValueError("samples must be positive")
     factor = _mc_factor(domain, dim)
     rng = np.random.default_rng(seed)
-    if samples <= _MC_CHUNK:
-        points = _sample_block(rng, domain, (samples, dim))
-        values = np.asarray(f(points), dtype=float)
-        if values.ndim == 0:
-            values = np.broadcast_to(values, (samples,))
-        _check_finite(values, points)
-        mean = float(np.mean(values))
-        spread = float(np.std(values, ddof=1)) if samples > 1 else 0.0
-    else:
-        # Fixed chunk size keeps the draw sequence and reduction order
-        # stable.  Block means and centred sums of squares are merged by the
-        # pairwise update of Chan, Golub and LeVeque; a raw sum of squares
-        # minus n*mean^2 cancels catastrophically when |mean| >> spread.
-        count = 0
-        mean = 0.0
-        centred_sq = 0.0
-        while count < samples:
-            block = min(_MC_CHUNK, samples - count)
-            points = _sample_block(rng, domain, (block, dim))
-            values = np.asarray(f(points), dtype=float)
-            if values.ndim == 0:
-                values = np.broadcast_to(values, (block,))
-            _check_finite(values, points)
-            block_mean = float(np.mean(values))
-            block_sq = float(np.sum((values - block_mean) ** 2))
-            delta = block_mean - mean
-            merged = count + block
-            mean += delta * (block / merged)
-            centred_sq += block_sq + delta * delta * (count * block / merged)
-            count = merged
-        spread = math.sqrt(centred_sq / (samples - 1))
+    blocks = (
+        _sample_block(rng, domain, (min(_MC_CHUNK, samples - start), dim))
+        for start in range(0, samples, _MC_CHUNK)
+    )
+    # Block means and centred sums of squares are merged by the pairwise
+    # update of Chan, Golub and LeVeque; a raw sum of squares minus
+    # n*mean^2 cancels catastrophically when |mean| >> spread.
+    count = 0
+    mean = 0.0
+    centred_sq = 0.0
+    for block_mean, block_sq, block in _run_blocks(
+        lambda points: _block_moments(f, points), blocks
+    ):
+        delta = block_mean - mean
+        merged = count + block
+        mean += delta * (block / merged)
+        centred_sq += block_sq + delta * delta * (count * block / merged)
+        count = merged
+    spread = math.sqrt(centred_sq / (samples - 1)) if samples > 1 else 0.0
     return MCEstimate(
         mean=factor * mean,
         std_error=factor * spread / math.sqrt(samples),

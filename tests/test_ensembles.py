@@ -12,6 +12,7 @@ from andreief.ensembles import (
     KernelFunction,
     Weight,
     build_ensemble,
+    ensure_family_legal,
     evaluate,
     family_matrix,
     rescale,
@@ -160,6 +161,38 @@ class TestWeightFactorization:
         gauss = FunctionFamily(2, "weighted_monomial", weight=Weight("gaussian"))
         _, point_factor = weight_factorization((gauss, mono), Domain.real_line())
         assert point_factor is None
+
+    @pytest.mark.parametrize(
+        "domain",
+        [Domain.finite(0.0, 1.0), Domain.half_line(), Domain.real_line()],
+        ids=str,
+    )
+    def test_single_family_has_no_point_factor(self, domain):
+        # The Pfaffian side reduces one family, so its integrand never
+        # multiplies by a point factor.
+        families = (
+            FunctionFamily(3, "monomial"),
+            FunctionFamily(3, "weighted_monomial", weight=Weight("gaussian")),
+            FunctionFamily(3, "weighted_monomial", weight=Weight("laguerre")),
+            FunctionFamily(3, "weighted_monomial", weight=Weight("laguerre", c=1.5)),
+            FunctionFamily(3, "stretched_monomial", theta=2.0),
+            FunctionFamily(3, "shifted_gaussian", shifts=(0.1, 0.2, 0.3)),
+            FunctionFamily(3, "laguerre_meijer", nu=1),
+        )
+        legal = 0
+        for fam in families:
+            try:
+                ensure_family_legal(fam, domain)
+            except ValueError:
+                continue
+            legal += 1
+            if not domain.is_finite and fam.kind in ("monomial", "stretched_monomial"):
+                with pytest.raises(ValueError, match="diverges"):
+                    weight_factorization((fam,), domain)
+            else:
+                _, point_factor = weight_factorization((fam,), domain)
+                assert point_factor is None, fam
+        assert legal == {"finite": 7, "half_line": 7, "real_line": 3}[domain.kind]
 
     @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
     def test_round_trip_catalogue(self, name):

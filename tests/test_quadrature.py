@@ -1,12 +1,18 @@
 """Tests for quadrature rules and the two multidimensional integrators."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from andreief import quadrature
 from andreief.linalg import within_tolerance
 from andreief.quadrature import (
+    _GRID_CHUNK,
+    _MC_CHUNK,
     BudgetError,
     Domain,
     MCEstimate,
@@ -214,8 +220,9 @@ class TestIntegrateND:
             integrate_nd(rule, 2, f)
 
     def test_chunked_matches_single_pass(self):
-        # 17^4 = 83521 points spans two chunks of 2^16
-        rule = gauss_rule(UNIT, 17)
+        n = 17
+        assert n**4 > 2 * _GRID_CHUNK  # spans several chunks
+        rule = gauss_rule(UNIT, n)
         val = integrate_nd(rule, 4, lambda p: np.prod(p, axis=1))
         assert within_tolerance(val, (0.5) ** 4, 1e-13)
 
@@ -241,7 +248,7 @@ class TestMonteCarlo:
 
     def test_chunked_path_deterministic(self):
         f = lambda p: p[:, 0] ** 2
-        n = (1 << 20) + 1000
+        n = _MC_CHUNK + 1000
         a = monte_carlo_nd(UNIT, 1, f, n, seed=3)
         b = monte_carlo_nd(UNIT, 1, f, n, seed=3)
         assert a == b
@@ -249,8 +256,8 @@ class TestMonteCarlo:
 
     def test_chunked_std_error_with_large_mean(self):
         # Var(1e9 + U) = 1/12.  A raw sum of squares minus n * mean^2 at this
-        # offset keeps none of it (std error 0.0105 instead of 2.75e-4).
-        n = (1 << 20) + 50_000
+        # offset keeps none of it (std error 0.032 instead of 6.78e-4).
+        n = _MC_CHUNK + 50_000
         est = monte_carlo_nd(UNIT, 1, lambda p: 1e9 + p[:, 0], n, seed=7)
         assert est.std_error == pytest.approx(1.0 / math.sqrt(12 * n), rel=0.01)
 
@@ -275,7 +282,7 @@ class TestMonteCarlo:
         est = monte_carlo_nd(REAL, 1, lambda p: p[:, 0] ** 4, 10**5, seed)
         assert abs(est.mean - quad) <= 4 * est.std_error
 
-    @pytest.mark.parametrize("samples", [1000, (1 << 20) + 1000], ids=["one-block", "chunked"])
+    @pytest.mark.parametrize("samples", [1000, _MC_CHUNK + 1000], ids=["one-block", "chunked"])
     def test_non_finite_rejected(self, samples):
         def f(p):
             return np.where(p[:, 0] < 0.5, 1.0, np.inf)
@@ -283,8 +290,131 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="non-finite integrand value inf"):
             monte_carlo_nd(UNIT, 2, f, samples, seed=5)
 
+    def test_single_sample_has_zero_error(self):
+        est = monte_carlo_nd(UNIT, 2, lambda p: p[:, 0] + 1.0, 1, seed=4)
+        assert est.std_error == 0.0
+        assert 1.0 <= est.mean <= 2.0
+
     def test_estimate_validation(self):
         with pytest.raises(ValueError, match="samples"):
             MCEstimate(mean=0.0, std_error=0.0, samples=0)
         with pytest.raises(ValueError, match="std_error"):
             MCEstimate(mean=0.0, std_error=-1.0, samples=10)
+
+
+def _flat_grid(n):
+    """Rule whose node k is (k + 1/2) / n, so a point names its grid index."""
+    nodes = (np.arange(n) + 0.5) / n
+    return QuadratureRule(UNIT, nodes, np.full(n, 1.0 / n))
+
+
+class TestWorkers:
+    """Blocks run on a pool of _WORKERS threads; results must not depend on it."""
+
+    WORKER_COUNTS = (1, 2, 3)
+
+    def _per_worker_count(self, monkeypatch, run):
+        out = []
+        for workers in self.WORKER_COUNTS:
+            monkeypatch.setattr(quadrature, "_WORKERS", workers)
+            out.append(run())
+        return out
+
+    def test_grid_identical_across_worker_counts(self, monkeypatch):
+        rule = gauss_rule(UNIT, 13)
+        assert rule.n_nodes**4 > 3 * _GRID_CHUNK
+        f = lambda p: np.exp(p[:, 0] * p[:, 1]) - p[:, 2] * np.sin(p[:, 3])
+        vals = self._per_worker_count(monkeypatch, lambda: integrate_nd(rule, 4, f))
+        assert vals[1:] == vals[:-1]
+
+    @pytest.mark.parametrize("domain", [UNIT, HALF, REAL], ids=str)
+    def test_mc_identical_across_worker_counts(self, monkeypatch, domain):
+        samples = 3 * _MC_CHUNK + 1234  # several blocks plus a remainder
+        f = lambda p: p[:, 0] ** 2 + p[:, 1]
+        ests = self._per_worker_count(
+            monkeypatch, lambda: monte_carlo_nd(domain, 2, f, samples, seed=21)
+        )
+        assert ests[1:] == ests[:-1]
+
+    def test_grid_first_failing_chunk_raises(self, monkeypatch):
+        # non-finite values in chunks 2 and 4 (of 6); chunk 2 must be named
+        n = math.isqrt(6 * _GRID_CHUNK)
+        rule = _flat_grid(n)
+        bad = {2 * _GRID_CHUNK + 5: np.nan, 4 * _GRID_CHUNK + 5: np.inf}
+
+        def f(p):
+            index = np.rint(p * n - 0.5).astype(int) @ np.array([n, 1])
+            values = np.ones(p.shape[0])
+            for i, value in bad.items():
+                values[index == i] = value
+            return values
+
+        assert n * n > 5 * _GRID_CHUNK
+        want = rule.nodes[np.array(divmod(2 * _GRID_CHUNK + 5, n))]
+        for workers in self.WORKER_COUNTS:
+            monkeypatch.setattr(quadrature, "_WORKERS", workers)
+            with pytest.raises(ValueError, match="value nan at node") as info:
+                integrate_nd(rule, 2, f)
+            assert str(want) in str(info.value)
+
+    def test_mc_first_failing_block_raises(self, monkeypatch):
+        # Blocks 2 and 4 (of 6) are recognised by their first sample, drawn
+        # from the same generator in block order.
+        samples = 5 * _MC_CHUNK + 100
+        stream = np.random.default_rng(8).uniform(0.0, 1.0, size=(samples, 1))
+        first = {stream[2 * _MC_CHUNK, 0]: np.nan, stream[4 * _MC_CHUNK, 0]: np.inf}
+
+        def f(p):
+            values = p[:, 0].copy()
+            values[0] = first.get(p[0, 0], values[0])
+            return values
+
+        for workers in self.WORKER_COUNTS:
+            monkeypatch.setattr(quadrature, "_WORKERS", workers)
+            with pytest.raises(ValueError, match="value nan at node"):
+                monte_carlo_nd(UNIT, 1, f, samples, seed=8)
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        rule = gauss_rule(UNIT, 11)
+        baseline = threading.active_count()
+        for workers in self.WORKER_COUNTS:
+            monkeypatch.setattr(quadrature, "_WORKERS", workers)
+            integrate_nd(rule, 4, lambda p: p[:, 0])
+            monte_carlo_nd(UNIT, 1, lambda p: p[:, 0], 2 * _MC_CHUNK + 1, seed=1)
+            assert threading.active_count() == baseline
+            with pytest.raises(ValueError, match="non-finite"):
+                integrate_nd(rule, 4, lambda p: np.where(p[:, 0] > 0.9, np.nan, 1.0))
+            with pytest.raises(ValueError, match="non-finite"):
+                monte_carlo_nd(UNIT, 1, lambda p: np.where(p[:, 0] > 0.9, np.inf, 1.0),
+                               2 * _MC_CHUNK + 1, seed=1)
+            assert threading.active_count() == baseline
+
+    def test_blocks_in_flight_bounded(self, monkeypatch):
+        # More workers than cores, a short switch interval and sleeping
+        # tasks: at most _WORKERS blocks are ever drawn but unfinished, and
+        # results still come back in block order.
+        monkeypatch.setattr(quadrature, "_WORKERS", 4)
+        lock = threading.Lock()
+        state = {"drawn": 0, "done": 0, "peak": 0}
+
+        def blocks():
+            for k in range(40):
+                with lock:
+                    state["drawn"] += 1
+                    state["peak"] = max(state["peak"], state["drawn"] - state["done"])
+                yield k
+
+        def task(k):
+            time.sleep(0.001 * (k % 3))
+            with lock:
+                state["done"] += 1
+            return k
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert quadrature._run_blocks(task, blocks()) == list(range(40))
+        finally:
+            sys.setswitchinterval(interval)
+        assert state["peak"] <= 4
+        assert state["done"] == 40
