@@ -4,11 +4,12 @@ Four computations share this module:
 
 * the N-fold integral of det[f_j(x_k)] det[phi_j(x_k)] (by Gauss
   quadrature summed over node subsets, which is Cauchy-Binet on the node
-  measure, by Monte Carlo, and by the permutation-expanded intermediate
-  form on the tensor grid), against N! times the determinant of the Gram
-  matrix of pairwise integrals;
+  measure, and by Monte Carlo), against N! times the determinant of the
+  Gram matrix of pairwise integrals;
 * the 2n-fold integral of det[f_j(x_k)] Pf[h(x_j, x_k)] / (2n)! against the
-  Pfaffian of the matrix of double integrals of f_j(x) h(x, y) f_k(y);
+  Pfaffian of the matrix of double integrals of f_j(x) h(x, y) f_k(y); the
+  left side sums the tensor grid of a Gauss rule from tables of the family
+  values f_j(x_k) and kernel values h(x_a, x_b), computed once per node;
 * the finite-interval covariance-style gap (b-a) int fg - int f int g and
   its double-integral form, which is non-negative for co-monotone pairs;
 * the bundled pass/fail report combining the routes above.
@@ -17,12 +18,12 @@ Every engine integrates against the same measure by calling the one
 reduction ensembles.weight_factorization, with the ensemble's two families
 or the Pfaffian side's single family: it returns the member functions and
 one per-point factor (a power of the embedded weight, or None).  The same
-reduced members feed the node-subset, tensor, Monte Carlo, permutation, and
-Gram routes.
+reduced members feed the node-subset, tensor, Monte Carlo and Gram routes.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -68,7 +69,6 @@ __all__ = [
     "IdentityReport",
     "VerifyConfig",
     "andreief_lhs_mc",
-    "andreief_lhs_permutation_oracle",
     "andreief_lhs_quadrature",
     "andreief_rhs",
     "chebyshev_gap",
@@ -80,6 +80,8 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SEED = 42
+
+_LOG = logging.getLogger("andreief")
 
 # Size gates on the quadrature left sides; an explicit force flag overrides
 # them.  The Andreief gate guards the verdict rather than a cost: past it,
@@ -239,16 +241,30 @@ def _check_tensor_size(n: int, limit: int, count: int, force: bool, hint: str) -
             f"tensor grid over {n} variables exceeds the default size gate "
             f"({limit}); {hint}"
         )
-    print(f"evaluation count: {count}")
+    _LOG.info("evaluation count: %d", count)
 
 
 def _node_matrix(fns, nodes: np.ndarray) -> np.ndarray:
-    """(n_nodes, len(fns)) matrix with [k, j] = fns[j](nodes[k]); every
-    column is checked finite, naming the first bad node."""
-    columns = [np.asarray(fn(nodes), dtype=float) for fn in fns]
+    """(n_nodes, len(fns)) matrix with [k, j] = fns[j](nodes[k]); a scalar
+    value is broadcast, and every column is checked finite, naming the
+    first bad node."""
+    columns = [
+        np.broadcast_to(np.asarray(fn(nodes), dtype=float), nodes.shape)
+        for fn in fns
+    ]
     for column in columns:
         _check_finite(column, nodes)
     return np.stack(columns, axis=1)
+
+
+def _kernel_table(h, nodes: np.ndarray) -> np.ndarray:
+    """(n_nodes, n_nodes) table with [a, b] = h(nodes[a], nodes[b]); a
+    scalar value is broadcast, and the table is checked finite, naming the
+    first bad node pair."""
+    x, y = np.meshgrid(nodes, nodes, indexing="ij")
+    table = np.broadcast_to(np.asarray(h(x, y), dtype=float), x.shape)
+    _check_finite(table.ravel(), np.stack([x.ravel(), y.ravel()], axis=1))
+    return table
 
 
 def andreief_lhs_quadrature(
@@ -306,35 +322,6 @@ def andreief_lhs_mc(spec: EnsembleSpec, samples: int, seed: int) -> MCEstimate:
     return monte_carlo_nd(spec.domain, spec.size, integrand, samples, seed)
 
 
-def andreief_lhs_permutation_oracle(
-    spec: EnsembleSpec, n_nodes: int = DEFAULT_NODES_TENSOR
-) -> float:
-    """N! times the integral of prod_j f_{j-1}(x_j) * det[phi_{j-1}(x_k)].
-
-    The intermediate form obtained by expanding the left determinant over
-    permutations and relabelling; must equal andreief_lhs_quadrature.
-    """
-    n = spec.size
-    _check_tensor_size(
-        n, TENSOR_SIZE_LIMIT, n_nodes**n, False, "oracle is tensor-bound"
-    )
-    rule = gauss_rule(spec.domain, n_nodes)
-    (left_fns, right_fns), point_factor = weight_factorization(
-        (spec.left, spec.right), spec.domain
-    )
-
-    def integrand(points: np.ndarray) -> np.ndarray:
-        prod = np.ones(points.shape[0])
-        for j in range(n):
-            prod *= np.asarray(left_fns[j](points[:, j]), dtype=float)
-        values = prod * determinant_batch(_value_stack(right_fns, points))
-        if point_factor is not None:
-            values = values * _point_factor_product(point_factor, points)
-        return values
-
-    return _factorial(n) * integrate_nd(rule, n, integrand)
-
-
 # ---------------------------------------------------------------------------
 # Pfaffian identity
 
@@ -364,14 +351,10 @@ def debruijn_rhs(
     _check_debruijn_size(two_n, left.size)
     rule = gauss_rule(domain, n_nodes)
     (fns,), _ = weight_factorization((left,), domain)  # one family: no point factor
-    h = kernel.antisymmetrized()
     weighted = np.array(
         [np.asarray(fn(rule.nodes), dtype=float) * rule.weights for fn in fns]
     )
-    kernel_matrix = np.asarray(
-        h(rule.nodes[:, None], rule.nodes[None, :]), dtype=float
-    )
-    b = weighted @ kernel_matrix @ weighted.T
+    b = weighted @ _kernel_table(kernel.antisymmetrized(), rule.nodes) @ weighted.T
     asymmetry = float(np.max(np.abs(b + b.T))) if b.size else 0.0
     if asymmetry > 1e-12 * max(1.0, float(np.max(np.abs(b)))):
         raise ValueError(
@@ -391,7 +374,16 @@ def debruijn_lhs_quadrature(
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> float:
     """Tensor quadrature of det[f_j(x_k)] Pf[h(x_j, x_k)] over 2n variables,
-    divided by (2n)!."""
+    divided by (2n)!.
+
+    Every grid point is a tuple of the rule's nodes, so the family values
+    F[k, j] = f_j(x_k) and the kernel values H[a, b] = h(x_a, x_b) are
+    computed, and checked finite, once per node and node pair; each grid
+    chunk gathers its det and Pf stacks from those tables.  The gathers are
+    entry-major ((J, 2n, P) and (2n, 2n, P) arrays, handed over as their
+    (P, n, n) transposes), the layout the batched kernels read without a
+    copy.
+    """
     _check_debruijn_size(two_n, left.size)
     _check_tensor_size(
         two_n, DEBRUIJN_SIZE_LIMIT, n_nodes**two_n, force,
@@ -399,14 +391,14 @@ def debruijn_lhs_quadrature(
     )
     rule = gauss_rule(domain, n_nodes)
     (fns,), _ = weight_factorization((left,), domain)  # one family: no point factor
-    h = kernel.antisymmetrized()
+    values = np.ascontiguousarray(_node_matrix(fns, rule.nodes).T)
+    table = _kernel_table(kernel.antisymmetrized(), rule.nodes)
 
-    def integrand(points: np.ndarray) -> np.ndarray:
-        dets = determinant_batch(_value_stack(fns, points))
-        kernels = np.asarray(
-            h(points[:, :, None], points[:, None, :]), dtype=float
-        )
-        return dets * pfaffian_batch(kernels)
+    def integrand(index: np.ndarray) -> np.ndarray:
+        rows = index.T  # (2n, P)
+        dets = determinant_batch(np.take(values, rows, axis=1).transpose(2, 0, 1))
+        kernels = table[rows[:, None, :], rows[None, :, :]]
+        return dets * pfaffian_batch(kernels.transpose(2, 0, 1))
 
     raw = integrate_nd(rule, two_n, integrand, budget=budget)
     return raw / _factorial(two_n)
@@ -431,16 +423,16 @@ def chebyshev_gap(
     if domain.kind != "finite":
         raise ValueError("covariance gap requires a finite domain")
     rule = gauss_rule(domain, n_nodes)
-    int_fg = integrate_1d(rule, lambda x: np.asarray(f(x)) * np.asarray(g(x)))
-    int_f = integrate_1d(rule, f)
-    int_g = integrate_1d(rule, g)
+    # f and g once on the nodes, for the three 1-D sums and the double form
+    fx, gx = np.ascontiguousarray(_node_matrix((f, g), rule.nodes).T)
+    int_fg = integrate_1d(rule, lambda x: fx * gx)
+    int_f = integrate_1d(rule, lambda x: fx)
+    int_g = integrate_1d(rule, lambda x: gx)
     gap = (domain.b - domain.a) * int_fg - int_f * int_g
 
-    def spread(points: np.ndarray) -> np.ndarray:
-        x, y = points[:, 0], points[:, 1]
-        return (np.asarray(f(x)) - np.asarray(f(y))) * (
-            np.asarray(g(x)) - np.asarray(g(y))
-        )
+    def spread(index: np.ndarray) -> np.ndarray:
+        x, y = index[:, 0], index[:, 1]
+        return (fx[x] - fx[y]) * (gx[x] - gx[y])
 
     double_form = 0.5 * integrate_nd(rule, 2, spread)
     return gap, double_form

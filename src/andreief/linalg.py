@@ -2,9 +2,10 @@
 expansions used as brute-force cross-checks.
 
 Everything operates on plain numpy arrays (or array-likes).  Determinants
-of order <= 3 come from their cofactor expansions, larger ones from
-LAPACK's row-pivoted LU (numpy.linalg.det); Pfaffians come from
-skew-symmetric Gaussian elimination; all convert to float64.  The
+come in three order ranges: cofactor expansions at orders <= 3, a
+row-pivoted LU run on a whole stack in lockstep at orders 4 and 5, and
+LAPACK's row-pivoted LU (numpy.linalg.det) from order 6.  Pfaffians come
+from skew-symmetric Gaussian elimination; all convert to float64.  The
 expansion oracles keep the input dtype so that integer inputs are
 evaluated in exact integer arithmetic.
 
@@ -46,6 +47,17 @@ SKEW_TOLERANCE = 1e-12
 # Largest order accepted by the factorial-cost expansion oracles.
 EXPANSION_LIMIT = 9
 
+# Largest order whose determinants come from the lockstep LU; LAPACK
+# takes over above it (see determinant_batch).
+_LOCKSTEP_MAX_ORDER = 5
+
+# Matrices eliminated at once by the lockstep LU.  Its temporaries scale
+# with this count (about 0.7 MB at order 4) and one call runs per pool
+# thread, so it bounds their peak memory: eliminating a whole 8192-point
+# grid chunk at once put the tensor benchmark's peak RSS at 45.2-46.1 MB,
+# two blocks of 4096 at 43.5-44.0 MB (LAPACK at these orders: 44.9-45.7 MB).
+_LOCKSTEP_BLOCK = 4096
+
 
 def relative_gap(a: float, b: float) -> float:
     """Scaled gap |a - b| / max(1, |a|, |b|)."""
@@ -76,13 +88,27 @@ def determinant(m) -> float:
 def determinant_batch(stack) -> np.ndarray:
     """Determinants of a (P, n, n) stack of matrices.
 
-    Orders 0-3 use their cofactor expansions (first-row expansion at order
-    3), a few vectorized products per stack instead of one LAPACK call per
-    matrix.  Both stay at roundoff up to order 3 (relative errors 9.8e-15
-    for the expansion and 3.3e-15 for LU on the 3x3 Hilbert matrix), but at
-    order 4 the expansion falls behind (3.6e-12 against 8.7e-14), so larger
-    orders use LAPACK's row-pivoted LU (``getrf``).  A pivot that underflows
-    to zero gives 0.0 without a divide-by-zero warning.
+    Three order ranges:
+
+    * 0-3: cofactor expansions (first-row expansion at order 3), a few
+      vectorized products per stack.  They stay at roundoff up to order 3
+      (relative error 9.8e-15 on the 3x3 Hilbert matrix) but fall behind
+      LU at order 4 (3.6e-12 against 8.7e-14).
+    * 4-5: :func:`_lockstep_lu_determinant`, a row-pivoted LU in numpy
+      ufuncs that eliminates every matrix of the stack at once.  Its ufuncs
+      release the interpreter lock, so it scales over threads, where
+      LAPACK's ``getrf`` does not.  Per call on 8192 random matrices (one
+      BLAS thread, 2-core host, medians of 7 rounds in two sweeps), alone
+      and when two threads call at once: order 4, LAPACK 4.2-4.4 and
+      12.4-12.9 ms, lockstep 3.0-3.3 and 5.0 ms; order 5, LAPACK 4.4-5.6
+      and 13.3-15.0 ms, lockstep 3.2-4.1 and 6.0-6.7 ms.
+    * 6 and up: LAPACK's row-pivoted LU (``numpy.linalg.det``).  Alone,
+      the lockstep ties with it at orders 6-7 and is 15% slower at 8; it
+      still leads at 6-7 with two threads.  No stack of order 6 or more is
+      on a hot path, so the cutoff stays at 5.
+
+    A pivot that underflows to zero gives 0.0 without a divide-by-zero
+    warning.
     """
     a = np.asarray(stack, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -100,8 +126,68 @@ def determinant_batch(stack) -> np.ndarray:
             - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
             + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
         )
+    if n <= _LOCKSTEP_MAX_ORDER:
+        if a.shape[0] <= _LOCKSTEP_BLOCK:
+            return _lockstep_lu_determinant(a)
+        return np.concatenate([
+            _lockstep_lu_determinant(a[start : start + _LOCKSTEP_BLOCK])
+            for start in range(0, a.shape[0], _LOCKSTEP_BLOCK)
+        ])
     with np.errstate(divide="ignore"):
         return np.linalg.det(a)
+
+
+def _lockstep_lu_determinant(a: np.ndarray) -> np.ndarray:
+    """Determinants of a (P, n, n) stack by row-pivoted LU, all P at once.
+
+    Factors the transposes, det A = det A^T: ``rows[c][r]`` is the (P,)
+    vector of entry (r, c) over the stack, so elimination row c is column
+    c of every matrix and each step is a handful of ufuncs on contiguous
+    (P,) vectors.  Two equal columns then stay bitwise equal until one
+    becomes the pivot, and the other cancels to exactly 0, so a matrix
+    with a repeated column -- a grid point that repeats a node, in a value
+    stack [f_j(x_k)] -- gives exactly 0.0.  A stack whose matrix index is
+    its contiguous axis, such as the (P, n, n) view ``g.transpose(2, 0, 1)``
+    of a contiguous (n, n, P) array g, is read without a copy; any other
+    is copied into that layout once.
+
+    Each step takes the largest |entry| of the leading column as pivot (the
+    first on ties, as LAPACK's ``idamax``) and divides by it, so every
+    multiplier has magnitude <= 1 and a subnormal pivot stays finite.  An
+    exactly zero column gives det 0.0 and its zeros are divided by 1, not
+    by 0.  Non-finite entries give a non-finite value without a warning,
+    as LAPACK's does.
+    """
+    count = a.shape[0]
+    work = a.transpose(2, 1, 0)
+    if work.strides[2] != work.itemsize:
+        work = np.ascontiguousarray(work)
+    rows = list(work)
+    det = np.ones(count)
+    odd = np.zeros(count, dtype=bool)  # parity of the row swaps
+    with np.errstate(invalid="ignore"):
+        while len(rows) > 1:
+            best = np.abs(rows[0][0])
+            head = rows[0]
+            pivot_row = np.zeros(count, dtype=np.intp)
+            for i in range(1, len(rows)):
+                magnitude = np.abs(rows[i][0])
+                larger = magnitude > best
+                best = np.maximum(best, magnitude)
+                head = np.where(larger, rows[i], head)
+                pivot_row = np.where(larger, i, pivot_row)
+            det *= head[0]
+            odd ^= pivot_row != 0
+            pivot = head[0] if best.all() else np.where(best == 0.0, 1.0, head[0])
+            below = np.empty((len(rows) - 1, len(rows) - 1, count))
+            for i, out in enumerate(below, start=1):
+                # row i, or the old leading row where row i is the pivot
+                row = np.where(pivot_row == i, rows[0], rows[i])
+                np.multiply(row[0] / pivot, head[1:], out=out)
+                np.subtract(row[1:], out, out=out)
+            rows = list(below)
+        det *= rows[0][0]
+    return np.where(odd, -det, det)
 
 
 def pfaffian_batch(stack) -> np.ndarray:

@@ -11,8 +11,13 @@ Node/weight construction is the Golub-Welsch route: the symmetric
 tridiagonal eigenproblem of the monic three-term recurrence.
 
 Vectorized callable contract: 1-D integrands map an (n,) node array to an
-(n,) value array; multidimensional integrands map a (P, dim) point block to
-a (P,) value array.  Scalar returns are broadcast.
+(n,) value array.  Tensor-grid integrands (integrate_nd) map a (P, dim)
+integer block of node indices into rule.nodes to a (P,) value array: every
+grid point is a tuple of the rule's n nodes, so an integrand can read
+values computed once per node (or node pair) from tables instead of
+evaluating its functions at all n**dim points.  Monte Carlo integrands map
+a (P, dim) block of sample points to a (P,) value array.  Scalar returns
+are broadcast.
 
 The multidimensional integrators cut their work into fixed blocks (grid
 chunks, sample blocks) and evaluate up to one block per CPU at once on a
@@ -283,39 +288,48 @@ def _run_blocks(task, blocks) -> list:
     return results
 
 
-def _block_values(f, points: np.ndarray) -> np.ndarray:
-    """f on a (P, dim) point block as a checked, finite (P,) array."""
-    count = points.shape[0]
-    values = np.asarray(f(points), dtype=float)
+def _block_values(f, block: np.ndarray, points) -> np.ndarray:
+    """f on a (P, dim) block as a checked, finite (P,) array; points()
+    gives the block's (P, dim) coordinates, to name a non-finite value."""
+    count = block.shape[0]
+    values = np.asarray(f(block), dtype=float)
     if values.ndim == 0:
         values = np.broadcast_to(values, (count,))
     if values.shape != (count,):
         raise ValueError(
             f"integrand returned shape {values.shape}, expected ({count},)"
         )
-    _check_finite(values, points)
+    if not np.isfinite(values).all():
+        _check_finite(values, points())
     return values
 
 
 def _grid_chunk_sum(rule: QuadratureRule, dim: int, f, start: int, stop: int) -> float:
     shape = (rule.n_nodes,) * dim
-    idx = np.unravel_index(np.arange(start, stop), shape)
-    points = np.stack([rule.nodes[ax] for ax in idx], axis=1)
+    # (P, dim) view of a (dim, P) array: index.T, one row per coordinate,
+    # is contiguous for integrands that gather per coordinate
+    index = np.stack(np.unravel_index(np.arange(start, stop), shape)).T
+    values = _block_values(f, index, lambda: rule.nodes[index])
     wprod = np.ones(stop - start)
-    for ax in idx:
-        wprod *= rule.weights[ax]
-    return float(np.dot(wprod, _block_values(f, points)))
+    for coordinate in index.T:
+        wprod *= rule.weights[coordinate]
+    return float(np.dot(wprod, values))
 
 
 def integrate_nd(rule: QuadratureRule, dim: int, f, budget: int = DEFAULT_EVAL_BUDGET) -> float:
     """Full tensor-product sum of f over the dim-fold grid of the rule.
 
-    f receives (P, dim) blocks of grid points.  The same embedded-weight
-    contract as integrate_1d applies to every coordinate.  Grid chunks of
-    _GRID_CHUNK points are evaluated on up to _WORKERS threads at once, so
-    f may run concurrently and must not mutate shared state; their partial
-    sums are reduced in chunk order, so the result is bit-reproducible for
-    a given configuration on any number of CPUs.
+    f receives (P, dim) integer blocks of node indices into rule.nodes, in
+    row-major grid order (the last coordinate varies fastest): row i is the
+    grid point rule.nodes[index[i]].  So f can gather values computed once
+    per node instead of evaluating its functions at every point; a point
+    integrand g becomes ``lambda index: g(rule.nodes[index])``.  A
+    non-finite value is reported with its point's coordinates.  The same
+    embedded-weight contract as integrate_1d applies to every coordinate.
+    Grid chunks of _GRID_CHUNK points are evaluated on up to _WORKERS
+    threads at once, so f may run concurrently and must not mutate shared
+    state; their partial sums are reduced in chunk order, so the result is
+    bit-reproducible for a given configuration on any number of CPUs.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -357,7 +371,7 @@ def _mc_factor(domain: Domain, dim: int) -> float:
 
 def _block_moments(f, points: np.ndarray) -> tuple[float, float, int]:
     """Mean, centred sum of squares and size of f on one sample block."""
-    values = _block_values(f, points)
+    values = _block_values(f, points, lambda: points)
     mean = float(np.mean(values))
     return mean, float(np.sum((values - mean) ** 2)), values.size
 

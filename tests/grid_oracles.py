@@ -1,0 +1,62 @@
+"""Tensor-grid oracles for the tests, written against integrate_nd's index
+contract: an integrand receives (P, dim) blocks of node indices into
+rule.nodes.
+
+Each oracle looks its points up, ``rule.nodes[index]``, and evaluates the
+families and the kernel at every grid point, so it checks the package's
+routes against values that were not read from per-node tables.
+"""
+
+import math
+
+import numpy as np
+
+from andreief.ensembles import weight_factorization
+from andreief.identities import _value_stack
+from andreief.linalg import determinant_batch, pfaffian_batch
+from andreief.quadrature import gauss_rule, integrate_nd
+
+
+def point_integrand(rule, g):
+    """The index integrand of a point integrand g for the rule's grid."""
+    return lambda index: g(rule.nodes[index])
+
+
+def andreief_lhs_permutation_oracle(spec, n_nodes=12):
+    """N! times the grid integral of prod_j f_{j-1}(x_j) * det[phi_{j-1}(x_k)].
+
+    The intermediate form obtained by expanding the left determinant over
+    permutations and relabelling; must equal andreief_lhs_quadrature.
+    """
+    n = spec.size
+    rule = gauss_rule(spec.domain, n_nodes)
+    (left_fns, right_fns), point_factor = weight_factorization(
+        (spec.left, spec.right), spec.domain
+    )
+
+    def integrand(points):
+        prod = np.ones(points.shape[0])
+        for j in range(n):
+            prod *= np.asarray(left_fns[j](points[:, j]), dtype=float)
+        values = prod * determinant_batch(_value_stack(right_fns, points))
+        if point_factor is not None:
+            values = values * np.prod(np.asarray(point_factor(points), dtype=float), axis=1)
+        return values
+
+    return math.factorial(n) * integrate_nd(rule, n, point_integrand(rule, integrand))
+
+
+def debruijn_lhs_point_grid(left, kernel, domain, n_nodes, two_n):
+    """The de Bruijn left side with the family and the kernel evaluated at
+    every grid point: the tensor sum of det[f_j(x_k)] Pf[h(x_j, x_k)],
+    divided by (2n)!."""
+    rule = gauss_rule(domain, n_nodes)
+    (fns,), _ = weight_factorization((left,), domain)
+    h = kernel.antisymmetrized()
+
+    def integrand(points):
+        kernels = np.asarray(h(points[:, :, None], points[:, None, :]), dtype=float)
+        return determinant_batch(_value_stack(fns, points)) * pfaffian_batch(kernels)
+
+    raw = integrate_nd(rule, two_n, point_integrand(rule, integrand))
+    return raw / math.factorial(two_n)

@@ -34,7 +34,6 @@ from andreief.ensembles import FunctionFamily, KernelFunction, build_ensemble, f
 from andreief.identities import (
     VerifyConfig,
     andreief_lhs_mc,
-    andreief_lhs_permutation_oracle,
     andreief_lhs_quadrature,
     andreief_rhs,
     chebyshev_gap,
@@ -46,6 +45,7 @@ from andreief.identities import (
 )
 from andreief.linalg import determinant, pfaffian, relative_gap
 from andreief.quadrature import Domain
+from grid_oracles import andreief_lhs_permutation_oracle
 
 
 def report(number, label, ok, detail):

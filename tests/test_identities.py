@@ -1,5 +1,6 @@
 """Tests for the determinant- and Pfaffian-identity engines."""
 
+import logging
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -23,7 +24,6 @@ from andreief.identities import (
     VerifyConfig,
     _pair_integrand,
     andreief_lhs_mc,
-    andreief_lhs_permutation_oracle,
     andreief_lhs_quadrature,
     andreief_rhs,
     chebyshev_gap,
@@ -34,7 +34,13 @@ from andreief.identities import (
     verify_andreief,
 )
 from andreief.linalg import relative_gap, within_tolerance
+from andreief import quadrature
 from andreief.quadrature import BudgetError, Domain, gauss_rule, integrate_nd
+from grid_oracles import (
+    andreief_lhs_permutation_oracle,
+    debruijn_lhs_point_grid,
+    point_integrand,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -120,11 +126,12 @@ class TestAndreiefLhsQuadrature:
         with pytest.raises(BudgetError, match="andreief_lhs_mc or pass force=True"):
             andreief_lhs_quadrature(spec)
 
-    def test_force_prints_count_and_runs(self, capsys):
+    def test_force_prints_count_and_runs(self, caplog):
         # the route evaluates C(8, 7) node subsets, not 8**7 grid points
         spec = build_ensemble("uniform-monomial", 7)
-        val = andreief_lhs_quadrature(spec, 8, force=True)
-        assert "evaluation count: 8" in capsys.readouterr().out
+        with caplog.at_level(logging.INFO, logger="andreief"):
+            val = andreief_lhs_quadrature(spec, 8, force=True)
+        assert "evaluation count: 8" in caplog.messages
         assert math.isfinite(val)
 
     def test_budget_error_suggests_mc(self):
@@ -137,7 +144,8 @@ class TestAndreiefLhsQuadrature:
     @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
     def test_equals_tensor_grid(self, name, size):
         spec = build_ensemble(name, size)
-        grid = integrate_nd(gauss_rule(spec.domain, 12), size, _pair_integrand(spec))
+        rule = gauss_rule(spec.domain, 12)
+        grid = integrate_nd(rule, size, point_integrand(rule, _pair_integrand(spec)))
         assert abs(andreief_lhs_quadrature(spec, 12) - grid) <= 1e-13 * abs(grid)
 
     @pytest.mark.parametrize("size", [5, 6])
@@ -309,14 +317,32 @@ class TestDeBruijn:
         with pytest.raises(ValueError, match="does not match"):
             debruijn_rhs(MONO4, DIFFERENCE, UNIT, 8, 2)
 
-    def test_size_gate_and_force(self, capsys):
+    def test_size_gate_and_force(self, caplog):
         fam = FunctionFamily(6, "monomial")
         with pytest.raises(BudgetError, match="force=True"):
             debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 3, 6)
-        lhs = debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 3, 6, force=True)
-        assert "evaluation count: 729" in capsys.readouterr().out
+        with caplog.at_level(logging.INFO, logger="andreief"):
+            lhs = debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 3, 6, force=True)
+        assert "evaluation count: 729" in caplog.messages
         rhs = debruijn_rhs(fam, DIFFERENCE, UNIT, 3, 6)
         assert within_tolerance(lhs, rhs, 1e-10)
+
+    def test_gate_logs_nothing_to_stdout(self, capsys):
+        fam = FunctionFamily(6, "monomial")
+        debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 2, 6, force=True)
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "engine", [debruijn_lhs_quadrature, debruijn_rhs], ids=["lhs", "rhs"]
+    )
+    def test_non_finite_kernel_names_node_pair(self, engine):
+        blowup = KernelFunction.custom(
+            lambda x, y: np.where((x > 0.8) & (y < 0.2), np.inf, x - y)
+        )
+        # the 3-node Gauss-Legendre rule on (0, 1) has nodes 0.1127, 0.5, 0.8873;
+        # the first bad entry of the table is h(0.1127, 0.8873) = -inf
+        with pytest.raises(ValueError, match=r"value -inf at node \[0\.1127\d* +0\.8872"):
+            engine(MONO2, blowup, UNIT, 3, 2)
 
     def test_custom_kernel_antisymmetrized(self):
         # x*y + x has antisymmetric part (x - y)/2
@@ -338,6 +364,26 @@ class TestChebyshevGap:
         )
         assert abs(gap) < 1e-14
         assert abs(double_form) < 1e-14
+
+    def test_scalar_constant_vanishes(self):
+        gap, double_form = chebyshev_gap(lambda x: 2.5, lambda x: x**3, UNIT)
+        assert abs(gap) < 1e-14
+        assert double_form == 0.0
+
+    def test_functions_evaluated_once_on_the_nodes(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.shape(x))
+            return np.exp(x)
+
+        chebyshev_gap(f, lambda x: x**2, UNIT, 7)
+        assert calls == [(7,)]
+
+    def test_non_finite_value_names_node(self):
+        # the 3-node Gauss-Legendre rule on (0, 1) has its last node at 0.8873
+        with pytest.raises(ValueError, match=r"non-finite .* at node 0\.887"):
+            chebyshev_gap(lambda x: x, lambda x: np.where(x > 0.8, np.nan, x), UNIT, 3)
 
     def test_monotone_pair_non_negative(self):
         gap, double_form = chebyshev_gap(lambda x: x, lambda x: x**2, UNIT)
@@ -454,3 +500,51 @@ class TestVerifyAndreief:
             VerifyConfig(tolerance=0.0)
         with pytest.raises(ValueError, match="mc_samples"):
             VerifyConfig(mc_samples=-1)
+
+
+# the ensembles whose left family integrates against its domain
+DEBRUIJN_ENSEMBLES = [
+    "uniform-monomial", "legendre-monomial", "gue-monomial", "muttalib-borodin",
+]
+DEBRUIJN_KERNELS = {
+    "sign": SIGN,
+    "difference": DIFFERENCE,
+    # not antisymmetric: the engines use its antisymmetric part
+    "custom": KernelFunction.custom(lambda x, y: np.sin(x + 2.0 * y) + x * y),
+}
+
+
+class TestDeBruijnNodeTables:
+    """The left side reads per-node tables; a grid oracle evaluates the
+    family and the kernel at every point instead."""
+
+    def test_other_ensembles_diverge(self):
+        # shifted-gue and laguerre-product put monomials on an infinite domain
+        for name in set(BUILTIN_ENSEMBLE_NAMES) - set(DEBRUIJN_ENSEMBLES):
+            spec = build_ensemble(name, 2)
+            with pytest.raises(ValueError, match="diverges"):
+                debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 10, 2)
+
+    @pytest.mark.parametrize("kernel", DEBRUIJN_KERNELS)
+    @pytest.mark.parametrize("two_n", [2, 4])
+    @pytest.mark.parametrize("name", DEBRUIJN_ENSEMBLES)
+    def test_equals_point_grid(self, name, two_n, kernel):
+        spec = build_ensemble(name, two_n)
+        args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, 10, two_n)
+        tables = debruijn_lhs_quadrature(*args)
+        points = debruijn_lhs_point_grid(*args)
+        assert abs(tables - points) <= 1e-14 * abs(points)
+
+    @pytest.mark.parametrize("kernel", ["sign", "custom"])
+    def test_identical_across_worker_counts(self, monkeypatch, kernel):
+        spec = build_ensemble("gue-monomial", 4)
+        assert 16**4 > 3 * quadrature._GRID_CHUNK
+        values = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(quadrature, "_WORKERS", workers)
+            values.append(
+                debruijn_lhs_quadrature(
+                    spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, 16, 4
+                )
+            )
+        assert values[1:] == values[:-1]

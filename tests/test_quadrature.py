@@ -22,6 +22,7 @@ from andreief.quadrature import (
     integrate_nd,
     monte_carlo_nd,
 )
+from grid_oracles import point_integrand
 
 UNIT = Domain.finite(0.0, 1.0)
 SYM = Domain.finite(-1.0, 1.0)
@@ -179,16 +180,16 @@ class TestIntegrate1D:
 class TestIntegrateND:
     def test_constant_square(self):
         rule = gauss_rule(UNIT, 4)
-        assert integrate_nd(rule, 2, lambda p: np.ones(p.shape[0])) == pytest.approx(1.0)
+        assert integrate_nd(rule, 2, lambda i: np.ones(i.shape[0])) == pytest.approx(1.0)
 
     def test_squared_difference(self):
         rule = gauss_rule(UNIT, 4)
-        val = integrate_nd(rule, 2, lambda p: (p[:, 0] - p[:, 1]) ** 2)
+        val = integrate_nd(rule, 2, point_integrand(rule, lambda p: (p[:, 0] - p[:, 1]) ** 2))
         assert val == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_dim_one_matches_1d(self):
         rule = gauss_rule(UNIT, 7)
-        nd = integrate_nd(rule, 1, lambda p: p[:, 0] ** 3)
+        nd = integrate_nd(rule, 1, point_integrand(rule, lambda p: p[:, 0] ** 3))
         one = integrate_1d(rule, lambda x: x**3)
         assert nd == pytest.approx(one, abs=1e-15)
 
@@ -197,8 +198,33 @@ class TestIntegrateND:
         rule = gauss_rule(domain, 10)
         f1 = integrate_1d(rule, lambda x: x**2)
         g1 = integrate_1d(rule, lambda x: x**3 + 1.0)
-        val = integrate_nd(rule, 2, lambda p: p[:, 0] ** 2 * (p[:, 1] ** 3 + 1.0))
+        val = integrate_nd(
+            rule, 2, point_integrand(rule, lambda p: p[:, 0] ** 2 * (p[:, 1] ** 3 + 1.0))
+        )
         assert within_tolerance(val, f1 * g1, 1e-13)
+
+    def test_integrand_receives_row_major_node_indices(self):
+        rule = gauss_rule(UNIT, 3)
+        blocks = []
+
+        def f(index):
+            blocks.append(np.array(index))
+            return np.ones(index.shape[0])
+
+        integrate_nd(rule, 2, f)
+        index = np.concatenate(blocks)
+        assert index.dtype.kind == "i"
+        assert index.tolist() == [[a, b] for a in range(3) for b in range(3)]
+
+    def test_index_tables_match_point_evaluation(self):
+        # the node-table form of an integrand sums to the same floats
+        rule = gauss_rule(REAL, 9)
+        g = lambda p: np.cos(p[:, 0]) * p[:, 1] ** 2 - p[:, 2]
+        table = (np.cos(rule.nodes), rule.nodes**2, rule.nodes)
+        by_table = integrate_nd(
+            rule, 3, lambda i: table[0][i[:, 0]] * table[1][i[:, 1]] - table[2][i[:, 2]]
+        )
+        assert by_table == integrate_nd(rule, 3, point_integrand(rule, g))
 
     def test_budget_error_reports_counts(self):
         rule = gauss_rule(UNIT, 12)
@@ -217,13 +243,21 @@ class TestIntegrateND:
             return np.where(p[:, 1] < 0.5, 1.0, np.nan)
 
         with pytest.raises(ValueError, match="non-finite integrand value nan"):
+            integrate_nd(rule, 2, point_integrand(rule, f))
+
+    def test_non_finite_names_point_coordinates(self):
+        # the first bad point in grid order is (nodes[0], nodes[2])
+        rule = gauss_rule(UNIT, 4)
+        f = lambda i: np.where(i[:, 1] >= 2, np.inf, 1.0)
+        with pytest.raises(ValueError, match="value inf at node") as info:
             integrate_nd(rule, 2, f)
+        assert str(rule.nodes[[0, 2]]) in str(info.value)
 
     def test_chunked_matches_single_pass(self):
         n = 17
         assert n**4 > 2 * _GRID_CHUNK  # spans several chunks
         rule = gauss_rule(UNIT, n)
-        val = integrate_nd(rule, 4, lambda p: np.prod(p, axis=1))
+        val = integrate_nd(rule, 4, point_integrand(rule, lambda p: np.prod(p, axis=1)))
         assert within_tolerance(val, (0.5) ** 4, 1e-13)
 
 
@@ -323,7 +357,9 @@ class TestWorkers:
     def test_grid_identical_across_worker_counts(self, monkeypatch):
         rule = gauss_rule(UNIT, 13)
         assert rule.n_nodes**4 > 3 * _GRID_CHUNK
-        f = lambda p: np.exp(p[:, 0] * p[:, 1]) - p[:, 2] * np.sin(p[:, 3])
+        f = point_integrand(
+            rule, lambda p: np.exp(p[:, 0] * p[:, 1]) - p[:, 2] * np.sin(p[:, 3])
+        )
         vals = self._per_worker_count(monkeypatch, lambda: integrate_nd(rule, 4, f))
         assert vals[1:] == vals[:-1]
 
@@ -354,7 +390,7 @@ class TestWorkers:
         for workers in self.WORKER_COUNTS:
             monkeypatch.setattr(quadrature, "_WORKERS", workers)
             with pytest.raises(ValueError, match="value nan at node") as info:
-                integrate_nd(rule, 2, f)
+                integrate_nd(rule, 2, point_integrand(rule, f))
             assert str(want) in str(info.value)
 
     def test_mc_first_failing_block_raises(self, monkeypatch):
@@ -379,11 +415,13 @@ class TestWorkers:
         baseline = threading.active_count()
         for workers in self.WORKER_COUNTS:
             monkeypatch.setattr(quadrature, "_WORKERS", workers)
-            integrate_nd(rule, 4, lambda p: p[:, 0])
+            integrate_nd(rule, 4, point_integrand(rule, lambda p: p[:, 0]))
             monte_carlo_nd(UNIT, 1, lambda p: p[:, 0], 2 * _MC_CHUNK + 1, seed=1)
             assert threading.active_count() == baseline
             with pytest.raises(ValueError, match="non-finite"):
-                integrate_nd(rule, 4, lambda p: np.where(p[:, 0] > 0.9, np.nan, 1.0))
+                integrate_nd(
+                    rule, 4, point_integrand(rule, lambda p: np.where(p[:, 0] > 0.9, np.nan, 1.0))
+                )
             with pytest.raises(ValueError, match="non-finite"):
                 monte_carlo_nd(UNIT, 1, lambda p: np.where(p[:, 0] > 0.9, np.inf, 1.0),
                                2 * _MC_CHUNK + 1, seed=1)
