@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, evaluate, family_matrix, weight_factorization
-from .identities import _factorial, gram_matrix
+from .ensembles import EnsembleSpec, evaluate, family_matrix
+from .identities import _factorial, _node_measure, gram_matrix
 from .linalg import determinant
-from .quadrature import DEFAULT_NODES_1D, gauss_rule
+# gauss_rule stays a module attribute: perfbench/tracing.py wraps biortho.gauss_rule
+from .quadrature import DEFAULT_NODES_1D, gauss_rule  # noqa: F401
 
 __all__ = [
     "BiorthogonalSystem",
@@ -82,24 +83,16 @@ class BiorthogonalSystem:
 
     def left_member(self, j: int):
         """Callable for F_j, the recombined j-th left function."""
-        if not 0 <= j < self.size:
-            raise ValueError(f"member index {j} out of range")
-        family, coeffs = self.source.left, self.c[j, : j + 1]
-
-        def member(x):
-            x = np.asarray(x, dtype=float)
-            total = np.zeros_like(x)
-            for l, weight in enumerate(coeffs):
-                total = total + weight * evaluate(family, l, x)
-            return total
-
-        return member
+        return self._member(self.source.left, self.c, j)
 
     def right_member(self, k: int):
         """Callable for Phi_k, the recombined k-th right function."""
-        if not 0 <= k < self.size:
-            raise ValueError(f"member index {k} out of range")
-        family, coeffs = self.source.right, self.d[k, : k + 1]
+        return self._member(self.source.right, self.d, k)
+
+    def _member(self, family, recombination: np.ndarray, j: int):
+        if not 0 <= j < self.size:
+            raise ValueError(f"member index {j} out of range")
+        coeffs = recombination[j, : j + 1]
 
         def member(x):
             x = np.asarray(x, dtype=float)
@@ -160,24 +153,16 @@ def biorthogonality_residuals(
 ) -> np.ndarray:
     """Matrix of pairings <F_j, Phi_k> recomputed from scratch.
 
-    Assembles the recombined functions on a fresh quadrature rule and
-    integrates every pairing directly; for a valid system the result is
-    diag(h) up to quadrature noise.  Uses the weight-reduced member forms
-    on infinite domains.
+    Recombines the node tables F and Phi of the Gauss node measure and
+    integrates every pairing directly, (C F^T) W (Phi D^T); for a valid
+    system the result is diag(h) up to quadrature noise.  Uses the
+    weight-reduced member forms on infinite domains.
     """
     spec = system.source
-    rule = gauss_rule(spec.domain, n_nodes)
-    (left_fns, right_fns), point_factor = weight_factorization(
-        (spec.left, spec.right), spec.domain
+    _, weights, (left, right) = _node_measure(
+        (spec.left, spec.right), spec.domain, n_nodes
     )
-    left_values = np.array([fn(rule.nodes) for fn in left_fns])
-    right_values = np.array([fn(rule.nodes) for fn in right_fns])
-    weights = rule.weights
-    if point_factor is not None:
-        weights = weights * point_factor(rule.nodes)
-    recombined_left = system.c @ left_values
-    recombined_right = system.d @ right_values
-    return recombined_left @ (weights[:, None] * recombined_right.T)
+    return (system.c @ left.T) @ (weights[:, None] * (system.d @ right.T).T)
 
 
 def partition_function(spec: EnsembleSpec, n_nodes: int = DEFAULT_NODES_1D) -> float:

@@ -6,8 +6,9 @@ determinant integration identity into exactly that statement.  The minor
 summation formula is the Pfaffian analogue, and a block construction
 specializes it back to Cauchy-Binet up to a shape-dependent sign.
 
-All operations accept integer matrices and then compute in exact integer
-arithmetic (fraction-free elimination for determinants, recursive
+All operations accept integer matrices, and object arrays of Python int
+or Fraction entries (any other object entry is rejected), and then compute
+in exact arithmetic (Bareiss elimination for determinants, recursive
 expansion for Pfaffians), so the discrete identities can be checked for
 literal equality.  Float input gathers the row subsets into stacks and
 evaluates them with the batched determinant and Pfaffian kernels.
@@ -16,7 +17,9 @@ evaluates them with the batched determinant and Pfaffian kernels.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -49,19 +52,26 @@ _SUBSET_BLOCK = 1 << 14
 
 
 def _is_exact(*arrays) -> bool:
-    return all(
-        np.issubdtype(np.asarray(a).dtype, np.integer) or
-        np.asarray(a).dtype == object
-        for a in arrays
-    )
+    """True when every array is integer-typed or an object array; an object
+    array must hold only Python int and Fraction entries."""
+    arrays = [np.asarray(a) for a in arrays]
+    for v in (v for a in arrays if a.dtype == object for v in a.flat):
+        if not isinstance(v, (int, Fraction)):
+            raise ValueError(f"exact input takes int or Fraction entries, got {v!r}")
+    return all(a.dtype == object or np.issubdtype(a.dtype, np.integer) for a in arrays)
 
 
-def _int_det(rows: list) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+def _exact_det(rows: list):
+    """Exact determinant by Bareiss elimination, whose divisions are exact:
+    // on int entries, / once any entry is a Fraction."""
     n = len(rows)
     if n == 0:
         return 1
     m = [list(row) for row in rows]
+    div = operator.floordiv
+    if any(isinstance(v, Fraction) for row in m for v in row):
+        m = [[Fraction(v) for v in row] for row in m]
+        div = operator.truediv
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -75,7 +85,7 @@ def _int_det(rows: list) -> int:
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                m[i][j] = div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
@@ -115,7 +125,7 @@ def cauchy_binet_lhs(x, y):
 
     X and Y are M x N with M >= N; K ranges over the C(M, N) subsets of
     rows, restricted to which both matrices become square.  Integer input
-    gives an exact integer result.
+    gives an exact integer result, Fraction input an exact Fraction.
     """
     xa, ya = _as_rect(x, "x"), _as_rect(y, "y")
     _check_tall(xa, ya)
@@ -124,7 +134,7 @@ def cauchy_binet_lhs(x, y):
         xr, yr = xa.tolist(), ya.tolist()
         total = 0
         for rows in _row_indices(m, n):
-            total += _int_det([xr[i] for i in rows]) * _int_det(
+            total += _exact_det([xr[i] for i in rows]) * _exact_det(
                 [yr[i] for i in rows]
             )
         return total
@@ -137,7 +147,8 @@ def cauchy_binet_lhs(x, y):
 def cauchy_binet_rhs(x, y):
     """det(X^T Y) for M x N matrices with M >= N.
 
-    Integer input gives an exact integer result.
+    Integer input gives an exact integer result, Fraction input an exact
+    Fraction.
     """
     xa, ya = _as_rect(x, "x"), _as_rect(y, "y")
     _check_tall(xa, ya)
@@ -148,7 +159,7 @@ def cauchy_binet_rhs(x, y):
             [sum(xr[l][i] * yr[l][j] for l in range(m)) for j in range(n)]
             for i in range(n)
         ]
-        return _int_det(product)
+        return _exact_det(product)
     return determinant(xa.T @ ya)
 
 
@@ -227,13 +238,9 @@ def _skew_entries(a):
     return SkewMatrix(arr).entries, False
 
 
-def minor_summation_lhs(a, t):
-    """Sum over column subsets J of Pf(A_{J,J}) * det(T_J).
-
-    A is M x M antisymmetric, T is N x M with N even and M >= N; A_{J,J}
-    is the principal submatrix on J and T_J keeps the columns J.  Integer
-    input gives an exact integer result.
-    """
+def _compression(a, t):
+    """(entries, t, exact) for minor summation, with T's shape checked
+    against A: N x M, N even, M >= N."""
     entries, exact = _skew_entries(a)
     ta = _as_rect(t, "t")
     m = entries.shape[0]
@@ -244,6 +251,18 @@ def minor_summation_lhs(a, t):
         raise ValueError(f"requires at least as many columns as rows, got {m} < {n_rows}")
     if n_rows % 2:
         raise ValueError(f"size must be even, got {n_rows}")
+    return entries, ta, exact
+
+
+def minor_summation_lhs(a, t):
+    """Sum over column subsets J of Pf(A_{J,J}) * det(T_J).
+
+    A is M x M antisymmetric, T is N x M with N even and M >= N; A_{J,J}
+    is the principal submatrix on J and T_J keeps the columns J.  Integer
+    input gives an exact integer result, Fraction input an exact Fraction.
+    """
+    entries, ta, exact = _compression(a, t)
+    m, n_rows = entries.shape[0], ta.shape[0]
     if n_rows == 0:
         # empty compression: Pf of the 0 x 0 matrix is the empty product
         return 1 if exact else 1.0
@@ -253,7 +272,7 @@ def minor_summation_lhs(a, t):
         for cols in _row_indices(m, n_rows):
             sub = entries[np.ix_(cols, cols)]
             pf = pfaffian_by_expansion(sub)
-            total += pf * _int_det([[tr[i][j] for j in cols] for i in range(n_rows)])
+            total += pf * _exact_det([[tr[i][j] for j in cols] for i in range(n_rows)])
         return total
     total = 0.0
     for idx in _subset_blocks(m, n_rows):
@@ -267,18 +286,10 @@ def minor_summation_rhs(a, t):
     """Pfaffian of T A T^T, the N x N antisymmetric compression of A by T.
 
     Same shape rules as minor_summation_lhs; integer input gives an exact
-    integer result.
+    integer result, Fraction input an exact Fraction.
     """
-    entries, exact = _skew_entries(a)
-    ta = _as_rect(t, "t")
-    m = entries.shape[0]
-    n_rows, t_cols = ta.shape
-    if t_cols != m:
-        raise ValueError(f"t must have {m} columns, got {t_cols}")
-    if n_rows > m:
-        raise ValueError(f"requires at least as many columns as rows, got {m} < {n_rows}")
-    if n_rows % 2:
-        raise ValueError(f"size must be even, got {n_rows}")
+    entries, ta, exact = _compression(a, t)
+    m, n_rows = entries.shape[0], ta.shape[0]
     if n_rows == 0:
         return 1 if exact else 1.0
     if exact:

@@ -14,7 +14,7 @@ import numpy as np
 from andreief.ensembles import weight_factorization
 from andreief.identities import _value_stack
 from andreief.linalg import determinant_batch, pfaffian_batch
-from andreief.quadrature import gauss_rule, integrate_nd
+from andreief.quadrature import gauss_rule, integrate_1d, integrate_nd
 
 
 def point_integrand(rule, g):
@@ -60,3 +60,26 @@ def debruijn_lhs_point_grid(left, kernel, domain, n_nodes, two_n):
 
     raw = integrate_nd(rule, two_n, point_integrand(rule, integrand))
     return raw / math.factorial(two_n)
+
+
+def gram_matrix_per_entry(spec, n_nodes, absolute=False):
+    """The Gram matrix entry by entry: one integrate_1d call per pair
+    (j, k) on the product f_j(x) phi_k(x) point_factor(x), each member
+    evaluated anew at every call.  absolute=True integrates |product|
+    instead, the scale of the entry's rounding error."""
+    rule = gauss_rule(spec.domain, n_nodes)
+    (left_fns, right_fns), point_factor = weight_factorization(
+        (spec.left, spec.right), spec.domain
+    )
+    reduce = np.abs if absolute else (lambda v: v)
+    n = spec.size
+    entries = np.empty((n, n))
+    for j in range(n):
+        for k in range(n):
+            lf, rf = left_fns[j], right_fns[k]
+            if point_factor is None:
+                f = lambda x, lf=lf, rf=rf: reduce(lf(x) * rf(x))
+            else:
+                f = lambda x, lf=lf, rf=rf: reduce(lf(x) * rf(x) * point_factor(x))
+            entries[j, k] = integrate_1d(rule, f)
+    return entries

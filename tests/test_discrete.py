@@ -2,9 +2,12 @@
 minor summation, and the block specialization."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from andreief import discrete
 from andreief.discrete import (
@@ -281,3 +284,78 @@ class TestBlockConstruction:
     def test_requires_tall_input(self):
         with pytest.raises(ValueError, match="at least as many rows"):
             block_reclaims_cauchy_binet(np.ones((1, 2), dtype=int), np.ones((1, 2), dtype=int))
+
+
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def tall_fraction_pairs(draw):
+    cols = draw(st.integers(1, 3))
+    rows = draw(st.integers(cols, 5))
+    cells = st.lists(FRACTIONS, min_size=rows * cols, max_size=rows * cols)
+    x, y = draw(cells), draw(cells)
+    return (
+        np.array(x, dtype=object).reshape(rows, cols),
+        np.array(y, dtype=object).reshape(rows, cols),
+    )
+
+
+@st.composite
+def skew_and_compressor(draw):
+    order = draw(st.integers(2, 5))
+    rows = draw(st.sampled_from([r for r in (2, 4) if r <= order]))
+    upper = draw(st.lists(FRACTIONS, min_size=order * order, max_size=order * order))
+    a = np.array(upper, dtype=object).reshape(order, order)
+    a = np.triu(a, 1) - np.triu(a, 1).T
+    t = draw(st.lists(FRACTIONS, min_size=rows * order, max_size=rows * order))
+    return a, np.array(t, dtype=object).reshape(rows, order)
+
+
+class TestExactRationalInput:
+    # the Bareiss quotients are exact in the rationals, but floor division
+    # rounds a Fraction quotient: both sides once came out as integers
+    X = np.array(
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)],
+         [Fraction(1, 6), Fraction(1, 7)]],
+        dtype=object,
+    )
+    Y = np.array(
+        [[Fraction(1), Fraction(2, 3)], [Fraction(3, 5), Fraction(1, 9)],
+         [Fraction(2, 7), Fraction(5, 11)]],
+        dtype=object,
+    )
+
+    def test_hand_case_is_exact(self):
+        assert cauchy_binet_lhs(self.X, self.Y) == Fraction(-2, 40425)
+        assert cauchy_binet_rhs(self.X, self.Y) == Fraction(-2, 40425)
+
+    def test_object_floats_rejected(self):
+        z = np.array([[0.5, 0.25], [0.3, 0.7], [0.9, 0.1]], dtype=object)
+        with pytest.raises(ValueError, match="int or Fraction entries, got 0.5"):
+            cauchy_binet_lhs(z, z)
+        with pytest.raises(ValueError, match="int or Fraction entries, got 0.5"):
+            minor_summation_rhs(np.array([[0, 0.5], [-0.5, 0]], dtype=object),
+                                np.eye(2, dtype=int))
+
+    def test_object_ints_stay_integers(self):
+        x = np.array([[1, 2], [3, 4], [5, 6]], dtype=object)
+        assert cauchy_binet_lhs(x, x) == cauchy_binet_rhs(x, x) == 24
+        assert isinstance(cauchy_binet_lhs(x, x), int)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tall_fraction_pairs())
+    def test_cauchy_binet_matches_expansion(self, pair):
+        x, y = pair
+        want = det_by_permutation_expansion(x.T @ y)
+        assert cauchy_binet_lhs(x, y) == want
+        assert cauchy_binet_rhs(x, y) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(skew_and_compressor())
+    def test_minor_summation_matches_expansion(self, pair):
+        # Pf(T A T^T)^2 = det(T A T^T), expanded over permutations
+        a, t = pair
+        lhs, rhs = minor_summation_lhs(a, t), minor_summation_rhs(a, t)
+        assert lhs == rhs
+        assert lhs * lhs == det_by_permutation_expansion(t @ a @ t.T)

@@ -19,6 +19,7 @@ from andreief.ensembles import (
     weight_factorization,
 )
 from andreief import identities
+from andreief.biortho import biorthogonality_residuals, biorthogonalize
 from andreief.identities import (
     GramMatrix,
     VerifyConfig,
@@ -39,6 +40,7 @@ from andreief.quadrature import BudgetError, Domain, gauss_rule, integrate_nd
 from grid_oracles import (
     andreief_lhs_permutation_oracle,
     debruijn_lhs_point_grid,
+    gram_matrix_per_entry,
     point_integrand,
 )
 
@@ -64,6 +66,18 @@ class TestGramMatrix:
         g = gram_matrix(GUE2)
         expected = [[SQRT_PI, 0.0], [0.0, SQRT_PI / 2.0]]
         assert np.allclose(g.entries, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("n_nodes", [12, 40, 60])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
+    def test_matches_per_entry_oracle(self, name, size, n_nodes):
+        # F^T W Phi against one integrate_1d per entry; the scale is the
+        # entry's absolute integral, as some entries vanish analytically
+        spec = build_ensemble(name, size)
+        got = gram_matrix(spec, n_nodes).entries
+        want = gram_matrix_per_entry(spec, n_nodes)
+        scale = gram_matrix_per_entry(spec, n_nodes, absolute=True)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
     def test_entries_read_only(self):
         g = gram_matrix(UNIFORM2)
@@ -163,8 +177,29 @@ class TestAndreiefLhsQuadrature:
         # every grid point repeats a node, so the tensor sum is exactly 0
         assert andreief_lhs_quadrature(build_ensemble("gue-monomial", 4), 3) == 0.0
 
-    @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
-    def test_non_finite_family_value_names_node(self, monkeypatch, side):
+    @pytest.mark.parametrize(
+        "route, side",
+        [
+            pytest.param("andreief_lhs_quadrature", 0, id="left"),
+            pytest.param("andreief_lhs_quadrature", 1, id="right"),
+            pytest.param("gram_matrix", 0, id="gram-left"),
+            pytest.param("gram_matrix", 1, id="gram-right"),
+            pytest.param("debruijn_rhs", 0, id="debruijn-rhs"),
+            pytest.param("biorthogonality_residuals", 0, id="residuals-left"),
+            pytest.param("biorthogonality_residuals", 1, id="residuals-right"),
+        ],
+    )
+    def test_non_finite_family_value_names_node(self, monkeypatch, route, side):
+        system = biorthogonalize(UNIFORM2, 3)
+        run = {
+            "andreief_lhs_quadrature": lambda: andreief_lhs_quadrature(UNIFORM2, 3),
+            "gram_matrix": lambda: gram_matrix(UNIFORM2, 3),
+            "debruijn_rhs": lambda: debruijn_rhs(
+                UNIFORM2.left, SIGN, UNIFORM2.domain, 3, 2
+            ),
+            "biorthogonality_residuals": lambda: biorthogonality_residuals(system, 3),
+        }[route]
+
         def poisoned(families, domain):
             member_fns, point_factor = weight_factorization(families, domain)
             fn = member_fns[side][1]
@@ -174,7 +209,7 @@ class TestAndreiefLhsQuadrature:
         monkeypatch.setattr(identities, "weight_factorization", poisoned)
         # the 3-node Gauss-Legendre rule on (0, 1) has its last node at 0.8873
         with pytest.raises(ValueError, match=r"non-finite .* at node 0\.887"):
-            andreief_lhs_quadrature(UNIFORM2, 3)
+            run()
 
 
 class TestAndreiefLhsMC:
@@ -548,3 +583,38 @@ class TestDeBruijnNodeTables:
                 )
             )
         assert values[1:] == values[:-1]
+
+
+class TestNodeMeasure:
+    @pytest.mark.parametrize(
+        "route",
+        [
+            "gram_matrix",
+            "andreief_lhs_quadrature",
+            "debruijn_rhs",
+            "debruijn_lhs_quadrature",
+            "biorthogonality_residuals",
+            "chebyshev_gap",
+        ],
+    )
+    def test_each_gauss_route_builds_its_rule_once(self, monkeypatch, route):
+        system = biorthogonalize(UNIFORM2, 12)
+        run = {
+            "gram_matrix": lambda: gram_matrix(UNIFORM2, 12),
+            "andreief_lhs_quadrature": lambda: andreief_lhs_quadrature(UNIFORM2, 12),
+            "debruijn_rhs": lambda: debruijn_rhs(UNIFORM2.left, SIGN, UNIT, 12, 2),
+            "debruijn_lhs_quadrature": lambda: debruijn_lhs_quadrature(
+                UNIFORM2.left, SIGN, UNIT, 12, 2
+            ),
+            "biorthogonality_residuals": lambda: biorthogonality_residuals(system, 12),
+            "chebyshev_gap": lambda: chebyshev_gap(np.sin, np.exp, UNIT, 12),
+        }[route]
+        calls = []
+
+        def counting(domain, n_nodes):
+            calls.append((domain, n_nodes))
+            return gauss_rule(domain, n_nodes)
+
+        monkeypatch.setattr(identities, "gauss_rule", counting)
+        run()
+        assert calls == [(UNIT, 12)]
