@@ -34,7 +34,8 @@ __all__ = [
     "verify_invariance_under_biorthogonalization",
 ]
 
-# pivot is compared against this times the largest Gram magnitude
+# a pivot of the row- and column-equilibrated Gram matrix at or below this
+# magnitude is numerically zero
 PIVOT_RELATIVE_CUTOFF = 1e-13
 
 
@@ -117,20 +118,28 @@ def biorthogonalize(spec: EnsembleSpec, n_nodes: int = DEFAULT_NODES_1D) -> Bior
     """Factor the Gram matrix as L G R^T = H with unit-triangular L, R.
 
     Runs Doolittle elimination without pivoting; row reordering would
-    break the triangular-recombination structure, so a pivot smaller than
-    ``PIVOT_RELATIVE_CUTOFF`` times the largest Gram entry aborts with
-    :class:`FactorizationError`.
+    break the triangular-recombination structure, so a vanishing pivot
+    aborts with :class:`FactorizationError`.  Each pivot h_k is judged on
+    the equilibrated Gram diag(r) G diag(c), with r_k = 1 / max_j |G_kj|
+    and c_j = 1 / max_k |r_k G_kj|, whose pivots are r_k h_k c_k: a pivot
+    at or below ``PIVOT_RELATIVE_CUTOFF`` there is numerically zero.  So
+    the test does not depend on how the members of either family are
+    scaled.
     """
     g = np.array(gram_matrix(spec, n_nodes).entries)
     n = spec.size
-    cutoff = PIVOT_RELATIVE_CUTOFF * max(1.0, float(np.abs(g).max())) if n else 0.0
+    # a zero row or column keeps scale 1 and leaves an exactly zero pivot
+    rows = np.abs(g).max(axis=1, initial=0.0)
+    r = np.divide(1.0, rows, out=np.ones(n), where=rows > 0)
+    cols = np.abs(r[:, None] * g).max(axis=0, initial=0.0)
+    c = np.divide(1.0, cols, out=np.ones(n), where=cols > 0)
     work = g.copy()
     l0 = np.eye(n)
     u0 = np.eye(n)
     h = np.zeros(n)
     for k in range(n):
         pivot = work[k, k]
-        if abs(pivot) <= cutoff:
+        if abs(r[k] * pivot * c[k]) <= PIVOT_RELATIVE_CUTOFF:
             raise FactorizationError(
                 "Gram matrix not strictly factorizable: "
                 f"leading principal minor {k + 1} is numerically zero"

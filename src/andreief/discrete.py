@@ -51,27 +51,39 @@ __all__ = [
 _SUBSET_BLOCK = 1 << 14
 
 
-def _is_exact(*arrays) -> bool:
-    """True when every array is integer-typed or an object array; an object
+def _exact_division(*arrays):
+    """The exact division of Bareiss elimination on these arrays, or None
+    unless every array is integer-typed or an object array: // on int
+    entries, / once any entry is a Fraction (see _exact_rows).  An object
     array must hold only Python int and Fraction entries."""
     arrays = [np.asarray(a) for a in arrays]
+    fraction = False
     for v in (v for a in arrays if a.dtype == object for v in a.flat):
-        if not isinstance(v, (int, Fraction)):
+        if isinstance(v, Fraction):
+            fraction = True
+        elif not isinstance(v, int):
             raise ValueError(f"exact input takes int or Fraction entries, got {v!r}")
-    return all(a.dtype == object or np.issubdtype(a.dtype, np.integer) for a in arrays)
+    if not all(a.dtype == object or np.issubdtype(a.dtype, np.integer) for a in arrays):
+        return None
+    return operator.truediv if fraction else operator.floordiv
 
 
-def _exact_det(rows: list):
-    """Exact determinant by Bareiss elimination, whose divisions are exact:
-    // on int entries, / once any entry is a Fraction."""
+def _exact_rows(a: np.ndarray, div) -> list:
+    """a as nested lists, with every entry a Fraction when div is /, so
+    that no quotient of two ints becomes a float."""
+    rows = a.tolist()
+    if div is operator.truediv:
+        rows = [[Fraction(v) for v in row] for row in rows]
+    return rows
+
+
+def _exact_det(rows: list, div):
+    """Exact determinant by Bareiss elimination, whose divisions div (from
+    _exact_division) are exact."""
     n = len(rows)
     if n == 0:
         return 1
     m = [list(row) for row in rows]
-    div = operator.floordiv
-    if any(isinstance(v, Fraction) for row in m for v in row):
-        m = [[Fraction(v) for v in row] for row in m]
-        div = operator.truediv
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -130,12 +142,13 @@ def cauchy_binet_lhs(x, y):
     xa, ya = _as_rect(x, "x"), _as_rect(y, "y")
     _check_tall(xa, ya)
     m, n = xa.shape
-    if _is_exact(xa, ya):
-        xr, yr = xa.tolist(), ya.tolist()
+    div = _exact_division(xa, ya)
+    if div is not None:
+        xr, yr = _exact_rows(xa, div), _exact_rows(ya, div)
         total = 0
         for rows in _row_indices(m, n):
-            total += _exact_det([xr[i] for i in rows]) * _exact_det(
-                [yr[i] for i in rows]
+            total += _exact_det([xr[i] for i in rows], div) * _exact_det(
+                [yr[i] for i in rows], div
             )
         return total
     total = 0.0
@@ -152,14 +165,15 @@ def cauchy_binet_rhs(x, y):
     """
     xa, ya = _as_rect(x, "x"), _as_rect(y, "y")
     _check_tall(xa, ya)
-    if _is_exact(xa, ya):
-        xr, yr = xa.tolist(), ya.tolist()
+    div = _exact_division(xa, ya)
+    if div is not None:
+        xr, yr = _exact_rows(xa, div), _exact_rows(ya, div)
         m, n = xa.shape
         product = [
             [sum(xr[l][i] * yr[l][j] for l in range(m)) for j in range(n)]
             for i in range(n)
         ]
-        return _exact_det(product)
+        return _exact_det(product, div)
     return determinant(xa.T @ ya)
 
 
@@ -224,25 +238,28 @@ def discretized_andreief(
     )
 
 
-def _skew_entries(a):
-    """(entries, exact) for a SkewMatrix or antisymmetric array-like."""
+def _skew_entries(a, ta: np.ndarray):
+    """(entries, div) for a SkewMatrix or antisymmetric array-like A
+    compressed by ta; div is _exact_division of both, None unless both
+    are exact."""
     if isinstance(a, SkewMatrix):
-        return a.entries, False
+        return a.entries, None
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"square matrix required, got shape {arr.shape}")
-    if _is_exact(arr):
+    div = _exact_division(arr, ta)
+    if div is not None:
         if np.any(arr != -arr.T):
             raise ValueError("entries are not antisymmetric")
-        return arr, True
-    return SkewMatrix(arr).entries, False
+        return arr, div
+    return SkewMatrix(arr).entries, None
 
 
 def _compression(a, t):
-    """(entries, t, exact) for minor summation, with T's shape checked
-    against A: N x M, N even, M >= N."""
-    entries, exact = _skew_entries(a)
+    """(entries, t, div) for minor summation, with T's shape checked
+    against A: N x M, N even, M >= N; div as in _skew_entries."""
     ta = _as_rect(t, "t")
+    entries, div = _skew_entries(a, ta)
     m = entries.shape[0]
     n_rows, t_cols = ta.shape
     if t_cols != m:
@@ -251,7 +268,7 @@ def _compression(a, t):
         raise ValueError(f"requires at least as many columns as rows, got {m} < {n_rows}")
     if n_rows % 2:
         raise ValueError(f"size must be even, got {n_rows}")
-    return entries, ta, exact
+    return entries, ta, div
 
 
 def minor_summation_lhs(a, t):
@@ -261,18 +278,18 @@ def minor_summation_lhs(a, t):
     is the principal submatrix on J and T_J keeps the columns J.  Integer
     input gives an exact integer result, Fraction input an exact Fraction.
     """
-    entries, ta, exact = _compression(a, t)
+    entries, ta, div = _compression(a, t)
     m, n_rows = entries.shape[0], ta.shape[0]
     if n_rows == 0:
         # empty compression: Pf of the 0 x 0 matrix is the empty product
-        return 1 if exact else 1.0
-    if exact:
-        tr = ta.tolist()
+        return 1.0 if div is None else 1
+    if div is not None:
+        tr = _exact_rows(ta, div)
         total = 0
         for cols in _row_indices(m, n_rows):
             sub = entries[np.ix_(cols, cols)]
             pf = pfaffian_by_expansion(sub)
-            total += pf * _exact_det([[tr[i][j] for j in cols] for i in range(n_rows)])
+            total += pf * _exact_det([[tr[i][j] for j in cols] for i in range(n_rows)], div)
         return total
     total = 0.0
     for idx in _subset_blocks(m, n_rows):
@@ -288,11 +305,11 @@ def minor_summation_rhs(a, t):
     Same shape rules as minor_summation_lhs; integer input gives an exact
     integer result, Fraction input an exact Fraction.
     """
-    entries, ta, exact = _compression(a, t)
+    entries, ta, div = _compression(a, t)
     m, n_rows = entries.shape[0], ta.shape[0]
     if n_rows == 0:
-        return 1 if exact else 1.0
-    if exact:
+        return 1.0 if div is None else 1
+    if div is not None:
         tr, ar = ta.tolist(), entries.tolist()
         at = [
             [sum(ar[i][l] * tr[r][l] for l in range(m)) for r in range(n_rows)]
@@ -325,7 +342,7 @@ def block_reclaims_cauchy_binet(x, y) -> tuple:
     xa, ya = _as_rect(x, "x"), _as_rect(y, "y")
     _check_tall(xa, ya)
     m, n = xa.shape
-    exact = _is_exact(xa, ya)
+    exact = _exact_division(xa, ya) is not None
     dtype = object if exact else float
     eye = np.eye(m, dtype=int if exact else float)
     a = np.zeros((2 * m, 2 * m), dtype=dtype)

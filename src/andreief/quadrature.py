@@ -19,6 +19,11 @@ evaluating its functions at all n**dim points.  Monte Carlo integrands map
 a (P, dim) block of sample points to a (P,) value array.  Scalar returns
 are broadcast.
 
+Every nd integrand must be row-wise: row i of its values depends on row i
+of its input only.  The integrators call it on row slices of at most
+_EVAL_ROWS rows, so the arrays it makes stay cache-sized, and a slice
+gives the same values as the whole block would.
+
 The multidimensional integrators cut their work into fixed blocks (grid
 chunks, sample blocks) and evaluate up to one block per CPU at once on a
 thread pool, so an integrand may run on several threads at once and must
@@ -59,6 +64,9 @@ DEFAULT_NODES_TENSOR = 12
 # (and hence the float result) is the same on every run and every CPU count.
 _GRID_CHUNK = 1 << 13
 _MC_CHUNK = 1 << 17
+
+# Most rows an nd integrand is called on at once; a grid chunk is one call.
+_EVAL_ROWS = _GRID_CHUNK
 
 # Blocks evaluated at once, and so the most blocks in memory at once: one
 # per CPU this process may run on.
@@ -354,7 +362,9 @@ def _sample_block(rng, domain: Domain, shape):
     if domain.kind == "half_line":
         return rng.standard_exponential(size=shape)
     if domain.kind == "real_line":
-        return rng.standard_normal(size=shape) / math.sqrt(2.0)
+        points = rng.standard_normal(size=shape)
+        points /= math.sqrt(2.0)
+        return points
     raise ValueError(f"no sampler for domain kind {domain.kind!r}")
 
 
@@ -370,8 +380,17 @@ def _mc_factor(domain: Domain, dim: int) -> float:
 
 
 def _block_moments(f, points: np.ndarray) -> tuple[float, float, int]:
-    """Mean, centred sum of squares and size of f on one sample block."""
-    values = _block_values(f, points, lambda: points)
+    """Mean, centred sum of squares and size of f on one sample block.
+
+    f runs on slices of _EVAL_ROWS rows; the moments are taken over the
+    whole block."""
+    slices = (
+        points[start : start + _EVAL_ROWS]
+        for start in range(0, points.shape[0], _EVAL_ROWS)
+    )
+    values = np.concatenate(
+        [_block_values(f, rows, lambda rows=rows: rows) for rows in slices]
+    )
     mean = float(np.mean(values))
     return mean, float(np.sum((values - mean) ** 2)), values.size
 
@@ -384,7 +403,9 @@ def monte_carlo_nd(domain: Domain, dim: int, f, samples: int, seed: int) -> MCEs
     embedded weight.  Deterministic for a given seed: blocks of _MC_CHUNK
     samples are drawn in order from one generator on the calling thread,
     evaluated on up to _WORKERS threads at once (so f may run concurrently
-    and must not mutate shared state), and merged in block order.
+    and must not mutate shared state), and merged in block order.  f must
+    be row-wise: it is called on row slices of at most _EVAL_ROWS samples
+    of a block, in draw order, and its values are the same on any slice.
     """
     if dim < 1:
         raise ValueError("dim must be positive")

@@ -127,6 +127,17 @@ class TestBiorthogonalize:
         scale = max(1.0, float(np.abs(system.h).max()))
         assert np.allclose(recombined, np.diag(system.h), atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("name", ["muttalib-borodin", "laguerre-product"])
+    def test_large_gram_entries_leave_small_pivots_valid(self, name):
+        # max|G| is 5.1e19 on muttalib-borodin at N = 8: a cutoff relative to
+        # it once called the pivot G[0, 0] = 1 numerically zero
+        spec = build_ensemble(name, 8)
+        system = biorthogonalize(spec)
+        residuals = biorthogonality_residuals(system)
+        assert np.abs(np.diag(residuals) / system.h - 1.0).max() < 1e-9
+        rhs = andreief_rhs(gram_matrix(spec, 40))
+        assert relative_gap(partition_function(spec), rhs) < 1e-9
+
     def test_size_one(self):
         spec = build_ensemble("uniform-monomial", 1)
         system = biorthogonalize(spec)

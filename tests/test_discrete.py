@@ -343,6 +343,23 @@ class TestExactRationalInput:
         assert cauchy_binet_lhs(x, x) == cauchy_binet_rhs(x, x) == 24
         assert isinstance(cauchy_binet_lhs(x, x), int)
 
+    def test_int_and_fraction_mix(self):
+        x = np.array([[1, 2], [3, 4], [5, 6]], dtype=object)
+        # the int side must divide as Fractions too: / on two ints is a float
+        want = det_by_permutation_expansion(x.T @ self.Y)
+        for side in (cauchy_binet_lhs, cauchy_binet_rhs):
+            value = side(x, self.Y)
+            assert value == want
+            assert isinstance(value, Fraction)
+
+    def test_integer_a_with_float_t_is_not_floored(self):
+        # an integer A once sent float T down the exact path, whose floor
+        # division turned det T = 0.275 into 0.0
+        a = np.array([[0, 1], [-1, 0]])
+        t = np.array([[0.5, 0.25], [0.3, 0.7]])
+        assert minor_summation_lhs(a, t) == pytest.approx(0.275, rel=1e-15)
+        assert minor_summation_rhs(a, t) == pytest.approx(0.275, rel=1e-15)
+
     @settings(max_examples=60, deadline=None)
     @given(tall_fraction_pairs())
     def test_cauchy_binet_matches_expansion(self, pair):

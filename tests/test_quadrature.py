@@ -4,13 +4,17 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from andreief import quadrature
+from andreief.ensembles import build_ensemble
+from andreief.identities import andreief_lhs_mc
 from andreief.linalg import within_tolerance
 from andreief.quadrature import (
+    _EVAL_ROWS,
     _GRID_CHUNK,
     _MC_CHUNK,
     BudgetError,
@@ -456,3 +460,87 @@ class TestWorkers:
             sys.setswitchinterval(interval)
         assert state["peak"] <= 4
         assert state["done"] == 40
+
+
+class TestEvalSlices:
+    """Monte Carlo integrands run on row slices of at most _EVAL_ROWS rows
+    of each sample block; the estimate must equal whole-block calls."""
+
+    # two full blocks, then a block of 5 full slices and a partial one
+    SAMPLES = 2 * _MC_CHUNK + 5 * _EVAL_ROWS + 77
+
+    def _sliced_and_whole(self, monkeypatch, run):
+        out = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(quadrature, "_WORKERS", workers)
+            for rows in (_EVAL_ROWS, _MC_CHUNK):
+                monkeypatch.setattr(quadrature, "_EVAL_ROWS", rows)
+                out.append(run())
+        return out
+
+    @pytest.mark.parametrize("domain", [UNIT, HALF, REAL], ids=str)
+    def test_estimate_equals_whole_block_calls(self, monkeypatch, domain):
+        assert (self.SAMPLES % _MC_CHUNK) % _EVAL_ROWS != 0
+        f = lambda p: np.exp(-p[:, 0]) * p[:, 1] - np.prod(p, axis=1)
+        ests = self._sliced_and_whole(
+            monkeypatch, lambda: monte_carlo_nd(domain, 3, f, self.SAMPLES, seed=5)
+        )
+        assert ests[1:] == ests[:-1]
+
+    @pytest.mark.parametrize(
+        "name", ["uniform-monomial", "gue-monomial", "muttalib-borodin"]
+    )
+    def test_andreief_lhs_mc_equals_whole_block_calls(self, monkeypatch, name):
+        spec = build_ensemble(name, 3)
+        ests = self._sliced_and_whole(
+            monkeypatch, lambda: andreief_lhs_mc(spec, self.SAMPLES, seed=9)
+        )
+        assert ests[1:] == ests[:-1]
+
+    def test_integrand_sees_every_row_in_draw_order(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_WORKERS", 1)
+        seen = []
+
+        def f(p):
+            seen.append(p.copy())
+            return p[:, 0]
+
+        monte_carlo_nd(UNIT, 2, f, self.SAMPLES, seed=4)
+        assert max(len(rows) for rows in seen) == _EVAL_ROWS
+        stream = np.random.default_rng(4).uniform(0.0, 1.0, size=(self.SAMPLES, 2))
+        assert np.array_equal(np.concatenate(seen), stream)
+
+    def test_non_finite_value_named_by_its_coordinates(self, monkeypatch):
+        # bad rows in the third slice of block 2, a later slice of it and
+        # the first slice of block 3; the first of them must be named
+        samples = 4 * _MC_CHUNK + 100
+        stream = np.random.default_rng(6).uniform(0.0, 1.0, size=(samples, 2))
+        first = 2 * _MC_CHUNK + 2 * _EVAL_ROWS + 7
+        later = (2 * _MC_CHUNK + 4 * _EVAL_ROWS, 3 * _MC_CHUNK + 3)
+        bad = {stream[first, 0]: np.nan} | {stream[i, 0]: np.inf for i in later}
+
+        def f(p):
+            values = p[:, 1].copy()
+            for x, value in bad.items():
+                values[p[:, 0] == x] = value
+            return values
+
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(quadrature, "_WORKERS", workers)
+            with pytest.raises(ValueError, match="value nan at node") as info:
+                monte_carlo_nd(UNIT, 2, f, samples, seed=6)
+            assert str(stream[first]) in str(info.value)
+
+    def test_traced_peak_of_one_mc_check(self, monkeypatch):
+        # Whole-block calls peak at 22 MB on this check: a dozen (2**17, 3)
+        # sized temporaries per block.  Slices keep them in the low megabytes.
+        monkeypatch.setattr(quadrature, "_WORKERS", 1)
+        spec = build_ensemble("gue-monomial", 3)
+        andreief_lhs_mc(spec, 10, seed=1)  # imports and caches off the trace
+        tracemalloc.start()
+        try:
+            andreief_lhs_mc(spec, 2 * _MC_CHUNK + 5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
