@@ -22,8 +22,7 @@ import numpy as np
 from .ensembles import EnsembleSpec, evaluate, family_matrix
 from .identities import _factorial, _node_measure, gram_matrix
 from .linalg import determinant
-# gauss_rule stays a module attribute: perfbench/tracing.py wraps biortho.gauss_rule
-from .quadrature import DEFAULT_NODES_1D, gauss_rule  # noqa: F401
+from .quadrature import DEFAULT_NODES_1D
 
 __all__ = [
     "BiorthogonalSystem",
@@ -195,7 +194,7 @@ def verify_invariance_under_biorthogonalization(
     matrices have unit determinant, so the first pair and the second pair
     agree up to roundoff.
     """
-    pts = np.asarray(getattr(points, "points", points), dtype=float)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size != spec.size:
         raise ValueError(f"needs exactly {spec.size} points, got shape {pts.shape}")
     system = biorthogonalize(spec, n_nodes)

@@ -1,30 +1,36 @@
 """Discrete analogues of the integration identities.
 
 Cauchy-Binet expresses det(X^T Y) as a sum of products of maximal minors
-over row subsets; restricting an ensemble to a finite point set turns the
-determinant integration identity into exactly that statement.  The minor
-summation formula is the Pfaffian analogue, and a block construction
-specializes it back to Cauchy-Binet up to a shape-dependent sign.
+over row subsets.  The determinant integration identity holds for any
+measure, and on the point measure sum_l delta(x - y_l) it is exactly that
+statement: discretized_andreief reads the tables X[l, j] = f_j(y_l) and
+Y[l, j] = phi_j(y_l) from ensembles.NodeMeasure.points, the same tables
+the Gauss-rule routes read on their node measure, and ordered_tuple_sum
+is the N-fold sum over ordered point tuples that Cauchy-Binet reduces to
+row subsets.  The minor summation formula is the Pfaffian analogue, and a
+block construction specializes it back to Cauchy-Binet up to a
+shape-dependent sign.
 
-All operations accept integer matrices, and object arrays of Python int
-or Fraction entries (any other object entry is rejected), and then compute
-in exact arithmetic (Bareiss elimination for determinants, recursive
-expansion for Pfaffians), so the discrete identities can be checked for
-literal equality.  Float input gathers the row subsets into stacks and
-evaluates them with the batched determinant and Pfaffian kernels.
+All operations but ordered_tuple_sum accept integer matrices, and object
+arrays of Python int or Fraction entries (any other object entry is
+rejected), and then compute in exact arithmetic (Bareiss elimination for
+determinants, recursive expansion for Pfaffians), so the discrete
+identities can be checked for literal equality.  Float input gathers the
+row subsets into stacks and evaluates them with the batched determinant
+and Pfaffian kernels.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, family_matrix
+from .ensembles import EnsembleSpec, NodeMeasure
 from .linalg import (
     SkewMatrix,
     determinant,
@@ -34,20 +40,21 @@ from .linalg import (
     pfaffian_by_expansion,
     subsets,
 )
+from .quadrature import DEFAULT_EVAL_BUDGET, BudgetError
 
 __all__ = [
-    "DiscretePointSet",
-    "DiscretizedAndreief",
     "block_reclaims_cauchy_binet",
     "cauchy_binet_lhs",
     "cauchy_binet_rhs",
     "discretized_andreief",
     "minor_summation_lhs",
     "minor_summation_rhs",
+    "ordered_tuple_sum",
 ]
 
 
-# Row subsets gathered into one determinant/Pfaffian stack on the float path.
+# Row subsets or tuples gathered into one determinant/Pfaffian stack on the
+# float path.
 _SUBSET_BLOCK = 1 << 14
 
 
@@ -123,13 +130,12 @@ def _row_indices(m: int, n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(i - 1 for i in chosen)
 
 
-def _subset_blocks(m: int, n: int) -> Iterator[np.ndarray]:
-    """The row subsets in _row_indices order, as (c, n) index arrays of at
-    most _SUBSET_BLOCK subsets each, so a gathered stack stays bounded."""
-    chosen = subsets(m, n)
+def _index_blocks(chosen: Iterator, n: int, base: int = 0) -> Iterator[np.ndarray]:
+    """The n-tuples of chosen, numbered from base, as (c, n) arrays of
+    0-based row indices of at most _SUBSET_BLOCK tuples each, so a
+    gathered stack stays bounded."""
     while block := list(itertools.islice(chosen, _SUBSET_BLOCK)):
-        # subsets() enumerates 1-based
-        yield np.array(block, dtype=int).reshape(len(block), n) - 1
+        yield np.array(block, dtype=int).reshape(len(block), n) - base
 
 
 def cauchy_binet_lhs(x, y):
@@ -152,7 +158,8 @@ def cauchy_binet_lhs(x, y):
             )
         return total
     total = 0.0
-    for idx in _subset_blocks(m, n):
+    # subsets() enumerates 1-based
+    for idx in _index_blocks(subsets(m, n), n, 1):
         total += float(np.sum(determinant_batch(xa[idx]) * determinant_batch(ya[idx])))
     return total
 
@@ -167,75 +174,45 @@ def cauchy_binet_rhs(x, y):
     _check_tall(xa, ya)
     div = _exact_division(xa, ya)
     if div is not None:
-        xr, yr = _exact_rows(xa, div), _exact_rows(ya, div)
-        m, n = xa.shape
-        product = [
-            [sum(xr[l][i] * yr[l][j] for l in range(m)) for j in range(n)]
-            for i in range(n)
-        ]
-        return _exact_det(product, div)
+        return _exact_det(_exact_rows(xa.astype(object).T @ ya.astype(object), div), div)
     return determinant(xa.T @ ya)
 
 
-@dataclass(frozen=True)
-class DiscretePointSet:
-    """Support points of a sum-of-point-masses measure."""
+def ordered_tuple_sum(x, y, budget: int = DEFAULT_EVAL_BUDGET) -> float:
+    """Sum over ordered N-tuples t of rows of det(X_t) * det(Y_t), over N!.
 
-    points: tuple[float, ...]
-
-    def __init__(self, points: Sequence[float]):
-        pts = tuple(float(p) for p in points)
-        if not all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True, eq=False)
-class DiscretizedAndreief:
-    """Both sides of the identity over a point measure, plus the matrix
-    identification that makes it literally Cauchy-Binet.
-
-    x_matrix[l, j] = f_j(y_l) and y_matrix[l, j] = phi_j(y_l); lhs is the
-    subset sum of minor products and rhs is det(x_matrix^T y_matrix).
-    Unpacks as the (lhs, rhs) pair.
+    X and Y are M x N float tables with M >= N.  This is the discretized
+    N-fold integral summed as it stands; Cauchy-Binet reduces it to
+    cauchy_binet_lhs, since a tuple that repeats a row contributes 0 and
+    the N! orderings of a row subset contribute equally.  The budget
+    bounds the M**N tuples.
     """
+    xa = np.asarray(_as_rect(x, "x"), dtype=float)
+    ya = np.asarray(_as_rect(y, "y"), dtype=float)
+    _check_tall(xa, ya)
+    m, n = xa.shape
+    if m**n > budget:
+        raise BudgetError(
+            f"budget exceeded: {m**n} ordered {n}-tuples of {m} rows, allowed {budget}"
+        )
+    total = 0.0
+    for idx in _index_blocks(itertools.product(range(m), repeat=n), n):
+        total += float(np.sum(determinant_batch(xa[idx]) * determinant_batch(ya[idx])))
+    return total / math.factorial(n)
 
-    lhs: float
-    rhs: float
-    x_matrix: np.ndarray
-    y_matrix: np.ndarray
 
-    def __iter__(self):
-        return iter((self.lhs, self.rhs))
-
-
-def discretized_andreief(
-    spec: EnsembleSpec, pts: DiscretePointSet
-) -> DiscretizedAndreief:
-    """Replace the integrals of the determinant identity by sums over the
-    given points.
-
-    LHS becomes the sum over ordered N-point subsets of the product of the
-    two family determinants; RHS becomes the determinant of the discrete
-    Gram sum.  Both are computed by the Cauchy-Binet routines on the
-    identified matrices, so the equality is the discrete identity verbatim.
+def discretized_andreief(spec: EnsembleSpec, points) -> tuple[float, float]:
+    """(lhs, rhs) of the determinant identity over the point measure on
+    the given points: cauchy_binet_lhs and cauchy_binet_rhs of its tables
+    X[l, j] = f_j(y_l) and Y[l, j] = phi_j(y_l), so the discrete identity
+    is Cauchy-Binet verbatim.
     """
-    n = spec.size
-    m = len(pts)
+    measure = NodeMeasure.points(points)
+    n, m = spec.size, len(measure.nodes)
     if m < n:
         raise ValueError(f"needs at least {n} points, got {m}")
-    nodes = np.asarray(pts.points)
-    x_matrix = family_matrix(spec.left, nodes).T
-    y_matrix = family_matrix(spec.right, nodes).T
-    return DiscretizedAndreief(
-        lhs=cauchy_binet_lhs(x_matrix, y_matrix),
-        rhs=cauchy_binet_rhs(x_matrix, y_matrix),
-        x_matrix=x_matrix,
-        y_matrix=y_matrix,
-    )
+    _, (x, y) = measure.tables((spec.left, spec.right))
+    return cauchy_binet_lhs(x, y), cauchy_binet_rhs(x, y)
 
 
 def _skew_entries(a, ta: np.ndarray):
@@ -292,7 +269,7 @@ def minor_summation_lhs(a, t):
             total += pf * _exact_det([[tr[i][j] for j in cols] for i in range(n_rows)], div)
         return total
     total = 0.0
-    for idx in _subset_blocks(m, n_rows):
+    for idx in _index_blocks(subsets(m, n_rows), n_rows, 1):
         subs = entries[idx[:, :, None], idx[:, None, :]]
         minors = ta[:, idx].transpose(1, 0, 2)
         total += float(np.sum(pfaffian_batch(subs) * determinant_batch(minors)))
@@ -306,23 +283,11 @@ def minor_summation_rhs(a, t):
     integer result, Fraction input an exact Fraction.
     """
     entries, ta, div = _compression(a, t)
-    m, n_rows = entries.shape[0], ta.shape[0]
-    if n_rows == 0:
+    if ta.shape[0] == 0:
         return 1.0 if div is None else 1
     if div is not None:
-        tr, ar = ta.tolist(), entries.tolist()
-        at = [
-            [sum(ar[i][l] * tr[r][l] for l in range(m)) for r in range(n_rows)]
-            for i in range(m)
-        ]
-        compressed = np.array(
-            [
-                [sum(tr[r][i] * at[i][s] for i in range(m)) for s in range(n_rows)]
-                for r in range(n_rows)
-            ],
-            dtype=object,
-        )
-        return pfaffian_by_expansion(compressed)
+        to = ta.astype(object)
+        return pfaffian_by_expansion(to @ entries.astype(object) @ to.T)
     compressed = ta @ entries @ ta.T
     # exact antisymmetry holds in exact arithmetic; strip the float noise
     return pfaffian((compressed - compressed.T) / 2.0)
@@ -342,16 +307,9 @@ def block_reclaims_cauchy_binet(x, y) -> tuple:
     xa, ya = _as_rect(x, "x"), _as_rect(y, "y")
     _check_tall(xa, ya)
     m, n = xa.shape
-    exact = _exact_division(xa, ya) is not None
-    dtype = object if exact else float
-    eye = np.eye(m, dtype=int if exact else float)
-    a = np.zeros((2 * m, 2 * m), dtype=dtype)
-    a[:m, m:] = eye
-    a[m:, :m] = -eye
-    t = np.zeros((2 * n, 2 * m), dtype=dtype)
-    t[:n, :m] = xa.T
-    t[n:, m:] = ya.T
-    if exact:
-        a = np.array(a.tolist(), dtype=object)
-        t = np.array(t.tolist(), dtype=object)
+    # integer blocks keep exact input exact: an int and an object block
+    # join as Python ints, an int and a float block as floats
+    a = np.kron([[0, 1], [-1, 0]], np.eye(m, dtype=int))
+    zero = np.zeros((n, m), dtype=int)
+    t = np.block([[xa.T, zero], [zero, ya.T]])
     return minor_summation_rhs(a, t), cauchy_binet_rhs(xa, ya)

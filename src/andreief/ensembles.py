@@ -9,6 +9,8 @@ closed form f_j / omega absorbs one power of omega, any other family is
 evaluated as is, and the single leftover power omega**(absorbed - 1)
 becomes a per-point factor.  A leftover omega**-1 would mean integrating
 families that do not decay over an infinite domain, so it is rejected.
+NodeMeasure.tables is the one place that tabulates families on a finite
+measure, a Gauss rule's or a point set's.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import determinant
-from .quadrature import EMBEDDED_WEIGHTS, Domain
+from .quadrature import EMBEDDED_WEIGHTS, Domain, _check_finite
 
 __all__ = [
     "BUILTIN_ENSEMBLE_NAMES",
     "EnsembleSpec",
     "FunctionFamily",
     "KernelFunction",
+    "NodeMeasure",
     "Weight",
     "build_ensemble",
     "evaluate",
@@ -271,6 +274,57 @@ def weight_factorization(
     raise ValueError(
         f"{kinds} on {domain}: no family decays, so the integral diverges"
     )
+
+
+def _node_matrix(fns, nodes: np.ndarray) -> np.ndarray:
+    """(n_nodes, len(fns)) matrix with [k, j] = fns[j](nodes[k]); a scalar
+    value is broadcast, and every column is checked finite, naming the
+    first bad node."""
+    columns = [
+        np.broadcast_to(np.asarray(fn(nodes), dtype=float), nodes.shape)
+        for fn in fns
+    ]
+    for column in columns:
+        _check_finite(column, nodes)
+    return np.stack(columns, axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class NodeMeasure:
+    """The finite measure sum_k weights[k] delta(x - nodes[k]): a Gauss
+    rule's nodes and weights with its domain, or a point measure
+    (NodeMeasure.points) with unit weights and no domain.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    domain: Domain | None = None
+
+    @classmethod
+    def points(cls, pts) -> "NodeMeasure":
+        """Unit point masses at pts, which must be finite; they need no
+        order and no domain."""
+        nodes = np.asarray(pts, dtype=float)
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("points must be finite")
+        return cls(nodes, np.ones_like(nodes))
+
+    def tables(self, families) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(W, [F, ...]), one table per family with F[k, j] = f_j(x_k), all
+        checked finite.  A Gauss measure reduces the families against the
+        domain's embedded weight (weight_factorization) and folds the
+        point factor into W[k] = w_k * point_factor(x_k); a point measure
+        evaluates them as they are, with W its unit weights.
+        """
+        if self.domain is None:
+            member_fns, point_factor = [_raw_members(f) for f in families], None
+        else:
+            member_fns, point_factor = weight_factorization(families, self.domain)
+        weights = self.weights
+        if point_factor is not None:
+            weights = weights * np.asarray(point_factor(self.nodes), dtype=float)
+        _check_finite(weights, self.nodes)
+        return weights, [_node_matrix(fns, self.nodes) for fns in member_fns]
 
 
 def ensure_family_legal(family: FunctionFamily, domain: Domain) -> None:

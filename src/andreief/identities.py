@@ -18,8 +18,10 @@ Every engine integrates against the same measure by calling the one
 reduction ensembles.weight_factorization, with the ensemble's two families
 or the Pfaffian side's single family: it returns the member functions and
 one per-point factor (a power of the embedded weight, or None).  The Gauss
-routes read it through _node_measure, which folds the point factor into
-the weights W and tabulates each family on the nodes.
+routes read it through _node_measure, which builds the rule and hands it
+to ensembles.NodeMeasure: its tables fold the point factor into the
+weights W and tabulate each family on the nodes.  The discrete analogue
+(discrete.discretized_andreief) reads the same tables on a point measure.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .ensembles import (
     EnsembleSpec,
     FunctionFamily,
     KernelFunction,
+    NodeMeasure,
+    _node_matrix,
     weight_factorization,
 )
 from .linalg import (
@@ -120,7 +124,6 @@ class VerifyConfig:
     """Knobs for verify_andreief; defaults match the CLI defaults."""
 
     n_nodes_1d: int = DEFAULT_NODES_1D
-    n_nodes_tensor: int = DEFAULT_NODES_TENSOR
     mc_samples: int = 0
     seed: int = DEFAULT_SEED
     tolerance: float = DEFAULT_TOLERANCE
@@ -191,19 +194,6 @@ def _pair_integrand(spec: EnsembleSpec) -> Callable:
     return integrand
 
 
-def _node_matrix(fns, nodes: np.ndarray) -> np.ndarray:
-    """(n_nodes, len(fns)) matrix with [k, j] = fns[j](nodes[k]); a scalar
-    value is broadcast, and every column is checked finite, naming the
-    first bad node."""
-    columns = [
-        np.broadcast_to(np.asarray(fn(nodes), dtype=float), nodes.shape)
-        for fn in fns
-    ]
-    for column in columns:
-        _check_finite(column, nodes)
-    return np.stack(columns, axis=1)
-
-
 def _kernel_table(h, nodes: np.ndarray) -> np.ndarray:
     """(n_nodes, n_nodes) table with [a, b] = h(nodes[a], nodes[b]); a
     scalar value is broadcast, and the table is checked finite, naming the
@@ -216,16 +206,11 @@ def _kernel_table(h, nodes: np.ndarray) -> np.ndarray:
 
 def _node_measure(families, domain: Domain, n_nodes: int):
     """(rule, weights, tables) of the Gauss node measure for one or two
-    families: weights[k] = w_k * point_factor(x_k), checked finite, and one
-    _node_matrix per family, F[k, j] = f_j(x_k).  Every Gauss-rule route
+    families, from NodeMeasure.tables on the rule.  Every Gauss-rule route
     reads its weights and family values from here."""
     rule = gauss_rule(domain, n_nodes)
-    member_fns, point_factor = weight_factorization(families, domain)
-    weights = rule.weights
-    if point_factor is not None:
-        weights = weights * np.asarray(point_factor(rule.nodes), dtype=float)
-    _check_finite(weights, rule.nodes)
-    return rule, weights, [_node_matrix(fns, rule.nodes) for fns in member_fns]
+    weights, tables = NodeMeasure(rule.nodes, rule.weights, domain).tables(families)
+    return rule, weights, tables
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +434,7 @@ def verify_andreief(
     """
     cfg = config if config is not None else VerifyConfig()
     rhs = andreief_rhs(gram_matrix(spec, cfg.n_nodes_1d))
-    lhs = andreief_lhs_quadrature(spec, cfg.n_nodes_tensor)
+    lhs = andreief_lhs_quadrature(spec, DEFAULT_NODES_TENSOR)
     abs_gap = abs(lhs - rhs)
     rel = relative_gap(lhs, rhs)
     passed = rel <= cfg.tolerance
@@ -462,7 +447,7 @@ def verify_andreief(
         "size": spec.size,
         "domain": str(spec.domain),
         "n_nodes_1d": cfg.n_nodes_1d,
-        "n_nodes_tensor": cfg.n_nodes_tensor,
+        "n_nodes_tensor": DEFAULT_NODES_TENSOR,
         "mc_samples": cfg.mc_samples,
         "seed": cfg.seed,
         "tolerance": cfg.tolerance,

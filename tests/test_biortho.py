@@ -14,7 +14,6 @@ from andreief.biortho import (
     partition_function,
     verify_invariance_under_biorthogonalization,
 )
-from andreief.discrete import DiscretePointSet
 from andreief.ensembles import build_ensemble
 from andreief.identities import andreief_lhs_quadrature, andreief_rhs, gram_matrix
 from andreief.linalg import relative_gap
@@ -218,10 +217,9 @@ class TestInvariance:
             assert relative_gap(det_phi, det_big_phi) < 1e-11
 
     def test_accepts_discrete_point_set(self):
+        # a point sequence, as the CLI samples it
         spec = build_ensemble("uniform-monomial", 2)
-        dets = verify_invariance_under_biorthogonalization(
-            spec, DiscretePointSet([0.2, 0.9])
-        )
+        dets = verify_invariance_under_biorthogonalization(spec, (0.2, 0.9))
         assert relative_gap(dets[0], dets[1]) < 1e-13
 
     def test_wrong_point_count(self):

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from andreief import cli
 from andreief.cli import (
     CHEBYSHEV_FUNCTIONS,
     RunConfig,
@@ -386,8 +387,35 @@ class TestCommandPayloads:
             "discretization-bridge",
             "block-reclaims",
         ]
-        assert report["bridge_bitwise"] is True
+        assert report["bridge_tuple_sum_agrees"] is True
         assert all(c["passed"] for c in report["checks"])
+
+    def test_discrete_bridge_catches_a_planted_error(self, capsys, monkeypatch):
+        # both sides off by 1e-6 relative: they still agree with each other,
+        # but no longer with the ordered-tuple sum over the same points
+        real = cli.discretized_andreief
+
+        def planted(spec, points):
+            lhs, rhs = real(spec, points)
+            return lhs * (1 + 1e-6), rhs * (1 + 1e-6)
+
+        monkeypatch.setattr(cli, "discretized_andreief", planted)
+        code, report, _ = run_json(capsys, ["verify-discrete", "--no-timestamp"])
+        assert code == 1
+        assert report["bridge_tuple_sum_agrees"] is False
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["discretization-bridge"]["rel_gap"] <= 1e-12
+        assert by_name["discretization-bridge"]["passed"] is False
+        assert by_name["cauchy-binet"]["passed"] is True
+
+    def test_discrete_tuple_count_is_budgeted(self, capsys):
+        # 100 points and N = 5: 10**10 ordered tuples exceed the 10**8 budget
+        code, _, err = run_main(
+            capsys,
+            ["verify-discrete", "--rows", "100", "--cols", "2", "--n", "5", "--no-timestamp"],
+        )
+        assert code == 2
+        assert "budget exceeded: 10000000000 ordered 5-tuples" in err
 
     def test_discrete_exact_rows_have_zero_gap(self, capsys):
         _, report, _ = run_json(

@@ -11,16 +11,23 @@ from hypothesis import strategies as st
 
 from andreief import discrete
 from andreief.discrete import (
-    DiscretePointSet,
     block_reclaims_cauchy_binet,
     cauchy_binet_lhs,
     cauchy_binet_rhs,
     discretized_andreief,
     minor_summation_lhs,
     minor_summation_rhs,
+    ordered_tuple_sum,
 )
-from andreief.ensembles import build_ensemble, evaluate, family_matrix
+from andreief.ensembles import (
+    BUILTIN_ENSEMBLE_NAMES,
+    NodeMeasure,
+    build_ensemble,
+    evaluate,
+    family_matrix,
+)
 from andreief.linalg import SkewMatrix, det_by_permutation_expansion, relative_gap
+from andreief.quadrature import BudgetError
 
 
 def random_int_matrix(rng, rows, cols):
@@ -81,9 +88,10 @@ class TestCauchyBinet:
         assert relative_gap(cauchy_binet_lhs(x.astype(float), y.astype(float)), exact) < 1e-12
 
     def test_zero_column_case(self):
-        x = np.zeros((3, 0), dtype=int)
-        assert cauchy_binet_lhs(x, x) == 1
-        assert cauchy_binet_rhs(x, x) == 1
+        for rows in (3, 0):
+            x = np.zeros((rows, 0), dtype=int)
+            assert cauchy_binet_lhs(x, x) == 1
+            assert cauchy_binet_rhs(x, x) == 1
 
     def test_wide_matrix_rejected(self):
         x = np.ones((2, 3), dtype=int)
@@ -101,67 +109,108 @@ class TestCauchyBinet:
             cauchy_binet_rhs(np.ones(3), np.ones(3))
 
 
+# sorted points inside each built-in ensemble's domain
+ENSEMBLE_POINTS = {
+    "uniform-monomial": (0.1, 0.35, 0.6, 0.85),
+    "legendre-monomial": (-0.7, -0.2, 0.3, 0.8),
+    "gue-monomial": (-1.5, -0.4, 0.6, 1.7),
+    "shifted-gue": (-1.2, -0.1, 0.9, 2.0),
+    "muttalib-borodin": (0.3, 0.9, 1.8, 3.1),
+    "laguerre-product": (0.2, 0.8, 1.9, 3.4),
+}
+
+
 class TestDiscretePointSet:
-    def test_holds_points_as_tuple(self):
-        pts = DiscretePointSet([0, 0.5, 2])
-        assert pts.points == (0.0, 0.5, 2.0)
-        assert len(pts) == 3
+    """The point measure NodeMeasure.points: unit masses, no domain."""
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            DiscretePointSet([0.0, np.inf])
+            NodeMeasure.points([0.0, np.inf])
+
+    def test_needs_no_order_and_no_domain(self):
+        spec = build_ensemble("uniform-monomial", 2)
+        measure = NodeMeasure.points([2, 0, 1])
+        assert measure.domain is None
+        weights, (x, y) = measure.tables((spec.left, spec.right))
+        assert weights.tolist() == [1.0, 1.0, 1.0]
+        # 2 lies outside (0, 1): the families are evaluated as they are
+        assert x.tolist() == [[1.0, 2.0], [1.0, 0.0], [1.0, 1.0]]
+        assert discretized_andreief(spec, [2, 0, 1]) == (6.0, 6.0)
+
+    @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
+    def test_tables_are_family_matrices(self, name):
+        spec = build_ensemble(name, 3)
+        points = ENSEMBLE_POINTS[name]
+        _, (x, y) = NodeMeasure.points(points).tables((spec.left, spec.right))
+        assert np.array_equal(x, family_matrix(spec.left, points).T)
+        assert np.array_equal(y, family_matrix(spec.right, points).T)
 
 
 class TestDiscretizedAndreief:
     def test_monomials_on_three_integer_points(self):
         spec = build_ensemble("uniform-monomial", 2)
-        res = discretized_andreief(spec, DiscretePointSet([0.0, 1.0, 2.0]))
+        lhs, rhs = discretized_andreief(spec, [0.0, 1.0, 2.0])
         # minors 1, 2, 1 -> squares sum to 6; det [[3,3],[3,5]] = 6
-        assert res.lhs == 6.0
-        assert res.rhs == 6.0
-        assert res.x_matrix.tolist() == [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]
+        assert lhs == 6.0
+        assert rhs == 6.0
 
     def test_unpacks_as_pair(self):
         spec = build_ensemble("uniform-monomial", 2)
-        lhs, rhs = discretized_andreief(spec, DiscretePointSet([0.1, 0.4, 0.9]))
+        lhs, rhs = discretized_andreief(spec, np.array([0.1, 0.4, 0.9]))
         assert relative_gap(lhs, rhs) < 1e-14
 
-    @pytest.mark.parametrize(
-        "name,points",
-        [
-            ("uniform-monomial", (0.1, 0.35, 0.6, 0.85)),
-            ("legendre-monomial", (-0.7, -0.2, 0.3, 0.8)),
-            ("gue-monomial", (-1.5, -0.4, 0.6, 1.7)),
-            ("shifted-gue", (-1.2, -0.1, 0.9, 2.0)),
-            ("muttalib-borodin", (0.3, 0.9, 1.8, 3.1)),
-            ("laguerre-product", (0.2, 0.8, 1.9, 3.4)),
-        ],
-    )
+    @pytest.mark.parametrize("name,points", list(ENSEMBLE_POINTS.items()))
     def test_identity_and_bitwise_reduction(self, name, points):
         spec = build_ensemble(name, 3)
-        pts = DiscretePointSet(points)
-        res = discretized_andreief(spec, pts)
-        assert relative_gap(res.lhs, res.rhs) < 1e-12
-        nodes = np.asarray(pts.points)
-        x = family_matrix(spec.left, nodes).T
-        y = family_matrix(spec.right, nodes).T
+        lhs, rhs = discretized_andreief(spec, points)
+        assert relative_gap(lhs, rhs) < 1e-12
+        x = family_matrix(spec.left, points).T
+        y = family_matrix(spec.right, points).T
         # same code path on the identified matrices, bit for bit
-        assert res.lhs == cauchy_binet_lhs(x, y)
-        assert res.rhs == cauchy_binet_rhs(x, y)
+        assert lhs == cauchy_binet_lhs(x, y)
+        assert rhs == cauchy_binet_rhs(x, y)
 
     def test_matrix_identification_includes_weights(self):
         spec = build_ensemble("muttalib-borodin", 2)
-        pts = DiscretePointSet([0.5, 1.5, 2.5])
-        res = discretized_andreief(spec, pts)
-        for l, point in enumerate(pts.points):
+        points = [0.5, 1.5, 2.5]
+        _, (x, y) = NodeMeasure.points(points).tables((spec.left, spec.right))
+        for l, point in enumerate(points):
             for j in range(2):
-                assert res.x_matrix[l, j] == evaluate(spec.left, j, point)
-                assert res.y_matrix[l, j] == evaluate(spec.right, j, point)
+                assert x[l, j] == evaluate(spec.left, j, point)
+                assert y[l, j] == evaluate(spec.right, j, point)
 
     def test_needs_enough_points(self):
         spec = build_ensemble("uniform-monomial", 3)
         with pytest.raises(ValueError, match="at least 3 points"):
-            discretized_andreief(spec, DiscretePointSet([0.2, 0.7]))
+            discretized_andreief(spec, [0.2, 0.7])
+
+
+class TestOrderedTupleSum:
+    def test_hand_case(self):
+        # tuples (0,1), (1,0), (0,2), (2,0), (1,2), (2,1): 2 * 6 / 2!
+        x = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+        assert ordered_tuple_sum(x, x) == 6.0
+
+    @pytest.mark.parametrize("name,points", list(ENSEMBLE_POINTS.items()))
+    def test_equals_subset_sum(self, name, points):
+        spec = build_ensemble(name, 3)
+        _, tables = NodeMeasure.points(points).tables((spec.left, spec.right))
+        lhs = cauchy_binet_lhs(*tables)
+        assert abs(ordered_tuple_sum(*tables) - lhs) <= 1e-13 * abs(lhs)
+
+    def test_spans_tuple_blocks(self):
+        rng = np.random.default_rng(17)
+        x = random_int_matrix(rng, 130, 2)
+        y = random_int_matrix(rng, 130, 2)
+        assert 130**2 > discrete._SUBSET_BLOCK
+        exact = cauchy_binet_rhs(x, y)
+        assert relative_gap(ordered_tuple_sum(x, y), exact) < 1e-12
+
+    def test_budget_bounds_tuple_count(self):
+        x = np.ones((4, 2))
+        assert ordered_tuple_sum(x, x, budget=16) == 0.0
+        with pytest.raises(BudgetError, match="16 ordered 2-tuples of 4 rows, allowed 15"):
+            ordered_tuple_sum(x, x, budget=15)
 
 
 class TestMinorSummation:
