@@ -415,10 +415,10 @@ def _run_verify_discrete(config: RunConfig):
         ms_rows.append((lhs, rhs, lhs == rhs, abs(lhs - rhs)))
 
         pts = _sample_points(spec.domain, max(rows_m, spec.size), rng)
-        _, tables = NodeMeasure.points(pts).tables((spec.left, spec.right))
+        weights, (f, phi) = NodeMeasure.points(pts).tables((spec.left, spec.right))
         # first, so that its budget check runs before the subset sum
-        tuple_sum = ordered_tuple_sum(*tables)
-        lhs, rhs = discretized_andreief(spec, pts)
+        tuple_sum = ordered_tuple_sum(weights, f, phi)
+        lhs, rhs = discretized_andreief(weights, f, phi)
         tuples_agree &= abs(tuple_sum - lhs) <= tolerance * abs(lhs)
         gap = relative_gap(lhs, rhs)
         bridge_rows.append((lhs, rhs, gap <= tolerance, gap))

@@ -1,23 +1,22 @@
 """Discrete analogues of the integration identities.
 
 Cauchy-Binet expresses det(X^T Y) as a sum of products of maximal minors
-over row subsets.  The determinant integration identity holds for any
-measure, and on the point measure sum_l delta(x - y_l) it is exactly that
-statement: discretized_andreief reads the tables X[l, j] = f_j(y_l) and
-Y[l, j] = phi_j(y_l) from ensembles.NodeMeasure.points, the same tables
-the Gauss-rule routes read on their node measure, and ordered_tuple_sum
-is the N-fold sum over ordered point tuples that Cauchy-Binet reduces to
-row subsets.  The minor summation formula is the Pfaffian analogue, and a
+over row subsets.  On a finite measure sum_l w_l delta(x - x_l) the
+determinant integration identity is exactly that statement, with X = W F
+and Y = Phi read from the measure's tables (ensembles.NodeMeasure):
+discretized_andreief evaluates both sides, and ordered_tuple_sum the
+N-fold sum over ordered point tuples that Cauchy-Binet reduces to row
+subsets.  The minor summation formula is the Pfaffian analogue, and a
 block construction specializes it back to Cauchy-Binet up to a
 shape-dependent sign.
 
-All operations but ordered_tuple_sum accept integer matrices, and object
-arrays of Python int or Fraction entries (any other object entry is
-rejected), and then compute in exact arithmetic (Bareiss elimination for
-determinants, recursive expansion for Pfaffians), so the discrete
-identities can be checked for literal equality.  Float input gathers the
-row subsets into stacks and evaluates them with the batched determinant
-and Pfaffian kernels.
+The Cauchy-Binet, minor summation and block routines accept integer
+matrices, and object arrays of Python int or Fraction entries (any other
+object entry is rejected), and then compute in exact arithmetic (Bareiss
+elimination for determinants, recursive expansion for Pfaffians), so the
+discrete identities can be checked for literal equality.  Float input
+gathers the row subsets into stacks and evaluates them with the batched
+determinant and Pfaffian kernels.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, NodeMeasure
 from .linalg import (
     SkewMatrix,
     determinant,
@@ -53,8 +51,7 @@ __all__ = [
 ]
 
 
-# Row subsets or tuples gathered into one determinant/Pfaffian stack on the
-# float path.
+# Most row subsets or tuples gathered into one det/Pf stack on the float path.
 _SUBSET_BLOCK = 1 << 14
 
 
@@ -130,12 +127,13 @@ def _row_indices(m: int, n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(i - 1 for i in chosen)
 
 
-def _index_blocks(chosen: Iterator, n: int, base: int = 0) -> Iterator[np.ndarray]:
-    """The n-tuples of chosen, numbered from base, as (c, n) arrays of
-    0-based row indices of at most _SUBSET_BLOCK tuples each, so a
-    gathered stack stays bounded."""
+def _subset_blocks(m: int, n: int) -> Iterator[np.ndarray]:
+    """The row subsets in _row_indices order, as (c, n) index arrays of at
+    most _SUBSET_BLOCK subsets each, so a gathered stack stays bounded."""
+    chosen = subsets(m, n)
     while block := list(itertools.islice(chosen, _SUBSET_BLOCK)):
-        yield np.array(block, dtype=int).reshape(len(block), n) - base
+        # subsets() enumerates 1-based
+        yield np.array(block, dtype=int).reshape(len(block), n) - 1
 
 
 def cauchy_binet_lhs(x, y):
@@ -158,8 +156,7 @@ def cauchy_binet_lhs(x, y):
             )
         return total
     total = 0.0
-    # subsets() enumerates 1-based
-    for idx in _index_blocks(subsets(m, n), n, 1):
+    for idx in _subset_blocks(m, n):
         total += float(np.sum(determinant_batch(xa[idx]) * determinant_batch(ya[idx])))
     return total
 
@@ -178,40 +175,55 @@ def cauchy_binet_rhs(x, y):
     return determinant(xa.T @ ya)
 
 
-def ordered_tuple_sum(x, y, budget: int = DEFAULT_EVAL_BUDGET) -> float:
-    """Sum over ordered N-tuples t of rows of det(X_t) * det(Y_t), over N!.
+def _distinct_tuples(m: int, n: int, prefix=None) -> Iterator[np.ndarray]:
+    """The ordered n-tuples of distinct rows of m that extend prefix (all
+    m!/(m-n)! by default), in lexicographic order, as (c, n) index arrays
+    of at most _SUBSET_BLOCK tuples: each block grows over its free rows."""
+    prefix = np.zeros((1, 0), dtype=int) if prefix is None else prefix
+    if prefix.shape[1] == n:
+        yield prefix
+        return
+    free = np.ones((len(prefix), m), dtype=bool)
+    free[np.arange(len(prefix))[:, None], prefix] = False
+    rows, cols = np.nonzero(free)
+    grown = np.column_stack([prefix[rows], cols])
+    for start in range(0, len(grown), _SUBSET_BLOCK):
+        yield from _distinct_tuples(m, n, grown[start : start + _SUBSET_BLOCK])
 
-    X and Y are M x N float tables with M >= N.  This is the discretized
-    N-fold integral summed as it stands; Cauchy-Binet reduces it to
-    cauchy_binet_lhs, since a tuple that repeats a row contributes 0 and
-    the N! orderings of a row subset contribute equally.  The budget
-    bounds the M**N tuples.
-    """
-    xa = np.asarray(_as_rect(x, "x"), dtype=float)
-    ya = np.asarray(_as_rect(y, "y"), dtype=float)
-    _check_tall(xa, ya)
-    m, n = xa.shape
-    if m**n > budget:
+
+def _weighted_tables(weights, f, phi) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) = (W F, Phi) from a finite measure's tables; unit weights
+    leave F unchanged bit for bit."""
+    x = np.asarray(weights, dtype=float)[:, None] * _as_rect(f, "f")
+    return x, _as_rect(phi, "phi")
+
+
+def ordered_tuple_sum(weights, f, phi) -> float:
+    """The N-fold integral of det[f_j(x_k)] * det[phi_j(x_k)] over the
+    finite measure sum_l w_l delta(x - x_l) with tables (W, [F, Phi]),
+    over N!: the sum over ordered N-tuples t of rows of det((W F)_t) *
+    det(Phi_t), as it stands.  Only the M!/(M-N)! tuples of distinct rows
+    are enumerated (a repeated row makes both determinants 0), within
+    DEFAULT_EVAL_BUDGET.  Cauchy-Binet reduces the sum to cauchy_binet_lhs."""
+    x, y = _weighted_tables(weights, f, phi)
+    _check_tall(x, y)
+    m, n = x.shape
+    if (count := math.perm(m, n)) > DEFAULT_EVAL_BUDGET:
         raise BudgetError(
-            f"budget exceeded: {m**n} ordered {n}-tuples of {m} rows, allowed {budget}"
+            f"budget exceeded: {count} ordered {n}-tuples of distinct rows of {m}, "
+            f"allowed {DEFAULT_EVAL_BUDGET}"
         )
     total = 0.0
-    for idx in _index_blocks(itertools.product(range(m), repeat=n), n):
-        total += float(np.sum(determinant_batch(xa[idx]) * determinant_batch(ya[idx])))
+    for idx in _distinct_tuples(m, n):
+        total += float(np.sum(determinant_batch(x[idx]) * determinant_batch(y[idx])))
     return total / math.factorial(n)
 
 
-def discretized_andreief(spec: EnsembleSpec, points) -> tuple[float, float]:
-    """(lhs, rhs) of the determinant identity over the point measure on
-    the given points: cauchy_binet_lhs and cauchy_binet_rhs of its tables
-    X[l, j] = f_j(y_l) and Y[l, j] = phi_j(y_l), so the discrete identity
-    is Cauchy-Binet verbatim.
-    """
-    measure = NodeMeasure.points(points)
-    n, m = spec.size, len(measure.nodes)
-    if m < n:
-        raise ValueError(f"needs at least {n} points, got {m}")
-    _, (x, y) = measure.tables((spec.left, spec.right))
+def discretized_andreief(weights, f, phi) -> tuple[float, float]:
+    """(cauchy_binet_lhs, cauchy_binet_rhs) of X = W F and Y = Phi: the
+    determinant identity over the finite measure sum_l w_l delta(x - x_l)
+    with tables (W, [F, Phi]) (ensembles.NodeMeasure) is Cauchy-Binet."""
+    x, y = _weighted_tables(weights, f, phi)
     return cauchy_binet_lhs(x, y), cauchy_binet_rhs(x, y)
 
 
@@ -269,7 +281,7 @@ def minor_summation_lhs(a, t):
             total += pf * _exact_det([[tr[i][j] for j in cols] for i in range(n_rows)], div)
         return total
     total = 0.0
-    for idx in _index_blocks(subsets(m, n_rows), n_rows, 1):
+    for idx in _subset_blocks(m, n_rows):
         subs = entries[idx[:, :, None], idx[:, None, :]]
         minors = ta[:, idx].transpose(1, 0, 2)
         total += float(np.sum(pfaffian_batch(subs) * determinant_batch(minors)))
@@ -307,9 +319,9 @@ def block_reclaims_cauchy_binet(x, y) -> tuple:
     xa, ya = _as_rect(x, "x"), _as_rect(y, "y")
     _check_tall(xa, ya)
     m, n = xa.shape
-    # integer blocks keep exact input exact: an int and an object block
-    # join as Python ints, an int and a float block as floats
-    a = np.kron([[0, 1], [-1, 0]], np.eye(m, dtype=int))
+    # exact input gives object blocks, anything else float ones
+    dtype = object if _exact_division(xa, ya) is not None else float
+    a = np.kron([[0, 1], [-1, 0]], np.eye(m, dtype=int)).astype(dtype)
     zero = np.zeros((n, m), dtype=int)
-    t = np.block([[xa.T, zero], [zero, ya.T]])
+    t = np.block([[xa.T, zero], [zero, ya.T]]).astype(dtype)
     return minor_summation_rhs(a, t), cauchy_binet_rhs(xa, ya)

@@ -314,8 +314,7 @@ class NodeMeasure:
         checked finite.  A Gauss measure reduces the families against the
         domain's embedded weight (weight_factorization) and folds the
         point factor into W[k] = w_k * point_factor(x_k); a point measure
-        evaluates them as they are, with W its unit weights.
-        """
+        evaluates them as they are, with W its unit weights."""
         if self.domain is None:
             member_fns, point_factor = [_raw_members(f) for f in families], None
         else:

@@ -18,10 +18,9 @@ Every engine integrates against the same measure by calling the one
 reduction ensembles.weight_factorization, with the ensemble's two families
 or the Pfaffian side's single family: it returns the member functions and
 one per-point factor (a power of the embedded weight, or None).  The Gauss
-routes read it through _node_measure, which builds the rule and hands it
-to ensembles.NodeMeasure: its tables fold the point factor into the
-weights W and tabulate each family on the nodes.  The discrete analogue
-(discrete.discretized_andreief) reads the same tables on a point measure.
+routes read it through _node_measure: the rule's ensembles.NodeMeasure
+folds the point factor into the weights W and tabulates each family on
+the nodes, and discrete.discretized_andreief reads the same tables.
 """
 
 from __future__ import annotations

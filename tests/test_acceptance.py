@@ -29,7 +29,13 @@ from andreief.discrete import (
     minor_summation_lhs,
     minor_summation_rhs,
 )
-from andreief.ensembles import FunctionFamily, KernelFunction, build_ensemble, family_matrix
+from andreief.ensembles import (
+    FunctionFamily,
+    KernelFunction,
+    NodeMeasure,
+    build_ensemble,
+    family_matrix,
+)
 from andreief.identities import (
     VerifyConfig,
     andreief_lhs_mc,
@@ -176,8 +182,12 @@ def test_criterion_06_discrete_identities_exact():
 
 
 def test_criterion_07_discretization_bridge():
+    def point_bridge(spec, points):
+        weights, (f, phi) = NodeMeasure.points(points).tables((spec.left, spec.right))
+        return discretized_andreief(weights, f, phi)
+
     spec = build_ensemble("uniform-monomial", 2)
-    ok = discretized_andreief(spec, [0.0, 1.0, 2.0]) == (6.0, 6.0)
+    ok = point_bridge(spec, [0.0, 1.0, 2.0]) == (6.0, 6.0)
     rng = np.random.default_rng(404)
     names = ["uniform-monomial", "legendre-monomial", "gue-monomial", "muttalib-borodin"]
     for trial in range(100):
@@ -192,7 +202,7 @@ def test_criterion_07_discretization_bridge():
         else:
             pts = rng.standard_normal(count)
         nodes = np.sort(pts)
-        res = discretized_andreief(spec, nodes)
+        res = point_bridge(spec, nodes)
         x = family_matrix(spec.left, nodes).T
         y = family_matrix(spec.right, nodes).T
         ok = ok and res == (cauchy_binet_lhs(x, y), cauchy_binet_rhs(x, y))

@@ -395,8 +395,8 @@ class TestCommandPayloads:
         # but no longer with the ordered-tuple sum over the same points
         real = cli.discretized_andreief
 
-        def planted(spec, points):
-            lhs, rhs = real(spec, points)
+        def planted(weights, f, phi):
+            lhs, rhs = real(weights, f, phi)
             return lhs * (1 + 1e-6), rhs * (1 + 1e-6)
 
         monkeypatch.setattr(cli, "discretized_andreief", planted)
@@ -409,13 +409,13 @@ class TestCommandPayloads:
         assert by_name["cauchy-binet"]["passed"] is True
 
     def test_discrete_tuple_count_is_budgeted(self, capsys):
-        # 100 points and N = 5: 10**10 ordered tuples exceed the 10**8 budget
+        # 100 points and N = 5: 100!/95! ordered tuples exceed the 10**8 budget
         code, _, err = run_main(
             capsys,
             ["verify-discrete", "--rows", "100", "--cols", "2", "--n", "5", "--no-timestamp"],
         )
         assert code == 2
-        assert "budget exceeded: 10000000000 ordered 5-tuples" in err
+        assert "budget exceeded: 9034502400 ordered 5-tuples of distinct rows of 100" in err
 
     def test_discrete_exact_rows_have_zero_gap(self, capsys):
         _, report, _ = run_json(

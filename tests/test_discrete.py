@@ -26,8 +26,9 @@ from andreief.ensembles import (
     evaluate,
     family_matrix,
 )
+from andreief.identities import andreief_lhs_quadrature, gram_matrix
 from andreief.linalg import SkewMatrix, det_by_permutation_expansion, relative_gap
-from andreief.quadrature import BudgetError
+from andreief.quadrature import BudgetError, gauss_rule
 
 
 def random_int_matrix(rng, rows, cols):
@@ -120,6 +121,12 @@ ENSEMBLE_POINTS = {
 }
 
 
+def point_bridge(spec, points):
+    """discretized_andreief on the point measure's tables."""
+    weights, (f, phi) = NodeMeasure.points(points).tables((spec.left, spec.right))
+    return discretized_andreief(weights, f, phi)
+
+
 class TestDiscretePointSet:
     """The point measure NodeMeasure.points: unit masses, no domain."""
 
@@ -135,7 +142,7 @@ class TestDiscretePointSet:
         assert weights.tolist() == [1.0, 1.0, 1.0]
         # 2 lies outside (0, 1): the families are evaluated as they are
         assert x.tolist() == [[1.0, 2.0], [1.0, 0.0], [1.0, 1.0]]
-        assert discretized_andreief(spec, [2, 0, 1]) == (6.0, 6.0)
+        assert discretized_andreief(weights, x, y) == (6.0, 6.0)
 
     @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
     def test_tables_are_family_matrices(self, name):
@@ -149,20 +156,20 @@ class TestDiscretePointSet:
 class TestDiscretizedAndreief:
     def test_monomials_on_three_integer_points(self):
         spec = build_ensemble("uniform-monomial", 2)
-        lhs, rhs = discretized_andreief(spec, [0.0, 1.0, 2.0])
+        lhs, rhs = point_bridge(spec, [0.0, 1.0, 2.0])
         # minors 1, 2, 1 -> squares sum to 6; det [[3,3],[3,5]] = 6
         assert lhs == 6.0
         assert rhs == 6.0
 
     def test_unpacks_as_pair(self):
         spec = build_ensemble("uniform-monomial", 2)
-        lhs, rhs = discretized_andreief(spec, np.array([0.1, 0.4, 0.9]))
+        lhs, rhs = point_bridge(spec, np.array([0.1, 0.4, 0.9]))
         assert relative_gap(lhs, rhs) < 1e-14
 
     @pytest.mark.parametrize("name,points", list(ENSEMBLE_POINTS.items()))
     def test_identity_and_bitwise_reduction(self, name, points):
         spec = build_ensemble(name, 3)
-        lhs, rhs = discretized_andreief(spec, points)
+        lhs, rhs = point_bridge(spec, points)
         assert relative_gap(lhs, rhs) < 1e-12
         x = family_matrix(spec.left, points).T
         y = family_matrix(spec.right, points).T
@@ -181,36 +188,63 @@ class TestDiscretizedAndreief:
 
     def test_needs_enough_points(self):
         spec = build_ensemble("uniform-monomial", 3)
-        with pytest.raises(ValueError, match="at least 3 points"):
-            discretized_andreief(spec, [0.2, 0.7])
+        with pytest.raises(ValueError, match="at least as many rows as columns, got 2 < 3"):
+            point_bridge(spec, [0.2, 0.7])
+
+    def test_gauss_measure_gives_the_gram_determinant(self):
+        # on a Gauss rule's measure the weights scale F: the right side is
+        # det(F^T W Phi), the Gram determinant of the quadrature routes
+        spec = build_ensemble("muttalib-borodin", 3)
+        rule = gauss_rule(spec.domain, 9)
+        measure = NodeMeasure(rule.nodes, rule.weights, spec.domain)
+        weights, (f, phi) = measure.tables((spec.left, spec.right))
+        lhs, rhs = discretized_andreief(weights, f, phi)
+        gram = gram_matrix(spec, 9).entries
+        assert relative_gap(rhs, np.linalg.det(gram)) < 1e-12
+        # the Gauss-rule left side is this subset sum, times N!
+        assert andreief_lhs_quadrature(spec, 9) == math.factorial(3) * lhs
+        assert relative_gap(lhs, rhs) < 1e-12
+        assert relative_gap(ordered_tuple_sum(weights, f, phi), lhs) < 1e-12
 
 
 class TestOrderedTupleSum:
     def test_hand_case(self):
         # tuples (0,1), (1,0), (0,2), (2,0), (1,2), (2,1): 2 * 6 / 2!
         x = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        assert ordered_tuple_sum(x, x) == 6.0
+        assert ordered_tuple_sum(np.ones(3), x, x) == 6.0
 
     @pytest.mark.parametrize("name,points", list(ENSEMBLE_POINTS.items()))
     def test_equals_subset_sum(self, name, points):
         spec = build_ensemble(name, 3)
-        _, tables = NodeMeasure.points(points).tables((spec.left, spec.right))
+        weights, tables = NodeMeasure.points(points).tables((spec.left, spec.right))
         lhs = cauchy_binet_lhs(*tables)
-        assert abs(ordered_tuple_sum(*tables) - lhs) <= 1e-13 * abs(lhs)
+        assert abs(ordered_tuple_sum(weights, *tables) - lhs) <= 1e-13 * abs(lhs)
 
     def test_spans_tuple_blocks(self):
         rng = np.random.default_rng(17)
         x = random_int_matrix(rng, 130, 2)
         y = random_int_matrix(rng, 130, 2)
-        assert 130**2 > discrete._SUBSET_BLOCK
+        assert 130 * 129 > discrete._SUBSET_BLOCK
         exact = cauchy_binet_rhs(x, y)
-        assert relative_gap(ordered_tuple_sum(x, y), exact) < 1e-12
+        assert relative_gap(ordered_tuple_sum(np.ones(130), x, y), exact) < 1e-12
 
-    def test_budget_bounds_tuple_count(self):
+    def test_weights_scale_each_point(self):
+        rng = np.random.default_rng(23)
+        x, y = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        weights = rng.uniform(0.5, 2.0, 5)
+        exact = cauchy_binet_rhs(weights[:, None] * x, y)
+        assert relative_gap(ordered_tuple_sum(weights, x, y), exact) < 1e-12
+
+    def test_budget_bounds_tuple_count(self, monkeypatch):
+        # 4 rows, N = 2: the 4 * 3 tuples of distinct rows, not 4**2
         x = np.ones((4, 2))
-        assert ordered_tuple_sum(x, x, budget=16) == 0.0
-        with pytest.raises(BudgetError, match="16 ordered 2-tuples of 4 rows, allowed 15"):
-            ordered_tuple_sum(x, x, budget=15)
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 12)
+        assert ordered_tuple_sum(np.ones(4), x, x) == 0.0
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 11)
+        with pytest.raises(
+            BudgetError, match="12 ordered 2-tuples of distinct rows of 4, allowed 11"
+        ):
+            ordered_tuple_sum(np.ones(4), x, x)
 
 
 class TestMinorSummation:
@@ -328,6 +362,14 @@ class TestBlockConstruction:
         x = rng.standard_normal((3, 2))
         y = rng.standard_normal((3, 2))
         ms, cb = block_reclaims_cauchy_binet(x, y)
+        assert relative_gap(abs(ms), abs(cb)) < 1e-12
+
+    def test_exact_and_float_inputs_mix_as_floats(self):
+        rng = np.random.default_rng(10)
+        x = np.array(random_int_matrix(rng, 3, 2).tolist(), dtype=object)
+        y = rng.standard_normal((3, 2))
+        ms, cb = block_reclaims_cauchy_binet(x, y)
+        assert isinstance(ms, float) and isinstance(cb, float)
         assert relative_gap(abs(ms), abs(cb)) < 1e-12
 
     def test_requires_tall_input(self):
