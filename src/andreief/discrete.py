@@ -31,6 +31,7 @@ import numpy as np
 
 from .linalg import (
     SkewMatrix,
+    _expand_pfaffian,
     determinant,
     determinant_batch,
     pfaffian,
@@ -136,16 +137,28 @@ def _subset_blocks(m: int, n: int) -> Iterator[np.ndarray]:
         yield np.array(block, dtype=int).reshape(len(block), n) - 1
 
 
+def _check_subset_budget(m: int, n: int, what: str) -> None:
+    """BudgetError when the C(m, n) subsets of a subset sum exceed
+    DEFAULT_EVAL_BUDGET, before any is enumerated."""
+    if (count := math.comb(m, n)) > DEFAULT_EVAL_BUDGET:
+        raise BudgetError(
+            f"budget exceeded: {count} {n}-subsets of the {m} {what}, "
+            f"allowed {DEFAULT_EVAL_BUDGET}"
+        )
+
+
 def cauchy_binet_lhs(x, y):
     """Sum over all column-count row subsets K of det(X_K) * det(Y_K).
 
     X and Y are M x N with M >= N; K ranges over the C(M, N) subsets of
-    rows, restricted to which both matrices become square.  Integer input
-    gives an exact integer result, Fraction input an exact Fraction.
+    rows, restricted to which both matrices become square, within
+    DEFAULT_EVAL_BUDGET.  Integer input gives an exact integer result,
+    Fraction input an exact Fraction.
     """
     xa, ya = _as_rect(x, "x"), _as_rect(y, "y")
     _check_tall(xa, ya)
     m, n = xa.shape
+    _check_subset_budget(m, n, "rows")
     div = _exact_division(xa, ya)
     if div is not None:
         xr, yr = _exact_rows(xa, div), _exact_rows(ya, div)
@@ -264,20 +277,21 @@ def minor_summation_lhs(a, t):
     """Sum over column subsets J of Pf(A_{J,J}) * det(T_J).
 
     A is M x M antisymmetric, T is N x M with N even and M >= N; A_{J,J}
-    is the principal submatrix on J and T_J keeps the columns J.  Integer
-    input gives an exact integer result, Fraction input an exact Fraction.
+    is the principal submatrix on J and T_J keeps the columns J.  J ranges
+    over the C(M, N) subsets within DEFAULT_EVAL_BUDGET.  Integer input
+    gives an exact integer result, Fraction input an exact Fraction.
     """
     entries, ta, div = _compression(a, t)
     m, n_rows = entries.shape[0], ta.shape[0]
     if n_rows == 0:
         # empty compression: Pf of the 0 x 0 matrix is the empty product
         return 1.0 if div is None else 1
+    _check_subset_budget(m, n_rows, "columns")
     if div is not None:
-        tr = _exact_rows(ta, div)
+        ar, tr = entries.tolist(), _exact_rows(ta, div)
         total = 0
         for cols in _row_indices(m, n_rows):
-            sub = entries[np.ix_(cols, cols)]
-            pf = pfaffian_by_expansion(sub)
+            pf = _expand_pfaffian(ar, list(cols))
             total += pf * _exact_det([[tr[i][j] for j in cols] for i in range(n_rows)], div)
         return total
     total = 0.0

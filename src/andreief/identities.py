@@ -261,7 +261,6 @@ def andreief_lhs_quadrature(
     n_nodes: int = DEFAULT_NODES_TENSOR,
     *,
     force: bool = False,
-    budget: int = DEFAULT_EVAL_BUDGET,
 ) -> float:
     """N-fold tensor Gauss quadrature of det[f_j(x_k)] det[phi_j(x_k)],
     summed over node subsets.
@@ -273,7 +272,7 @@ def andreief_lhs_quadrature(
     N! * sum_K det((W F)_K) * det(Phi_K) over the C(n_nodes, N) subsets,
     with F[k, j] = f_j(x_k), Phi[k, j] = phi_j(x_k) and
     W = diag(w_k * point_factor(x_k)).  Fewer nodes than N leave no subset
-    and the exact value 0.0.  The budget bounds the subset count.
+    and the exact value 0.0.  DEFAULT_EVAL_BUDGET bounds the subset count.
 
     Cauchy-Binet also equals det(F^T W Phi), but that is the Gram route of
     andreief_rhs on another rule: summing the minors keeps this side
@@ -286,9 +285,9 @@ def andreief_lhs_quadrature(
         f"N = {n}, where the max(1, |lhs|, |rhs|) verdict scale passes small "
         "values vacuously,", "use andreief_lhs_mc or pass force=True",
     )
-    if count > budget:
+    if count > DEFAULT_EVAL_BUDGET:
         raise BudgetError(
-            f"budget exceeded: {count} node subsets, allowed {budget}; "
+            f"budget exceeded: {count} node subsets, allowed {DEFAULT_EVAL_BUDGET}; "
             "consider andreief_lhs_mc"
         )
     _, weights, (left, right) = _node_measure(
@@ -352,7 +351,6 @@ def debruijn_lhs_quadrature(
     two_n: int,
     *,
     force: bool = False,
-    budget: int = DEFAULT_EVAL_BUDGET,
 ) -> float:
     """Tensor quadrature of det[f_j(x_k)] Pf[h(x_j, x_k)] over 2n variables,
     divided by (2n)!.
@@ -380,7 +378,7 @@ def debruijn_lhs_quadrature(
         kernels = table[rows[:, None, :], rows[None, :, :]]
         return dets * pfaffian_batch(kernels.transpose(2, 0, 1))
 
-    raw = integrate_nd(rule, two_n, integrand, budget=budget)
+    raw = integrate_nd(rule, two_n, integrand)
     return raw / _factorial(two_n)
 
 

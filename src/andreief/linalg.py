@@ -4,10 +4,11 @@ expansions used as brute-force cross-checks.
 Everything operates on plain numpy arrays (or array-likes).  Determinants
 come in three order ranges: cofactor expansions at orders <= 3, a
 row-pivoted LU run on a whole stack in lockstep at orders 4 and 5, and
-LAPACK's row-pivoted LU (numpy.linalg.det) from order 6.  Pfaffians come
-from skew-symmetric Gaussian elimination; all convert to float64.  The
-expansion oracles keep the input dtype so that integer inputs are
-evaluated in exact integer arithmetic.
+LAPACK's row-pivoted LU (numpy.linalg.det) from order 6.  Pfaffians are
+closed forms at orders <= 4 and a lockstep Parlett-Reid from order 6; the
+scalar routines are the batch ones on a one-matrix stack, and all convert
+to float64.  The expansion oracles keep the input dtype so that integer
+inputs are evaluated in exact integer arithmetic.
 
 The package-wide relative-tolerance convention lives here:
 |a - b| <= tol * max(1, |a|, |b|).
@@ -16,7 +17,7 @@ The package-wide relative-tolerance convention lives here:
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,11 +52,11 @@ EXPANSION_LIMIT = 9
 # takes over above it (see determinant_batch).
 _LOCKSTEP_MAX_ORDER = 5
 
-# Matrices eliminated at once by the lockstep LU.  Its temporaries scale
-# with this count (about 0.7 MB at order 4) and one call runs per pool
-# thread, so it bounds their peak memory: eliminating a whole 8192-point
-# grid chunk at once put the tensor benchmark's peak RSS at 45.2-46.1 MB,
-# two blocks of 4096 at 43.5-44.0 MB (LAPACK at these orders: 44.9-45.7 MB).
+# Matrices eliminated at once by a lockstep LU or Parlett-Reid.  Temporaries
+# scale with this count (about 0.7 MB for the LU at order 4) and one call
+# runs per pool thread, so it bounds their peak memory: eliminating a whole
+# 8192-point grid chunk at once put the tensor benchmark's peak RSS at
+# 45.2-46.1 MB, two blocks of 4096 at 43.5-44.0 MB (LAPACK: 44.9-45.7 MB).
 _LOCKSTEP_BLOCK = 4096
 
 
@@ -127,12 +128,7 @@ def determinant_batch(stack) -> np.ndarray:
             + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
         )
     if n <= _LOCKSTEP_MAX_ORDER:
-        if a.shape[0] <= _LOCKSTEP_BLOCK:
-            return _lockstep_lu_determinant(a)
-        return np.concatenate([
-            _lockstep_lu_determinant(a[start : start + _LOCKSTEP_BLOCK])
-            for start in range(0, a.shape[0], _LOCKSTEP_BLOCK)
-        ])
+        return _in_blocks(_lockstep_lu_determinant, a)
     with np.errstate(divide="ignore"):
         return np.linalg.det(a)
 
@@ -190,12 +186,18 @@ def _lockstep_lu_determinant(a: np.ndarray) -> np.ndarray:
     return np.where(odd, -det, det)
 
 
+def _in_blocks(eliminate, a: np.ndarray) -> np.ndarray:
+    """eliminate on slices of at most _LOCKSTEP_BLOCK matrices of a, joined."""
+    starts = range(0, max(len(a), 1), _LOCKSTEP_BLOCK)
+    return np.concatenate([eliminate(a[s : s + _LOCKSTEP_BLOCK]) for s in starts])
+
+
 def pfaffian_batch(stack) -> np.ndarray:
     """Pfaffians of a (P, n, n) stack of antisymmetric matrices.
 
-    Orders 2 and 4 use the closed-form expansions; larger even orders fall
-    back to the scalar routine per matrix.  Entries are trusted to be
-    antisymmetric (the engines build them from antisymmetric evaluators).
+    Closed-form expansions at orders 0, 2 and 4; from order 6 a lockstep
+    Parlett-Reid elimination.  Entries are trusted to be antisymmetric (the
+    engines build them from antisymmetric evaluators).
     """
     a = np.asarray(stack, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -213,7 +215,39 @@ def pfaffian_batch(stack) -> np.ndarray:
             - a[:, 0, 2] * a[:, 1, 3]
             + a[:, 0, 3] * a[:, 1, 2]
         )
-    return np.array([pfaffian(m) for m in a])
+    return _in_blocks(_lockstep_parlett_reid, a)
+
+
+def _lockstep_parlett_reid(a: np.ndarray) -> np.ndarray:
+    """Pfaffians of a (P, n, n) stack by skew-symmetric elimination
+    (Parlett-Reid), all P at once on an entry-major copy: ``work[i, j]`` is
+    the (P,) vector of entry (i, j).  Each matrix takes the first largest
+    |entry| below the diagonal of column k as pivot and gets one matrix's
+    operations in one matrix's order, so its value is that of a scalar
+    elimination bit for bit.  A pivot at most PIVOT_FLOOR gives 0.0, and
+    that matrix divides by 1, so no warning is raised."""
+    count, n = a.shape[0], a.shape[1]
+    work = a.transpose(1, 2, 0).copy()
+    lanes = np.arange(count)
+    value = np.ones(count)
+    floored = np.zeros(count, dtype=bool)
+    for k in range(0, n - 1, 2):
+        block = work[k:, k:]
+        # pivot row in block coordinates, and the swap that brings it to 1
+        row = 1 + np.argmax(np.abs(block[1:, 0]), axis=0)
+        order = np.arange(n - k)[:, None]
+        order = np.where(order == 1, row, np.where(order == row, 1, order))
+        block[...] = block[order[:, None], order[None, :], lanes]
+        value = np.where(row != 1, -value, value)
+        small = np.abs(block[1, 0]) <= PIVOT_FLOOR
+        floored |= small
+        value *= block[0, 1]
+        # the rank-2 update of the trailing block (empty at the last step)
+        tau = block[2:, 0] / np.where(small, 1.0, block[1, 0])
+        col = block[2:, 1]  # not written: the update starts at column 2
+        block[2:, 2:] += tau[:, None] * col[None, :]
+        block[2:, 2:] -= col[:, None] * tau[None, :]
+    return np.where(floored, 0.0, value)
 
 
 class SkewMatrix:
@@ -244,11 +278,6 @@ class SkewMatrix:
     def entries(self) -> np.ndarray:
         return self._entries
 
-    def principal_submatrix(self, rows: Iterable[int]) -> np.ndarray:
-        """Restriction to the given 0-based rows and the same columns."""
-        idx = np.fromiter(rows, dtype=int)
-        return self._entries[np.ix_(idx, idx)]
-
     def __repr__(self) -> str:
         return f"SkewMatrix(order={self.order})"
 
@@ -260,40 +289,16 @@ def skew_symmetrize(m) -> SkewMatrix:
 
 
 def pfaffian(a) -> float:
-    """Pfaffian of an even-order antisymmetric matrix.
-
-    Skew-symmetric Gaussian elimination (Parlett-Reid) with symmetric
-    row+column pivoting; every symmetric swap flips the tracked sign.  The
-    result satisfies pfaffian(a)**2 == determinant(a) up to roundoff.  A
-    pivot column that is numerically zero yields 0.0.  The empty matrix has
-    Pfaffian 1 (empty product).
+    """Pfaffian of an even-order antisymmetric matrix: :func:`pfaffian_batch`
+    on a one-matrix stack, so the two agree bit for bit.  The result
+    satisfies pfaffian(a)**2 == determinant(a) up to roundoff, and the
+    empty matrix has Pfaffian 1 (empty product).
 
     Accepts a :class:`SkewMatrix` or any array-like that passes its
     antisymmetry check.
     """
     m = a.entries if isinstance(a, SkewMatrix) else SkewMatrix(a).entries
-    n = m.shape[0]
-    if n % 2:
-        raise ValueError("Pfaffian requires even order")
-    if n == 0:
-        return 1.0
-    work = m.copy()
-    value = 1.0
-    for k in range(0, n - 1, 2):
-        p = k + 1 + int(np.argmax(np.abs(work[k + 1 :, k])))
-        if abs(work[p, k]) <= PIVOT_FLOOR:
-            return 0.0
-        if p != k + 1:
-            work[[k + 1, p], :] = work[[p, k + 1], :]
-            work[:, [k + 1, p]] = work[:, [p, k + 1]]
-            value = -value
-        value *= work[k, k + 1]
-        if k + 2 < n:
-            tau = work[k + 2 :, k] / work[k + 1, k]
-            col = work[k + 2 :, k + 1].copy()
-            work[k + 2 :, k + 2 :] += np.outer(tau, col)
-            work[k + 2 :, k + 2 :] -= np.outer(col, tau)
-    return value
+    return float(pfaffian_batch(m[None])[0])
 
 
 def permutation_signature(images: Sequence[int]) -> int:
@@ -337,32 +342,29 @@ def pfaffian_by_expansion(a):
     Test oracle only: (order-1)!! terms, order capped at ``EXPANSION_LIMIT + 3``.
     Keeps the input dtype, so integer input is evaluated exactly.
     """
-    if isinstance(a, SkewMatrix):
-        arr = a.entries
-    else:
-        arr = np.asarray(a)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"square matrix required, got shape {arr.shape}")
+    arr = a.entries if isinstance(a, SkewMatrix) else np.asarray(a)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"square matrix required, got shape {arr.shape}")
     n = arr.shape[0]
     if n % 2:
         raise ValueError("Pfaffian requires even order")
     if n > EXPANSION_LIMIT + 3:
         raise ValueError(f"expansion oracle size limit: order {n} > {EXPANSION_LIMIT + 3}")
-    rows = arr.tolist()
+    return _expand_pfaffian(arr.tolist(), list(range(n)))
 
-    def expand(active: list[int]):
-        if not active:
-            return 1
-        first = active[0]
-        total = 0
-        sign = 1
-        for pos in range(1, len(active)):
-            rest = active[1:pos] + active[pos + 1 :]
-            total = total + sign * rows[first][active[pos]] * expand(rest)
-            sign = -sign
-        return total
 
-    return expand(list(range(n)))
+def _expand_pfaffian(rows: list, active: list[int]):
+    """Pf of the nested lists rows on the indices active, by expansion."""
+    if not active:
+        return 1
+    first = active[0]
+    total = 0
+    sign = 1
+    for pos in range(1, len(active)):
+        rest = active[1:pos] + active[pos + 1 :]
+        total = total + sign * rows[first][active[pos]] * _expand_pfaffian(rows, rest)
+        sign = -sign
+    return total
 
 
 def subsets(m: int, n: int) -> Iterator[tuple[int, ...]]:

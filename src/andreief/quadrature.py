@@ -324,7 +324,7 @@ def _grid_chunk_sum(rule: QuadratureRule, dim: int, f, start: int, stop: int) ->
     return float(np.dot(wprod, values))
 
 
-def integrate_nd(rule: QuadratureRule, dim: int, f, budget: int = DEFAULT_EVAL_BUDGET) -> float:
+def integrate_nd(rule: QuadratureRule, dim: int, f) -> float:
     """Full tensor-product sum of f over the dim-fold grid of the rule.
 
     f receives (P, dim) integer blocks of node indices into rule.nodes, in
@@ -342,10 +342,10 @@ def integrate_nd(rule: QuadratureRule, dim: int, f, budget: int = DEFAULT_EVAL_B
     if dim < 1:
         raise ValueError("dim must be positive")
     total_evals = rule.n_nodes**dim
-    if total_evals > budget:
+    if total_evals > DEFAULT_EVAL_BUDGET:
         raise BudgetError(
             f"budget exceeded: grid requires {total_evals} evaluations, "
-            f"allowed {budget}"
+            f"allowed {DEFAULT_EVAL_BUDGET}"
         )
     partials = _run_blocks(
         lambda start: _grid_chunk_sum(

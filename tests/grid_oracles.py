@@ -5,6 +5,9 @@ rule.nodes.
 Each oracle looks its points up, ``rule.nodes[index]``, and evaluates the
 families and the kernel at every grid point, so it checks the package's
 routes against values that were not read from per-node tables.
+
+pfaffian_by_elimination is the one-matrix Parlett-Reid elimination that
+the lockstep pfaffian_batch must reproduce bit for bit.
 """
 
 import math
@@ -13,7 +16,7 @@ import numpy as np
 
 from andreief.ensembles import weight_factorization
 from andreief.identities import _value_stack
-from andreief.linalg import determinant_batch, pfaffian_batch
+from andreief.linalg import PIVOT_FLOOR, determinant_batch, pfaffian_batch
 from andreief.quadrature import gauss_rule, integrate_1d, integrate_nd
 
 
@@ -60,6 +63,33 @@ def debruijn_lhs_point_grid(left, kernel, domain, n_nodes, two_n):
 
     raw = integrate_nd(rule, two_n, point_integrand(rule, integrand))
     return raw / math.factorial(two_n)
+
+
+def pfaffian_by_elimination(m):
+    """Pfaffian of one even-order antisymmetric float matrix by Parlett-Reid
+    elimination with symmetric row+column pivoting, one matrix at a time:
+    the first largest |entry| of column k below row k is the pivot, each
+    swap flips the sign, and a pivot at or below PIVOT_FLOOR gives 0.0."""
+    n = m.shape[0]
+    if n == 0:
+        return 1.0
+    work = np.array(m, dtype=float)
+    value = 1.0
+    for k in range(0, n - 1, 2):
+        p = k + 1 + int(np.argmax(np.abs(work[k + 1 :, k])))
+        if abs(work[p, k]) <= PIVOT_FLOOR:
+            return 0.0
+        if p != k + 1:
+            work[[k + 1, p], :] = work[[p, k + 1], :]
+            work[:, [k + 1, p]] = work[:, [p, k + 1]]
+            value = -value
+        value *= work[k, k + 1]
+        if k + 2 < n:
+            tau = work[k + 2 :, k] / work[k + 1, k]
+            col = work[k + 2 :, k + 1].copy()
+            work[k + 2 :, k + 2 :] += np.outer(tau, col)
+            work[k + 2 :, k + 2 :] -= np.outer(col, tau)
+    return value
 
 
 def gram_matrix_per_entry(spec, n_nodes, absolute=False):

@@ -417,6 +417,16 @@ class TestCommandPayloads:
         assert code == 2
         assert "budget exceeded: 9034502400 ordered 5-tuples of distinct rows of 100" in err
 
+    def test_discrete_subset_count_is_budgeted(self, capsys):
+        # C(40, 20) row subsets exceed the 10**8 budget before any is summed
+        code, _, err = run_main(
+            capsys,
+            ["verify-discrete", "--rows", "40", "--cols", "20", "--instances", "1",
+             "--no-timestamp"],
+        )
+        assert code == 2
+        assert "budget exceeded: 137846528820 20-subsets of the 40 rows" in err
+
     def test_discrete_exact_rows_have_zero_gap(self, capsys):
         _, report, _ = run_json(
             capsys, ["verify-discrete", "--rows", "5", "--cols", "4", "--no-timestamp"]

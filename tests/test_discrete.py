@@ -324,6 +324,34 @@ class TestMinorSummation:
             minor_summation_lhs(bad, np.eye(2, dtype=int))
 
 
+class TestSubsetBudget:
+    """C(M, N) above DEFAULT_EVAL_BUDGET stops a subset sum before it
+    enumerates, on the exact and the float path alike."""
+
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_cauchy_binet(self, monkeypatch, dtype):
+        # 6 rows, N = 3: C(6, 3) = 20 subsets
+        x = np.ones((6, 3), dtype=dtype)
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 20)
+        assert cauchy_binet_lhs(x, x) == 0
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 19)
+        monkeypatch.setattr(discrete, "subsets", None)
+        with pytest.raises(BudgetError, match="20 3-subsets of the 6 rows, allowed 19"):
+            cauchy_binet_lhs(x, x)
+
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_minor_summation(self, monkeypatch, dtype):
+        # A of order 6, N = 2: C(6, 2) = 15 subsets
+        a = random_int_skew(np.random.default_rng(97), 6).astype(dtype)
+        t = np.ones((2, 6), dtype=dtype)
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 15)
+        assert minor_summation_lhs(a, t) == 0
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 14)
+        monkeypatch.setattr(discrete, "subsets", None)
+        with pytest.raises(BudgetError, match="15 2-subsets of the 6 columns, allowed 14"):
+            minor_summation_lhs(a, t)
+
+
 class TestBlockConstruction:
     def test_column_vectors_give_inner_product(self):
         x = np.array([[2], [3]])

@@ -148,11 +148,12 @@ class TestAndreiefLhsQuadrature:
         assert "evaluation count: 8" in caplog.messages
         assert math.isfinite(val)
 
-    def test_budget_error_suggests_mc(self):
+    def test_budget_error_suggests_mc(self, monkeypatch):
         # C(40, 6) = 3,838,380 node subsets
         spec = build_ensemble("uniform-monomial", 6)
+        monkeypatch.setattr(identities, "DEFAULT_EVAL_BUDGET", 10**6)
         with pytest.raises(BudgetError, match="consider andreief_lhs_mc"):
-            andreief_lhs_quadrature(spec, 40, budget=10**6)
+            andreief_lhs_quadrature(spec, 40)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)

@@ -26,6 +26,8 @@ from andreief.linalg import (
     within_tolerance,
 )
 
+from grid_oracles import pfaffian_by_elimination
+
 
 def random_skew(rng, n):
     a = rng.standard_normal((n, n))
@@ -157,13 +159,6 @@ class TestSkewMatrix:
         assert s.entries[0, 1] == pytest.approx(1.0)
         assert s.entries[1, 0] == pytest.approx(-1.0)
 
-    def test_principal_submatrix(self):
-        rng = np.random.default_rng(3)
-        s = SkewMatrix(random_skew(rng, 6))
-        sub = s.principal_submatrix([0, 2, 5])
-        assert sub.shape == (3, 3)
-        assert sub[0, 1] == s.entries[0, 2]
-
 
 class TestPfaffian:
     def test_order_two(self):
@@ -180,7 +175,7 @@ class TestPfaffian:
             expected = (
                 a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
             )
-            assert pfaffian(a) == pytest.approx(expected, rel=1e-11, abs=1e-12)
+            assert pfaffian(a) == expected
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError, match="Pfaffian requires even order"):
@@ -257,14 +252,14 @@ class TestBatchRoutines:
         with pytest.raises(ValueError, match="stack"):
             determinant_batch(np.eye(3))
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", [0, 2, 4, 6, 8, 10, 12])
     def test_pfaffian_batch_matches_scalar(self, n):
         rng = np.random.default_rng(43)
         raw = rng.standard_normal((20, n, n))
         stack = raw - np.transpose(raw, (0, 2, 1))
         batch = pfaffian_batch(stack)
         for i in range(20):
-            assert within_tolerance(batch[i], pfaffian(stack[i]), 1e-12)
+            assert batch[i] == pfaffian(stack[i])
 
     def test_pfaffian_batch_odd_rejected(self):
         with pytest.raises(ValueError, match="even order"):
@@ -327,7 +322,7 @@ class TestDeterminantProperties:
         assert np.all(np.abs(scaled - expected) <= 1e-13 * np.maximum(1.0, scale))
 
     @PROPERTY_SETTINGS
-    @given(float_stacks(orders=(2, 4, 6, 8)))
+    @given(float_stacks(orders=(2, 4, 6, 8, 10, 12)))
     def test_pfaffian_squared_is_determinant(self, raw):
         skew = raw - np.transpose(raw, (0, 2, 1))
         pf = pfaffian_batch(skew)
@@ -403,6 +398,64 @@ class TestLockstepDeterminant:
             determinant(rng.standard_normal((order, order)))
         with pytest.raises(AssertionError, match="LAPACK reached"):
             determinant_batch(rng.standard_normal((3, 6, 6)))
+
+
+class TestLockstepPfaffian:
+    """Orders 6 and up: the lockstep Parlett-Reid against the one-matrix
+    elimination, bit for bit."""
+
+    @pytest.mark.parametrize("order", [6, 8, 10, 12])
+    @pytest.mark.parametrize("integers", [False, True])
+    def test_matches_elimination_bitwise(self, order, integers):
+        # small integer entries make pivot ties common: the first largest
+        # entry wins, as numpy's argmax
+        rng = np.random.default_rng(73)
+        if integers:
+            raw = rng.integers(-2, 3, size=(200, order, order)).astype(float)
+        else:
+            raw = rng.standard_normal((200, order, order))
+        stack = raw - raw.transpose(0, 2, 1)
+        expected = [pfaffian_by_elimination(m) for m in stack]
+        assert pfaffian_batch(stack).tolist() == expected
+
+    @pytest.mark.parametrize("order", [6, 8, 10, 12])
+    def test_floored_pivots_give_zero_silently(self, order):
+        # every third matrix has a zero or sub-PIVOT_FLOOR pivot column: the
+        # first one, or the third, which the first step leaves untouched
+        # once the first row and column meet the rest only in entry (0, 1)
+        rng = np.random.default_rng(79)
+        raw = rng.standard_normal((60, order, order))
+        stack = raw - raw.transpose(0, 2, 1)
+        for i in range(0, 60, 3):
+            scale = (0.0, 1e-305)[i // 3 % 2]
+            if i // 6 % 2:
+                stack[i, 1:, 0] *= scale
+                stack[i, 0, 1:] *= scale
+            else:
+                stack[i, 2:, :2] = stack[i, :2, 2:] = 0.0
+                stack[i, 3:, 2] *= scale
+                stack[i, 2, 3:] *= scale
+        expected = [pfaffian_by_elimination(m) for m in stack]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = pfaffian_batch(stack)
+        assert batch.tolist() == expected
+        assert np.all(batch[::3] == 0.0)
+        assert np.all(batch[1::3] != 0.0)
+
+    @pytest.mark.parametrize("order", [6, 8, 12])
+    def test_strided_views_bitwise_and_untouched(self, order):
+        # a (P, n, n) transpose of an (n, n, P) array, as the de Bruijn
+        # integrand hands over, and a view that skips every other matrix;
+        # more matrices than one lockstep block
+        rng = np.random.default_rng(83)
+        raw = rng.standard_normal((order, order, 4100))
+        gathered = raw - raw.transpose(1, 0, 2)
+        before = gathered.copy()
+        for view in (gathered.transpose(2, 0, 1), gathered.transpose(2, 0, 1)[::2]):
+            expected = [pfaffian_by_elimination(m) for m in view]
+            assert pfaffian_batch(view).tolist() == expected
+        assert np.array_equal(gathered, before)
 
 
 class TestSubsets:

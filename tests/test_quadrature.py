@@ -235,10 +235,11 @@ class TestIntegrateND:
         with pytest.raises(BudgetError, match="requires 5159780352 .* allowed 100000000"):
             integrate_nd(rule, 9, lambda p: np.ones(p.shape[0]))
 
-    def test_custom_budget(self):
+    def test_custom_budget(self, monkeypatch):
         rule = gauss_rule(UNIT, 10)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 99)
         with pytest.raises(BudgetError):
-            integrate_nd(rule, 2, lambda p: np.ones(p.shape[0]), budget=99)
+            integrate_nd(rule, 2, lambda p: np.ones(p.shape[0]))
 
     def test_non_finite_rejected(self):
         rule = gauss_rule(UNIT, 4)
