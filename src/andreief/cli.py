@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -135,7 +136,10 @@ class RunConfig:
 # configuration resolution
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged,
+    so every call shares it."""
     parser = argparse.ArgumentParser(
         prog="andreief",
         description="Verify determinant/Pfaffian integration identities "

@@ -12,11 +12,16 @@ shape-dependent sign.
 
 The Cauchy-Binet, minor summation and block routines accept integer
 matrices, and object arrays of Python int or Fraction entries (any other
-object entry is rejected), and then compute in exact arithmetic (Bareiss
-elimination for determinants, recursive expansion for Pfaffians), so the
-discrete identities can be checked for literal equality.  Float input
-gathers the row subsets into stacks and evaluates them with the batched
-determinant and Pfaffian kernels.
+object entry is rejected), and then compute in exact arithmetic, so the
+discrete identities can be checked for literal equality.  The exact left
+sides read tables: every maximal minor of each matrix, built column by
+column by Laplace expansion, and for minor summation every even principal
+Pfaffian of A, built by expansion along the first index; each sum is then
+the sum over row subsets of products of two table entries.  The exact
+minor summation right side is the one full-order entry of the Pfaffian
+table of T A T^T, and cauchy_binet_rhs runs Bareiss elimination.  Float
+input gathers the row subsets into stacks and evaluates them with the
+batched determinant and Pfaffian kernels.
 """
 
 from __future__ import annotations
@@ -31,12 +36,10 @@ import numpy as np
 
 from .linalg import (
     SkewMatrix,
-    _expand_pfaffian,
     determinant,
     determinant_batch,
     pfaffian,
     pfaffian_batch,
-    pfaffian_by_expansion,
     subsets,
 )
 from .quadrature import DEFAULT_EVAL_BUDGET, BudgetError
@@ -52,34 +55,33 @@ __all__ = [
 ]
 
 
-# Most row subsets or tuples gathered into one det/Pf stack on the float path.
+# Most row subsets or tuples gathered into one det/Pf stack on the float
+# path, or tabulated at once on the exact path.
 _SUBSET_BLOCK = 1 << 14
 
 
 def _exact_division(*arrays):
     """The exact division of Bareiss elimination on these arrays, or None
     unless every array is integer-typed or an object array: // on int
-    entries, / once any entry is a Fraction (see _exact_rows).  An object
-    array must hold only Python int and Fraction entries."""
+    entries, / once any entry is a Fraction (see _exact_array).  An object
+    array must hold only Python int and Fraction entries; each distinct
+    entry type is judged once."""
     arrays = [np.asarray(a) for a in arrays]
-    fraction = False
-    for v in (v for a in arrays if a.dtype == object for v in a.flat):
-        if isinstance(v, Fraction):
-            fraction = True
-        elif not isinstance(v, int):
-            raise ValueError(f"exact input takes int or Fraction entries, got {v!r}")
-    if not all(a.dtype == object or np.issubdtype(a.dtype, np.integer) for a in arrays):
+    objects = [a for a in arrays if a.dtype.kind == "O"]
+    kinds = {kind for a in objects for kind in map(type, a.flat)}
+    if bad := {kind for kind in kinds if not issubclass(kind, (int, Fraction))}:
+        first = next(v for a in objects for v in a.flat if type(v) in bad)
+        raise ValueError(f"exact input takes int or Fraction entries, got {first!r}")
+    if not all(a.dtype.kind in "iuO" for a in arrays):
         return None
-    return operator.truediv if fraction else operator.floordiv
+    return operator.truediv if any(issubclass(k, Fraction) for k in kinds) else operator.floordiv
 
 
-def _exact_rows(a: np.ndarray, div) -> list:
-    """a as nested lists, with every entry a Fraction when div is /, so
+def _exact_array(a: np.ndarray, div) -> np.ndarray:
+    """a as an object array, with every entry a Fraction when div is /, so
     that no quotient of two ints becomes a float."""
-    rows = a.tolist()
-    if div is operator.truediv:
-        rows = [[Fraction(v) for v in row] for row in rows]
-    return rows
+    out = a.astype(object)
+    return np.frompyfunc(Fraction, 1, 1)(out) if div is operator.truediv else out
 
 
 def _exact_det(rows: list, div):
@@ -122,14 +124,8 @@ def _check_tall(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"requires at least as many rows as columns, got {m} < {n}")
 
 
-def _row_indices(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    # subsets() enumerates 1-based; convert to row indices
-    for chosen in subsets(m, n):
-        yield tuple(i - 1 for i in chosen)
-
-
 def _subset_blocks(m: int, n: int) -> Iterator[np.ndarray]:
-    """The row subsets in _row_indices order, as (c, n) index arrays of at
+    """The row subsets in lexicographic order, as (c, n) index arrays of at
     most _SUBSET_BLOCK subsets each, so a gathered stack stays bounded."""
     chosen = subsets(m, n)
     while block := list(itertools.islice(chosen, _SUBSET_BLOCK)):
@@ -147,13 +143,126 @@ def _check_subset_budget(m: int, n: int, what: str) -> None:
         )
 
 
+def _grow(binom, k, parents, parent_ranks):
+    """The k-subsets of range(m) in colex order, in blocks of at most
+    _SUBSET_BLOCK: (ranks slice, idx, removal ranks), with each subset a
+    sorted row of idx and column p of its removal ranks the rank of the
+    subset without its p-th element.
+
+    Colex rank is sum_i C(K_i, i + 1) (the combinatorial number system),
+    so K = S + {c} with c = max K has rank rank(S) + C(c, k): one search
+    finds c and the parent S among the (k-1)-subsets parents, whose
+    removal ranks parent_ranks shift by C(c, k - 1); removing c leaves S."""
+    count = int(binom[k, -1])
+    for start in range(0, count, _SUBSET_BLOCK):
+        rank = np.arange(start, min(start + _SUBSET_BLOCK, count))
+        last = binom[k, 1:].searchsorted(rank, side="right")
+        parent = rank - binom[k].take(last)
+        idx = np.empty((len(rank), k), dtype=int)
+        idx[:, :-1] = parents.take(parent, axis=0)
+        idx[:, -1] = last
+        ranks = np.empty((len(rank), k), dtype=int)
+        np.add(parent_ranks.take(parent, axis=0), binom[k - 1].take(last)[:, None],
+               out=ranks[:, :-1])
+        ranks[:, -1] = parent
+        yield slice(start, start + len(rank)), idx, ranks
+
+
+class _MinorTable:
+    """det X[K, :k] on the k-subsets K of rows, by Laplace expansion along
+    column k - 1 from the size k - 1 minors.  Built from the columns of X,
+    an (N, M) object array (X transposed), or (N, 2, M) for a pair of
+    matrices whose minors are carried in lockstep."""
+
+    step = 1
+
+    def __init__(self, columns: np.ndarray):
+        # each column on rows 0..M-1, then its negation
+        self.columns = np.concatenate([columns, -columns], axis=-1)
+        self.empty = np.ones(columns.shape[1:-1] + (1,), dtype=object)
+
+    def level(self, idx, ranks, parent_ranks, prev):
+        k, m = idx.shape[1], self.columns.shape[-1] // 2
+        # the term of row position p has sign (-1)^(p + k - 1)
+        signed = idx + m * (np.arange(k - 1, 2 * k - 1) % 2)
+        terms = self.columns[k - 1].take(signed, axis=-1) * prev.take(ranks, axis=-1)
+        return np.add.reduce(terms, axis=-1)
+
+
+class _PfaffianTable:
+    """Pf(A_J) on the even subsets J, by expansion along J's first index:
+    Pf(A_J) = sum_q (-1)^(q+1) a[j_0, j_q] Pf(A_{J minus j_0, j_q}).  J
+    without j_0 is the subset of rank ranks[:, 0] one size down, so its
+    removal ranks, read from parent_ranks, rank J without j_0 and j_q."""
+
+    step = 2
+
+    def __init__(self, a: np.ndarray):
+        self.signed = np.stack([a, -a])
+        self.empty = np.ones(1, dtype=object)
+
+    def level(self, idx, ranks, parent_ranks, prev):
+        sign = np.arange(idx.shape[1] - 1) % 2
+        terms = self.signed[sign, idx[:, :1], idx[:, 1:]]
+        return np.add.reduce(terms * prev[parent_ranks[ranks[:, 0]]], axis=-1)
+
+
+def _table_sum(m: int, n: int, tables: list, combine, what: str):
+    """The sum over the n-subsets K of range(m) of combine(values on K),
+    with one value array per table, subsets on its last axis.
+
+    A table holds a value on every subset whose size its step divides, 1
+    on the empty one, and its level(idx, ranks, parent_ranks, prev)
+    computes them on the subsets idx (see _grow) from those one step
+    smaller, prev.  Subsets run in colex order in blocks of _SUBSET_BLOCK.
+    Only the previous size is kept; size n is summed block by block and
+    never stored.  A size-s value is a sum of s - step + 1 products (s
+    for a minor, s - 1 for a Pfaffian); BudgetError names the products of
+    all the tables, before any is built, when they exceed
+    DEFAULT_EVAL_BUDGET."""
+    count = sum(
+        (size - table.step + 1) * math.comb(m, size)
+        for table in tables
+        for size in range(table.step, n + 1, table.step)
+    )
+    if count > DEFAULT_EVAL_BUDGET:
+        raise BudgetError(
+            f"budget exceeded: {count} exact products to tabulate {what}, "
+            f"allowed {DEFAULT_EVAL_BUDGET}"
+        )
+    prev = {table: table.empty for table in tables}
+    if n == 0:
+        return combine(*prev.values())
+    binom = np.array([[math.comb(c, j) for c in range(m + 1)] for j in range(n + 1)])
+    # inner sizes are kept in the narrowest types that hold their indices and ranks
+    index_type, rank_type = np.min_scalar_type(m), np.min_scalar_type(binom.max())
+    parents = parent_ranks = np.zeros((1, 0), dtype=int)
+    for size in range(1, n):
+        due = [table for table in tables if size % table.step == 0]
+        count = math.comb(m, size)
+        kept = np.empty((count, size), index_type), np.empty((count, size), rank_type)
+        grown = {t: np.empty(t.empty.shape[:-1] + (count,), dtype=object) for t in due}
+        for block, idx, ranks in _grow(binom, size, parents, parent_ranks):
+            kept[0][block], kept[1][block] = idx, ranks
+            for table in due:
+                grown[table][..., block] = table.level(idx, ranks, parent_ranks, prev[table])
+        (parents, parent_ranks), prev = kept, {**prev, **grown}
+    total = 0
+    for _, idx, ranks in _grow(binom, n, parents, parent_ranks):
+        values = [table.level(idx, ranks, parent_ranks, prev[table]) for table in tables]
+        total += combine(*values)
+    return total
+
+
 def cauchy_binet_lhs(x, y):
     """Sum over all column-count row subsets K of det(X_K) * det(Y_K).
 
     X and Y are M x N with M >= N; K ranges over the C(M, N) subsets of
     rows, restricted to which both matrices become square, within
     DEFAULT_EVAL_BUDGET.  Integer input gives an exact integer result,
-    Fraction input an exact Fraction.
+    Fraction input an exact Fraction, read from the minor tables of X and
+    Y, whose sum(k C(M, k), k <= N) products are also bounded by the
+    budget.
     """
     xa, ya = _as_rect(x, "x"), _as_rect(y, "y")
     _check_tall(xa, ya)
@@ -161,13 +270,9 @@ def cauchy_binet_lhs(x, y):
     _check_subset_budget(m, n, "rows")
     div = _exact_division(xa, ya)
     if div is not None:
-        xr, yr = _exact_rows(xa, div), _exact_rows(ya, div)
-        total = 0
-        for rows in _row_indices(m, n):
-            total += _exact_det([xr[i] for i in rows], div) * _exact_det(
-                [yr[i] for i in rows], div
-            )
-        return total
+        pair = _MinorTable(_exact_array(np.stack([xa.T, ya.T], axis=1), div))
+        what = f"the minors of the {m} rows"
+        return _table_sum(m, n, [pair], lambda v: np.dot(v[0], v[1]), what)
     total = 0.0
     for idx in _subset_blocks(m, n):
         total += float(np.sum(determinant_batch(xa[idx]) * determinant_batch(ya[idx])))
@@ -184,7 +289,8 @@ def cauchy_binet_rhs(x, y):
     _check_tall(xa, ya)
     div = _exact_division(xa, ya)
     if div is not None:
-        return _exact_det(_exact_rows(xa.astype(object).T @ ya.astype(object), div), div)
+        gram = _exact_array(xa.astype(object).T @ ya.astype(object), div)
+        return _exact_det(gram.tolist(), div)
     return determinant(xa.T @ ya)
 
 
@@ -279,7 +385,9 @@ def minor_summation_lhs(a, t):
     A is M x M antisymmetric, T is N x M with N even and M >= N; A_{J,J}
     is the principal submatrix on J and T_J keeps the columns J.  J ranges
     over the C(M, N) subsets within DEFAULT_EVAL_BUDGET.  Integer input
-    gives an exact integer result, Fraction input an exact Fraction.
+    gives an exact integer result, Fraction input an exact Fraction, read
+    from the minor table of T^T and the Pfaffian table of A, whose
+    products are also bounded by the budget.
     """
     entries, ta, div = _compression(a, t)
     m, n_rows = entries.shape[0], ta.shape[0]
@@ -288,12 +396,9 @@ def minor_summation_lhs(a, t):
         return 1.0 if div is None else 1
     _check_subset_budget(m, n_rows, "columns")
     if div is not None:
-        ar, tr = entries.tolist(), _exact_rows(ta, div)
-        total = 0
-        for cols in _row_indices(m, n_rows):
-            pf = _expand_pfaffian(ar, list(cols))
-            total += pf * _exact_det([[tr[i][j] for j in cols] for i in range(n_rows)], div)
-        return total
+        tables = [_MinorTable(_exact_array(ta, div)), _PfaffianTable(entries.astype(object))]
+        what = f"the minors and Pfaffians of the {m} columns"
+        return _table_sum(m, n_rows, tables, np.dot, what)
     total = 0.0
     for idx in _subset_blocks(m, n_rows):
         subs = entries[idx[:, :, None], idx[:, None, :]]
@@ -306,14 +411,18 @@ def minor_summation_rhs(a, t):
     """Pfaffian of T A T^T, the N x N antisymmetric compression of A by T.
 
     Same shape rules as minor_summation_lhs; integer input gives an exact
-    integer result, Fraction input an exact Fraction.
+    integer result, Fraction input an exact Fraction: the one full-order
+    entry of the Pfaffian table of T A T^T, whose products are bounded by
+    DEFAULT_EVAL_BUDGET.
     """
     entries, ta, div = _compression(a, t)
     if ta.shape[0] == 0:
         return 1.0 if div is None else 1
     if div is not None:
-        to = ta.astype(object)
-        return pfaffian_by_expansion(to @ entries.astype(object) @ to.T)
+        order, to = ta.shape[0], ta.astype(object)
+        compressed = _PfaffianTable(to @ entries.astype(object) @ to.T)
+        what = f"the Pfaffians of the order-{order} compression"
+        return _table_sum(order, order, [compressed], np.sum, what)
     compressed = ta @ entries @ ta.T
     # exact antisymmetry holds in exact arithmetic; strip the float noise
     return pfaffian((compressed - compressed.T) / 2.0)

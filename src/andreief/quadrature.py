@@ -34,6 +34,7 @@ so a result does not depend on the number of CPUs, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
@@ -220,13 +221,15 @@ def _recurrence(kind: str, n: int):
     return diag, bk, mu0
 
 
+@functools.lru_cache(maxsize=128, typed=True)
 def gauss_rule(domain: Domain, n_nodes: int) -> QuadratureRule:
     """Gauss rule with n_nodes points on the given domain.
 
     Gauss-Legendre on finite domains (affinely mapped from [-1, 1]),
     Gauss-Laguerre on the half line, Gauss-Hermite on the real line.
     Exact for polynomial integrands of degree <= 2 n_nodes - 1 against
-    the domain's weight.
+    the domain's weight.  Memoized on (domain, n_nodes): a rule is frozen
+    with read-only arrays, so callers share it.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be at least 1")

@@ -8,15 +8,22 @@ routes against values that were not read from per-node tables.
 
 pfaffian_by_elimination is the one-matrix Parlett-Reid elimination that
 the lockstep pfaffian_batch must reproduce bit for bit.
+
+cauchy_binet_lhs_by_subsets and minor_summation_lhs_by_subsets are the
+exact discrete left sides one row subset at a time, a fresh Bareiss
+determinant and Pfaffian expansion per subset, that the minor and
+Pfaffian tables of andreief.discrete must equal.
 """
 
+import itertools
 import math
 
 import numpy as np
 
+from andreief.discrete import _exact_array, _exact_det, _exact_division
 from andreief.ensembles import weight_factorization
 from andreief.identities import _value_stack
-from andreief.linalg import PIVOT_FLOOR, determinant_batch, pfaffian_batch
+from andreief.linalg import PIVOT_FLOOR, _expand_pfaffian, determinant_batch, pfaffian_batch
 from andreief.quadrature import gauss_rule, integrate_1d, integrate_nd
 
 
@@ -113,3 +120,32 @@ def gram_matrix_per_entry(spec, n_nodes, absolute=False):
                 f = lambda x, lf=lf, rf=rf: reduce(lf(x) * rf(x) * point_factor(x))
             entries[j, k] = integrate_1d(rule, f)
     return entries
+
+
+def cauchy_binet_lhs_by_subsets(x, y):
+    """Exact sum over the row subsets K of det(X_K) * det(Y_K), with a
+    Bareiss elimination of both blocks per subset: int input gives an
+    int, Fraction input a Fraction."""
+    xa, ya = np.asarray(x), np.asarray(y)
+    div = _exact_division(xa, ya)
+    xr, yr = _exact_array(xa, div).tolist(), _exact_array(ya, div).tolist()
+    total = 0
+    for rows in itertools.combinations(range(xa.shape[0]), xa.shape[1]):
+        total += _exact_det([xr[i] for i in rows], div) * _exact_det([yr[i] for i in rows], div)
+    return total
+
+
+def minor_summation_lhs_by_subsets(a, t):
+    """Exact sum over the column subsets J of Pf(A_J) * det(T_J), with a
+    Pfaffian expansion and a Bareiss elimination per subset."""
+    aa, ta = np.asarray(a), np.asarray(t)
+    div = _exact_division(aa, ta)
+    n = ta.shape[0]
+    if n == 0:
+        return 1
+    ar, tr = aa.tolist(), _exact_array(ta, div).tolist()
+    total = 0
+    for cols in itertools.combinations(range(aa.shape[0]), n):
+        pf = _expand_pfaffian(ar, list(cols))
+        total += pf * _exact_det([[tr[i][j] for j in cols] for i in range(n)], div)
+    return total

@@ -140,6 +140,13 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="unknown format"):
             parse_config('{"command": "partition", "format": "yaml"}')
 
+    def test_parser_shared_without_leaking_flags(self):
+        assert cli.build_parser() is cli.build_parser()
+        first = parse_config(["verify-discrete", "--no-timestamp", "--rows", "6"])
+        second = parse_config(["verify-discrete"])
+        assert first.timestamp is False and first.extras["rows"] == 6
+        assert second.timestamp is True and second.extras["rows"] == 4
+
     def test_no_timestamp_from_file(self):
         config = parse_config('{"command": "partition", "no_timestamp": true}')
         assert config.timestamp is False
@@ -426,6 +433,28 @@ class TestCommandPayloads:
         )
         assert code == 2
         assert "budget exceeded: 137846528820 20-subsets of the 40 rows" in err
+
+    def test_discrete_table_products_are_budgeted(self, capsys):
+        # C(30, 28) = 435 row subsets, but the minor table needs
+        # 30 * 2**29 - 900 products: refused before any is built
+        code, _, err = run_main(
+            capsys,
+            ["verify-discrete", "--rows", "30", "--cols", "28", "--instances", "1",
+             "--no-timestamp"],
+        )
+        assert code == 2
+        assert "budget exceeded: 16106126460 exact products to tabulate the minors" in err
+
+    def test_discrete_block_check_past_the_expansion_oracle(self, capsys):
+        # the block check's compression has order 2 * cols = 14, past the
+        # order-12 cap of pfaffian_by_expansion
+        code, report, _ = run_json(
+            capsys,
+            ["verify-discrete", "--rows", "10", "--cols", "7", "--instances", "1",
+             "--no-timestamp"],
+        )
+        assert code == 0
+        assert all(c["passed"] for c in report["checks"])
 
     def test_discrete_exact_rows_have_zero_gap(self, capsys):
         _, report, _ = run_json(

@@ -2,10 +2,12 @@
 minor summation, and the block specialization."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from grid_oracles import cauchy_binet_lhs_by_subsets, minor_summation_lhs_by_subsets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -333,7 +335,13 @@ class TestSubsetBudget:
         # 6 rows, N = 3: C(6, 3) = 20 subsets
         x = np.ones((6, 3), dtype=dtype)
         monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 20)
-        assert cauchy_binet_lhs(x, x) == 0
+        if dtype is int:
+            # the exact sum passes the subset count, then stops at the
+            # 6 + 2*15 + 3*20 = 96 products of its minor table
+            with pytest.raises(BudgetError, match="96 exact products"):
+                cauchy_binet_lhs(x, x)
+        else:
+            assert cauchy_binet_lhs(x, x) == 0
         monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 19)
         monkeypatch.setattr(discrete, "subsets", None)
         with pytest.raises(BudgetError, match="20 3-subsets of the 6 rows, allowed 19"):
@@ -345,11 +353,160 @@ class TestSubsetBudget:
         a = random_int_skew(np.random.default_rng(97), 6).astype(dtype)
         t = np.ones((2, 6), dtype=dtype)
         monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 15)
-        assert minor_summation_lhs(a, t) == 0
+        if dtype is int:
+            # minors 6 + 2*15, Pfaffians 15: 51 products
+            with pytest.raises(BudgetError, match="51 exact products"):
+                minor_summation_lhs(a, t)
+        else:
+            assert minor_summation_lhs(a, t) == 0
         monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 14)
         monkeypatch.setattr(discrete, "subsets", None)
         with pytest.raises(BudgetError, match="15 2-subsets of the 6 columns, allowed 14"):
             minor_summation_lhs(a, t)
+
+
+class TestTableBudget:
+    """Past the subset count, an exact sum bounds the products that build
+    its tables by DEFAULT_EVAL_BUDGET, and raises naming them before any
+    table is built."""
+
+    def test_cauchy_binet(self, monkeypatch):
+        # 6 rows, N = 3: 6 + 2*15 + 3*20 = 96 products
+        x = np.ones((6, 3), dtype=int)
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 96)
+        assert cauchy_binet_lhs(x, x) == 0
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 95)
+        monkeypatch.setattr(discrete, "_grow", None)
+        with pytest.raises(
+            BudgetError, match="96 exact products to tabulate the minors of the 6 rows, allowed 95"
+        ):
+            cauchy_binet_lhs(x, x)
+
+    def test_minor_summation(self, monkeypatch):
+        # order 6, N = 2: minors 6 + 2*15, Pfaffians 15: 51 products
+        a = random_int_skew(np.random.default_rng(97), 6)
+        t = np.ones((2, 6), dtype=int)
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 51)
+        assert minor_summation_lhs(a, t) == 0
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 50)
+        monkeypatch.setattr(discrete, "_grow", None)
+        with pytest.raises(BudgetError, match="51 exact products to tabulate the minors and "
+                           "Pfaffians of the 6 columns, allowed 50"):
+            minor_summation_lhs(a, t)
+
+    def test_minor_summation_rhs(self, monkeypatch):
+        # an order-4 compression: Pfaffians 1*6 + 3*1 = 9 products
+        rng = np.random.default_rng(98)
+        a, t = random_int_skew(rng, 6), random_int_matrix(rng, 4, 6)
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 9)
+        assert minor_summation_rhs(a, t) == minor_summation_lhs_by_subsets(a, t)
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 8)
+        monkeypatch.setattr(discrete, "_grow", None)
+        with pytest.raises(BudgetError, match="9 exact products to tabulate the Pfaffians of "
+                           "the order-4 compression, allowed 8"):
+            minor_summation_rhs(a, t)
+        assert minor_summation_rhs(a.astype(float), t.astype(float)) != 0
+
+    def test_few_subsets_can_need_many_products(self):
+        # C(30, 28) = 435 subsets, but 30 * 2**29 - 900 products at the
+        # default budget
+        x = np.ones((30, 28), dtype=int)
+        with pytest.raises(BudgetError, match="16106126460 exact products"):
+            cauchy_binet_lhs(x, x)
+
+
+ENTRIES = st.integers(-3, 3)
+
+
+def int_matrix(draw, rows, cols):
+    cells = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+
+@st.composite
+def tall_int_pairs(draw):
+    rows = draw(st.integers(0, 9))
+    cols = draw(st.integers(0, rows))
+    return int_matrix(draw, rows, cols), int_matrix(draw, rows, cols)
+
+
+@st.composite
+def int_skew_and_compressor(draw):
+    order = draw(st.integers(0, 9))
+    rows = draw(st.sampled_from(range(0, order + 1, 2)))
+    upper = np.triu(int_matrix(draw, order, order), 1)
+    return upper - upper.T, int_matrix(draw, rows, order)
+
+
+def same_exact_value(got, want):
+    return got == want and type(got) is type(want)
+
+
+def as_fractions(a, rng):
+    """The entries of a over random denominators 1..4, as Fractions."""
+    out = np.empty(a.shape, dtype=object)
+    for i in np.ndindex(a.shape):
+        out[i] = Fraction(int(a[i]), int(rng.integers(1, 5)))
+    return out
+
+
+class TestMinorTables:
+    """The exact left sides read every maximal minor, and every even
+    principal Pfaffian, from tables; they equal the per-subset sums
+    exactly, with the same result type."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(tall_int_pairs())
+    def test_cauchy_binet_equals_subset_sum(self, pair):
+        x, y = pair
+        assert same_exact_value(cauchy_binet_lhs(x, y), cauchy_binet_lhs_by_subsets(x, y))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(int_skew_and_compressor())
+    def test_minor_summation_equals_subset_sum(self, pair):
+        a, t = pair
+        assert same_exact_value(minor_summation_lhs(a, t), minor_summation_lhs_by_subsets(a, t))
+
+    @pytest.mark.parametrize("kind", ["object-int", "fraction", "mixed"])
+    def test_object_and_rational_entries(self, kind):
+        rng = np.random.default_rng(21)
+        x, y = random_int_matrix(rng, 7, 3), random_int_matrix(rng, 7, 3)
+        a, t = random_int_skew(rng, 7), random_int_matrix(rng, 4, 7)
+        if kind == "object-int":
+            x, y, a, t = (m.astype(object) for m in (x, y, a, t))
+        elif kind == "fraction":
+            x, y, t = (as_fractions(m, rng) for m in (x, y, t))
+            upper = np.triu(as_fractions(a, rng), 1)
+            a = upper - upper.T
+        else:
+            x, t = x.astype(object), as_fractions(t, rng)
+            y = as_fractions(y, rng)
+        cb = cauchy_binet_lhs(x, y)
+        assert same_exact_value(cb, cauchy_binet_lhs_by_subsets(x, y))
+        ms = minor_summation_lhs(a, t)
+        assert same_exact_value(ms, minor_summation_lhs_by_subsets(a, t))
+        assert isinstance(cb, int if kind == "object-int" else Fraction)
+
+    def test_no_columns_and_square(self):
+        rng = np.random.default_rng(22)
+        for rows in (0, 4):
+            empty = np.zeros((rows, 0), dtype=int)
+            assert same_exact_value(cauchy_binet_lhs(empty, empty), 1)
+        x, y = random_int_matrix(rng, 5, 5), random_int_matrix(rng, 5, 5)
+        assert same_exact_value(cauchy_binet_lhs(x, y), cauchy_binet_lhs_by_subsets(x, y))
+        a, t = random_int_skew(rng, 6), random_int_matrix(rng, 6, 6)
+        assert same_exact_value(minor_summation_lhs(a, t), minor_summation_lhs_by_subsets(a, t))
+
+    def test_blocks_of_a_few_subsets(self, monkeypatch):
+        # every size spans several blocks, and the last one is partial
+        rng = np.random.default_rng(23)
+        x, y = random_int_matrix(rng, 8, 4), random_int_matrix(rng, 8, 4)
+        a, t = random_int_skew(rng, 8), random_int_matrix(rng, 4, 8)
+        want = cauchy_binet_lhs_by_subsets(x, y), minor_summation_lhs_by_subsets(a, t)
+        rhs = minor_summation_rhs(a, t)
+        monkeypatch.setattr(discrete, "_SUBSET_BLOCK", 3)
+        assert (cauchy_binet_lhs(x, y), minor_summation_lhs(a, t)) == want
+        assert minor_summation_rhs(a, t) == rhs == want[1]
 
 
 class TestBlockConstruction:
@@ -360,7 +517,8 @@ class TestBlockConstruction:
         assert cb == 2 * -1 + 3 * 4
         assert ms == cb
 
-    @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 3)])
+    # at (10, 7) the compression has order 14, past the expansion oracle's cap
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (10, 7)])
     def test_magnitudes_always_agree(self, shape):
         rows, cols = shape
         rng = np.random.default_rng(rows * 17 + cols)
@@ -456,6 +614,21 @@ class TestExactRationalInput:
         with pytest.raises(ValueError, match="int or Fraction entries, got 0.5"):
             minor_summation_rhs(np.array([[0, 0.5], [-0.5, 0]], dtype=object),
                                 np.eye(2, dtype=int))
+
+    def test_first_bad_entry_named_in_flat_order(self):
+        # bad entries in both arrays: the first array's first, in flat order
+        x = np.array([[1, Fraction(1, 2)], [True, 0.75], [np.int64(4), 5]], dtype=object)
+        y = np.array([[1, 2], [np.int64(7), 0.25], [1.5, 6]], dtype=object)
+        for side in (cauchy_binet_lhs, cauchy_binet_rhs):
+            with pytest.raises(ValueError, match="int or Fraction entries, got 0.75"):
+                side(x, y)
+            with pytest.raises(ValueError, match="got " + re.escape(repr(np.int64(7)))):
+                side(y, x)
+
+    def test_int_subclasses_accepted(self):
+        x = np.array([[True, 2], [3, False], [1, 1]], dtype=object)
+        assert same_exact_value(cauchy_binet_lhs(x, x), cauchy_binet_lhs_by_subsets(x, x))
+        assert same_exact_value(cauchy_binet_lhs(x, x), cauchy_binet_rhs(x, x))
 
     def test_object_ints_stay_integers(self):
         x = np.array([[1, 2], [3, 4], [5, 6]], dtype=object)

@@ -1,5 +1,6 @@
 """Tests for quadrature rules and the two multidimensional integrators."""
 
+import inspect
 import math
 import sys
 import threading
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from andreief import quadrature
+from andreief import identities, quadrature
 from andreief.ensembles import build_ensemble
 from andreief.identities import andreief_lhs_mc
 from andreief.linalg import within_tolerance
@@ -127,6 +128,26 @@ class TestGaussRule:
         assert w(np.array([1.0]))[0] == pytest.approx(math.exp(-1.0))
         w = gauss_rule(REAL, 3).embedded_weight
         assert w(np.array([2.0]))[0] == pytest.approx(math.exp(-4.0))
+
+
+class TestGaussRuleMemo:
+    def test_equal_keys_share_one_rule(self):
+        rule = gauss_rule(Domain.finite(0.0, 1.0), 12)
+        assert gauss_rule(Domain.finite(0.0, 1.0), 12) is rule
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+
+    def test_other_keys_build_other_rules(self):
+        rule = gauss_rule(UNIT, 12)
+        others = [gauss_rule(UNIT, 13), gauss_rule(Domain.finite(0.0, 2.0), 12),
+                  gauss_rule(HALF, 12), gauss_rule(REAL, 12)]
+        assert all(other is not rule for other in others)
+        assert gauss_rule(UNIT, 13).n_nodes == 13
+        assert gauss_rule(Domain.finite(0.0, 2.0), 12).nodes[-1] > 1.0
+
+    def test_call_site_keeps_the_signature(self):
+        # the benchmark's tracer binds gauss_rule's arguments by name
+        assert identities.gauss_rule is gauss_rule
+        assert list(inspect.signature(identities.gauss_rule).parameters) == ["domain", "n_nodes"]
 
 
 class TestRuleValidation:
