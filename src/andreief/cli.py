@@ -23,6 +23,9 @@ import numpy as np
 
 from .biortho import biorthogonality_residuals, biorthogonalize, partition_function
 from .discrete import (
+    _check_subset_budget,
+    _check_table_budget,
+    _check_tuple_budget,
     block_reclaims_cauchy_binet,
     cauchy_binet_lhs,
     cauchy_binet_rhs,
@@ -409,6 +412,16 @@ def _run_verify_discrete(config: RunConfig):
     tuples_agree = True
     # minor summation needs an even row count; shrink odd requests by one
     ms_cols = cols_n - (cols_n % 2)
+    n_points = max(rows_m, spec.size)
+    if 0 <= cols_n <= rows_m:
+        # every budget an instance can exceed, in loop order, before the first
+        # builds a table; any other shape fails the first instance at once
+        _check_subset_budget(rows_m, cols_n, "rows")
+        _check_table_budget("cauchy_binet", rows_m, cols_n)
+        # (minor summation's C(rows, ms_cols) subsets are fewer than those products)
+        _check_table_budget("minor_summation", rows_m, ms_cols)
+        _check_tuple_budget(n_points, spec.size)
+        _check_table_budget("compression", 2 * cols_n, 2 * cols_n)
     for _ in range(instances):
         x, y = draw(rows_m, cols_n), draw(rows_m, cols_n)
         lhs, rhs = cauchy_binet_lhs(x, y), cauchy_binet_rhs(x, y)
@@ -418,9 +431,8 @@ def _run_verify_discrete(config: RunConfig):
         lhs, rhs = minor_summation_lhs(a, t), minor_summation_rhs(a, t)
         ms_rows.append((lhs, rhs, lhs == rhs, abs(lhs - rhs)))
 
-        pts = _sample_points(spec.domain, max(rows_m, spec.size), rng)
+        pts = _sample_points(spec.domain, n_points, rng)
         weights, (f, phi) = NodeMeasure.points(pts).tables((spec.left, spec.right))
-        # first, so that its budget check runs before the subset sum
         tuple_sum = ordered_tuple_sum(weights, f, phi)
         lhs, rhs = discretized_andreief(weights, f, phi)
         tuples_agree &= abs(tuple_sum - lhs) <= tolerance * abs(lhs)

@@ -133,14 +133,16 @@ def _subset_blocks(m: int, n: int) -> Iterator[np.ndarray]:
         yield np.array(block, dtype=int).reshape(len(block), n) - 1
 
 
+def _check_budget(count: int, what: str) -> None:
+    """BudgetError naming count and what it counts when it exceeds
+    DEFAULT_EVAL_BUDGET, before any of it is computed."""
+    if count > DEFAULT_EVAL_BUDGET:
+        raise BudgetError(f"budget exceeded: {count} {what}, allowed {DEFAULT_EVAL_BUDGET}")
+
+
 def _check_subset_budget(m: int, n: int, what: str) -> None:
-    """BudgetError when the C(m, n) subsets of a subset sum exceed
-    DEFAULT_EVAL_BUDGET, before any is enumerated."""
-    if (count := math.comb(m, n)) > DEFAULT_EVAL_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: {count} {n}-subsets of the {m} {what}, "
-            f"allowed {DEFAULT_EVAL_BUDGET}"
-        )
+    """The budget check of the C(m, n) subsets of a subset sum."""
+    _check_budget(math.comb(m, n), f"{n}-subsets of the {m} {what}")
 
 
 def _grow(binom, k, parents, parent_ranks):
@@ -207,7 +209,7 @@ class _PfaffianTable:
         return np.add.reduce(terms * prev[parent_ranks[ranks[:, 0]]], axis=-1)
 
 
-def _table_sum(m: int, n: int, tables: list, combine, what: str):
+def _table_sum(m: int, n: int, tables: list, combine):
     """The sum over the n-subsets K of range(m) of combine(values on K),
     with one value array per table, subsets on its last axis.
 
@@ -216,20 +218,7 @@ def _table_sum(m: int, n: int, tables: list, combine, what: str):
     computes them on the subsets idx (see _grow) from those one step
     smaller, prev.  Subsets run in colex order in blocks of _SUBSET_BLOCK.
     Only the previous size is kept; size n is summed block by block and
-    never stored.  A size-s value is a sum of s - step + 1 products (s
-    for a minor, s - 1 for a Pfaffian); BudgetError names the products of
-    all the tables, before any is built, when they exceed
-    DEFAULT_EVAL_BUDGET."""
-    count = sum(
-        (size - table.step + 1) * math.comb(m, size)
-        for table in tables
-        for size in range(table.step, n + 1, table.step)
-    )
-    if count > DEFAULT_EVAL_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: {count} exact products to tabulate {what}, "
-            f"allowed {DEFAULT_EVAL_BUDGET}"
-        )
+    never stored.  Callers bound the products first (_check_table_budget)."""
     prev = {table: table.empty for table in tables}
     if n == 0:
         return combine(*prev.values())
@@ -254,6 +243,34 @@ def _table_sum(m: int, n: int, tables: list, combine, what: str):
     return total
 
 
+# The tables of each exact sum: their steps, and what they tabulate on m
+# indices, as a budget message names it.
+_TABLES = {
+    "cauchy_binet": ((_MinorTable.step,), "the minors of the {m} rows"),
+    "minor_summation": ((_MinorTable.step, _PfaffianTable.step),
+                        "the minors and Pfaffians of the {m} columns"),
+    "compression": ((_PfaffianTable.step,), "the Pfaffians of the order-{m} compression"),
+}
+
+
+def _check_table_budget(tables: str, m: int, n: int) -> None:
+    """The budget check of the products that the _TABLES of one sum take
+    on the subsets of range(m) up to size n (see _table_sum): s - step + 1
+    for a size-s value (s for a minor, s - 1 for a Pfaffian)."""
+    steps, what = _TABLES[tables]
+    count = sum(
+        (size - step + 1) * math.comb(m, size)
+        for step in steps
+        for size in range(step, n + 1, step)
+    )
+    _check_budget(count, f"exact products to tabulate {what.format(m=m)}")
+
+
+def _check_tuple_budget(m: int, n: int) -> None:
+    """The budget check of the ordered n-tuples of distinct rows of m."""
+    _check_budget(math.perm(m, n), f"ordered {n}-tuples of distinct rows of {m}")
+
+
 def cauchy_binet_lhs(x, y):
     """Sum over all column-count row subsets K of det(X_K) * det(Y_K).
 
@@ -270,9 +287,9 @@ def cauchy_binet_lhs(x, y):
     _check_subset_budget(m, n, "rows")
     div = _exact_division(xa, ya)
     if div is not None:
+        _check_table_budget("cauchy_binet", m, n)
         pair = _MinorTable(_exact_array(np.stack([xa.T, ya.T], axis=1), div))
-        what = f"the minors of the {m} rows"
-        return _table_sum(m, n, [pair], lambda v: np.dot(v[0], v[1]), what)
+        return _table_sum(m, n, [pair], lambda v: np.dot(v[0], v[1]))
     total = 0.0
     for idx in _subset_blocks(m, n):
         total += float(np.sum(determinant_batch(xa[idx]) * determinant_batch(ya[idx])))
@@ -327,11 +344,7 @@ def ordered_tuple_sum(weights, f, phi) -> float:
     x, y = _weighted_tables(weights, f, phi)
     _check_tall(x, y)
     m, n = x.shape
-    if (count := math.perm(m, n)) > DEFAULT_EVAL_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: {count} ordered {n}-tuples of distinct rows of {m}, "
-            f"allowed {DEFAULT_EVAL_BUDGET}"
-        )
+    _check_tuple_budget(m, n)
     total = 0.0
     for idx in _distinct_tuples(m, n):
         total += float(np.sum(determinant_batch(x[idx]) * determinant_batch(y[idx])))
@@ -396,9 +409,9 @@ def minor_summation_lhs(a, t):
         return 1.0 if div is None else 1
     _check_subset_budget(m, n_rows, "columns")
     if div is not None:
+        _check_table_budget("minor_summation", m, n_rows)
         tables = [_MinorTable(_exact_array(ta, div)), _PfaffianTable(entries.astype(object))]
-        what = f"the minors and Pfaffians of the {m} columns"
-        return _table_sum(m, n_rows, tables, np.dot, what)
+        return _table_sum(m, n_rows, tables, np.dot)
     total = 0.0
     for idx in _subset_blocks(m, n_rows):
         subs = entries[idx[:, :, None], idx[:, None, :]]
@@ -420,9 +433,9 @@ def minor_summation_rhs(a, t):
         return 1.0 if div is None else 1
     if div is not None:
         order, to = ta.shape[0], ta.astype(object)
+        _check_table_budget("compression", order, order)
         compressed = _PfaffianTable(to @ entries.astype(object) @ to.T)
-        what = f"the Pfaffians of the order-{order} compression"
-        return _table_sum(order, order, [compressed], np.sum, what)
+        return _table_sum(order, order, [compressed], np.sum)
     compressed = ta @ entries @ ta.T
     # exact antisymmetry holds in exact arithmetic; strip the float noise
     return pfaffian((compressed - compressed.T) / 2.0)

@@ -4,13 +4,15 @@ An ensemble pair is two same-size families {f_j}, {phi_j} on a common
 domain; the identity engines integrate products of their determinants.
 This module owns the catalogue of built-in pairs and the one weight
 reduction, weight_factorization, that bridges families to the embedded
-weight omega of the domain's Gauss rule (see quadrature): a family with a
-closed form f_j / omega absorbs one power of omega, any other family is
-evaluated as is, and the single leftover power omega**(absorbed - 1)
-becomes a per-point factor.  A leftover omega**-1 would mean integrating
-families that do not decay over an infinite domain, so it is rejected.
-NodeMeasure.tables is the one place that tabulates families on a finite
-measure, a Gauss rule's or a point set's.
+weight omega of the domain's Gauss rule (see quadrature).  Every family
+kind is one form, member j = scale_j * x**p_j * exp(-q x^2 + l_j x), so a
+family that decays on the domain absorbs one power of omega by shifting
+an exponent (q - 1 against e^{-x^2}, l_j + 1 against e^{-x}), any other
+family is evaluated as is, and the single leftover power
+omega**(absorbed - 1) becomes a per-point factor.  A leftover omega**-1
+would mean integrating families that do not decay over an infinite
+domain, so it is rejected.  NodeMeasure.tables is the one place that
+tabulates families on a finite measure, a Gauss rule's or a point set's.
 """
 
 from __future__ import annotations
@@ -69,25 +71,18 @@ class Weight:
         if self.kind == "laguerre" and self.c < 0:
             raise ValueError("laguerre weight requires c >= 0")
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            return np.exp(-x * x)
-        if self.c == 0.0:
-            return np.exp(-x)
-        return x**self.c * np.exp(-x)
-
 
 @dataclass(frozen=True)
 class FunctionFamily:
-    """Indexed family f_0 .. f_{size-1} of one of the built-in kinds.
+    """Indexed family f_0 .. f_{size-1}, member j = x^{p_j} e^{-q x^2 + l_j x}.
 
-    kind            member j
-    monomial            x^j
-    weighted_monomial   x^j w(x)
-    stretched_monomial  x^{theta j},  theta > 0
-    shifted_gaussian    e^{-x^2 + 2 a_j x}
-    laguerre_meijer     x^{nu + j} e^{-x},  nu >= 0 integer
+    kind                member j                      p_j       q  l_j
+    monomial            x^j                           j         0  0
+    weighted_monomial   x^j e^{-x^2}    (gaussian w)  j         1  0
+                        x^{j+c} e^{-x}  (laguerre w)  j + c     0  -1
+    stretched_monomial  x^{theta j},  theta > 0       theta j   0  0
+    shifted_gaussian    e^{-x^2 + 2 a_j x}            none      1  2 a_j
+    laguerre_meijer     x^{nu + j} e^{-x},  nu >= 0   nu + j    0  -1
 
     scales, when set, multiplies member j by scales[j]; used to probe
     scaling covariance of the identities.
@@ -153,90 +148,77 @@ def rescale(family: FunctionFamily, factors: Sequence[float]) -> FunctionFamily:
     return replace(family, scales=combined)
 
 
-def _check_positive_x(x: np.ndarray, kind: str) -> None:
-    if np.any(x <= 0):
-        raise ValueError(f"x must be positive for {kind} families")
+def _form(family: FunctionFamily) -> tuple:
+    """(powers, q, linear): member j is x**powers[j] * exp(-q x^2 +
+    linear[j] x), with no power of x for a power of None; one row per kind."""
+    size, kind, j = family.size, family.kind, range(family.size)
+    flat, decaying = (0.0,) * size, (-1.0,) * size
+    if kind == "monomial":
+        return tuple(j), 0.0, flat
+    if kind == "stretched_monomial":
+        return tuple(family.theta * i for i in j), 0.0, flat
+    if kind == "shifted_gaussian":
+        return (None,) * size, 1.0, tuple(2.0 * a for a in family.shifts)
+    if kind == "laguerre_meijer":
+        return tuple(family.nu + i for i in j), 0.0, decaying
+    if family.weight.kind == "gaussian":
+        return tuple(j), 1.0, flat
+    return tuple(family.weight.c + i for i in j), 0.0, decaying
+
+
+def _absorbed(form: tuple, domain: Domain) -> tuple | None:
+    """The form divided by the domain's embedded weight when the family
+    decays there, and so absorbs it: q > 0, or every l_j < 0 on the half
+    line.  None otherwise, and always on a finite domain."""
+    powers, q, linear = form
+    if domain.kind == "real_line" and q > 0:
+        return powers, q - 1.0, linear
+    if domain.kind == "half_line" and (q > 0 or all(l < 0 for l in linear)):
+        return powers, q, tuple(l + 1.0 for l in linear)
+    return None
+
+
+def _member(family: FunctionFamily, j: int, form: tuple | None = None) -> Callable:
+    """Callable for member j of a form of the family, by default its own:
+    scale_j * x**power * exp(-q x^2 + l x), leaving out a zero term, a zero
+    exponent and a power of None.  Only the family's own form checks x > 0,
+    for the _POSITIVE_X_KINDS."""
+    powers, q, linear = _form(family) if form is None else form
+    power, l, scale = powers[j], linear[j], family.scale_of(j)
+    positive_kind = family.kind if form is None and family.kind in _POSITIVE_X_KINDS else None
+
+    def member(x):
+        x = np.asarray(x, dtype=float)
+        if positive_kind is not None and np.any(x <= 0):
+            raise ValueError(f"x must be positive for {positive_kind} families")
+        exponent = l * x if l else None
+        if q:
+            exponent = -q * x * x if exponent is None else -q * x * x + exponent
+        value = None if power is None else x**power
+        if exponent is not None:
+            value = np.exp(exponent) if value is None else value * np.exp(exponent)
+        value = np.ones_like(x) if value is None else value
+        return value if scale == 1.0 else scale * value
+
+    return member
+
+
+def _members(family: FunctionFamily, form: tuple | None = None) -> list[Callable]:
+    return [_member(family, j, form) for j in range(family.size)]
 
 
 def evaluate(family: FunctionFamily, j: int, x):
     """Value of member j at x (scalar or array, shape preserved)."""
     if not 0 <= j < family.size:
         raise ValueError(f"member index {j} outside 0..{family.size - 1}")
-    arr = np.asarray(x, dtype=float)
-    kind = family.kind
-    if kind in _POSITIVE_X_KINDS:
-        _check_positive_x(arr, kind)
-    if kind == "monomial":
-        val = arr**j
-    elif kind == "weighted_monomial":
-        val = arr**j * family.weight(arr)
-    elif kind == "stretched_monomial":
-        val = arr ** (family.theta * j)
-    elif kind == "shifted_gaussian":
-        val = np.exp(-arr * arr + 2.0 * family.shifts[j] * arr)
-    else:  # laguerre_meijer
-        val = arr ** (family.nu + j) * np.exp(-arr)
-    val = family.scale_of(j) * val
-    return float(val) if np.isscalar(x) or np.ndim(x) == 0 else val
+    val = _member(family, j)(x)
+    return float(val) if np.ndim(x) == 0 else val
 
 
 def family_matrix(family: FunctionFamily, x) -> np.ndarray:
     """Matrix [f_j(x_k)] of shape (size, len(x))."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.stack([evaluate(family, j, arr) for j in range(family.size)])
-
-
-def _smooth_closed_form(family: FunctionFamily, domain: Domain):
-    """Closed-form smooth parts when the family's decay matches the
-    domain's embedded weight; None when no safe closed form exists."""
-    kind = family.kind
-    if domain.kind == "half_line":
-        if kind == "weighted_monomial" and family.weight.kind == "laguerre":
-            c = family.weight.c
-            return [
-                lambda x, j=j, c=c: family.scale_of(j) * np.asarray(x, float) ** (c + j)
-                for j in range(family.size)
-            ]
-        if kind == "laguerre_meijer":
-            nu = family.nu
-            return [
-                lambda x, j=j, nu=nu: family.scale_of(j) * np.asarray(x, float) ** (nu + j)
-                for j in range(family.size)
-            ]
-        if kind == "weighted_monomial" and family.weight.kind == "gaussian":
-            # x^j e^{-x^2} / e^{-x} decays; safe
-            return [
-                lambda x, j=j: family.scale_of(j)
-                * np.asarray(x, float) ** j
-                * np.exp(-np.asarray(x, float) ** 2 + np.asarray(x, float))
-                for j in range(family.size)
-            ]
-        if kind == "shifted_gaussian":
-            return [
-                lambda x, a=family.shifts[j], j=j: family.scale_of(j)
-                * np.exp(-np.asarray(x, float) ** 2 + (2.0 * a + 1.0) * np.asarray(x, float))
-                for j in range(family.size)
-            ]
-    if domain.kind == "real_line":
-        if kind == "weighted_monomial" and family.weight.kind == "gaussian":
-            return [
-                lambda x, j=j: family.scale_of(j) * np.asarray(x, float) ** j
-                for j in range(family.size)
-            ]
-        if kind == "shifted_gaussian":
-            return [
-                lambda x, a=family.shifts[j], j=j: family.scale_of(j)
-                * np.exp(2.0 * a * np.asarray(x, float))
-                for j in range(family.size)
-            ]
-    return None
-
-
-def _raw_members(family: FunctionFamily) -> list:
-    return [
-        lambda x, j=j: np.asarray(evaluate(family, j, x), dtype=float)
-        for j in range(family.size)
-    ]
+    return np.stack([member(arr) for member in _members(family)])
 
 
 def weight_factorization(
@@ -244,29 +226,23 @@ def weight_factorization(
 ) -> tuple[list[list[Callable]], Callable | None]:
     """Reduce one or two families against the domain's embedded weight omega.
 
-    Returns (member_fns_per_family, point_factor).  A family with a closed
-    form f_j / omega absorbs one power of omega; any other family is used
-    as is.  The Gauss rule divides out one power, so the integrand of the
-    product of one member per family carries point_factor =
+    Returns (member_fns_per_family, point_factor).  A family that decays
+    on the domain (see _absorbed) has members f_j / omega; any other family
+    is used as is.  The Gauss rule divides out one power, so the integrand
+    of the product of one member per family carries point_factor =
     omega**(absorbed - 1), with None meaning 1 (always so on finite
-    domains).  With no family absorbing there is nothing that decays (the
-    families without a closed form are monomial and stretched_monomial),
-    so the integral diverges and a ValueError says so.  A single family
+    domains).  With no family absorbing there is nothing that decays, so
+    the integral diverges and a ValueError says so.  A single family
     therefore never carries a point factor: it is None or the call raises.
     """
     if not 1 <= len(families) <= 2:
         raise ValueError(f"expected one or two families, got {len(families)}")
     for family in families:
         ensure_family_legal(family, domain)
-    if domain.kind == "finite":
-        return [_raw_members(family) for family in families], None
-    closed = [_smooth_closed_form(family, domain) for family in families]
-    member_fns = [
-        _raw_members(family) if fns is None else fns
-        for family, fns in zip(families, closed)
-    ]
-    power = len(families) - closed.count(None) - 1
-    if power == 0:
+    absorbed = [_absorbed(_form(family), domain) for family in families]
+    member_fns = [_members(family, form) for family, form in zip(families, absorbed)]
+    power = len(families) - absorbed.count(None) - 1
+    if power == 0 or domain.kind == "finite":
         return member_fns, None
     if power == 1:
         return member_fns, EMBEDDED_WEIGHTS[domain.kind]
@@ -316,7 +292,7 @@ class NodeMeasure:
         point factor into W[k] = w_k * point_factor(x_k); a point measure
         evaluates them as they are, with W its unit weights."""
         if self.domain is None:
-            member_fns, point_factor = [_raw_members(f) for f in families], None
+            member_fns, point_factor = [_members(f) for f in families], None
         else:
             member_fns, point_factor = weight_factorization(families, self.domain)
         weights = self.weights

@@ -64,7 +64,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "DEBRUIJN_SIZE_LIMIT",
     "DEFAULT_SEED",
     "DEFAULT_TOLERANCE",
     "MC_PASS_SLACK",
@@ -87,11 +86,10 @@ DEFAULT_SEED = 42
 
 _LOG = logging.getLogger("andreief")
 
-# Size gates on the quadrature left sides; an explicit force flag overrides
-# them.  The Andreief gate guards the verdict rather than a cost: past it,
-# the max(1, |lhs|, |rhs|) verdict scale makes a pass on small values vacuous.
+# Size gate on the Andreief quadrature left side; an explicit force flag
+# overrides it.  It guards the verdict rather than a cost: past it, the
+# max(1, |lhs|, |rhs|) verdict scale makes a pass on small values vacuous.
 TENSOR_SIZE_LIMIT = 6
-DEBRUIJN_SIZE_LIMIT = 4
 
 # Absolute slack added to the 3-sigma Monte Carlo pass rule so that
 # zero-variance estimates tolerate quadrature round-off on the other side.
@@ -245,17 +243,6 @@ def andreief_rhs(g: GramMatrix) -> float:
     )
 
 
-def _check_size_gate(n: int, limit: int, count: int, force: bool, what: str, hint: str):
-    if n <= limit:
-        return
-    if not force:
-        raise BudgetError(
-            f"{what} exceeds the default size gate ({limit}); no CLI option "
-            f"lifts it (a library caller can {hint})"
-        )
-    _LOG.info("evaluation count: %d", count)
-
-
 def andreief_lhs_quadrature(
     spec: EnsembleSpec,
     n_nodes: int = DEFAULT_NODES_TENSOR,
@@ -280,11 +267,15 @@ def andreief_lhs_quadrature(
     """
     n = spec.size
     count = math.comb(n_nodes, n)
-    _check_size_gate(
-        n, TENSOR_SIZE_LIMIT, count, force,
-        f"N = {n}, where the max(1, |lhs|, |rhs|) verdict scale passes small "
-        "values vacuously,", "use andreief_lhs_mc or pass force=True",
-    )
+    if n > TENSOR_SIZE_LIMIT:
+        if not force:
+            raise BudgetError(
+                f"N = {n}, where the max(1, |lhs|, |rhs|) verdict scale passes "
+                f"small values vacuously, exceeds the default size gate "
+                f"({TENSOR_SIZE_LIMIT}); no CLI option lifts it (a library "
+                "caller can use andreief_lhs_mc or pass force=True)"
+            )
+        _LOG.info("evaluation count: %d", count)
     if count > DEFAULT_EVAL_BUDGET:
         raise BudgetError(
             f"budget exceeded: {count} node subsets, allowed {DEFAULT_EVAL_BUDGET}; "
@@ -349,11 +340,10 @@ def debruijn_lhs_quadrature(
     domain: Domain,
     n_nodes: int,
     two_n: int,
-    *,
-    force: bool = False,
 ) -> float:
     """Tensor quadrature of det[f_j(x_k)] Pf[h(x_j, x_k)] over 2n variables,
-    divided by (2n)!.
+    divided by (2n)!, within integrate_nd's DEFAULT_EVAL_BUDGET on the
+    n_nodes**(2n) grid points.
 
     Every grid point is a tuple of the rule's nodes, so the family values
     F[k, j] = f_j(x_k) and the kernel values H[a, b] = h(x_a, x_b) are
@@ -364,10 +354,6 @@ def debruijn_lhs_quadrature(
     copy.
     """
     _check_debruijn_size(two_n, left.size)
-    _check_size_gate(
-        two_n, DEBRUIJN_SIZE_LIMIT, n_nodes**two_n, force,
-        f"a tensor grid over {two_n} variables", "pass force=True",
-    )
     rule, _, (values,) = _node_measure((left,), domain, n_nodes)
     values = np.ascontiguousarray(values.T)
     table = _kernel_table(kernel.antisymmetrized(), rule.nodes)

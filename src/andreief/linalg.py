@@ -7,8 +7,8 @@ row-pivoted LU run on a whole stack in lockstep at orders 4 and 5, and
 LAPACK's row-pivoted LU (numpy.linalg.det) from order 6.  Pfaffians are
 closed forms at orders <= 4 and a lockstep Parlett-Reid from order 6; the
 scalar routines are the batch ones on a one-matrix stack, and all convert
-to float64.  The expansion oracles keep the input dtype so that integer
-inputs are evaluated in exact integer arithmetic.
+to float64, rejecting complex input.  The expansion oracles keep the input
+dtype so that integer inputs are evaluated in exact integer arithmetic.
 
 The package-wide relative-tolerance convention lives here:
 |a - b| <= tol * max(1, |a|, |b|).
@@ -70,8 +70,17 @@ def within_tolerance(a: float, b: float, tol: float) -> bool:
     return relative_gap(a, b) <= tol
 
 
-def _as_square(m, dtype=float) -> np.ndarray:
-    a = np.asarray(m, dtype=dtype)
+def _as_float(m) -> np.ndarray:
+    """m as a float64 array, not copied when it is one already; a complex
+    dtype is rejected rather than cast to its real part."""
+    a = np.asarray(m)
+    if a.dtype.kind == "c":
+        raise ValueError(f"real input required, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
+def _as_square(m) -> np.ndarray:
+    a = _as_float(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"square matrix required, got shape {a.shape}")
     return a
@@ -109,9 +118,9 @@ def determinant_batch(stack) -> np.ndarray:
       on a hot path, so the cutoff stays at 5.
 
     A pivot that underflows to zero gives 0.0 without a divide-by-zero
-    warning.
+    warning.  A complex stack raises ValueError.
     """
-    a = np.asarray(stack, dtype=float)
+    a = _as_float(stack)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"(P, n, n) stack required, got shape {a.shape}")
     n = a.shape[1]
@@ -197,9 +206,10 @@ def pfaffian_batch(stack) -> np.ndarray:
 
     Closed-form expansions at orders 0, 2 and 4; from order 6 a lockstep
     Parlett-Reid elimination.  Entries are trusted to be antisymmetric (the
-    engines build them from antisymmetric evaluators).
+    engines build them from antisymmetric evaluators).  A complex stack
+    raises ValueError.
     """
-    a = np.asarray(stack, dtype=float)
+    a = _as_float(stack)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"(P, n, n) stack required, got shape {a.shape}")
     n = a.shape[1]

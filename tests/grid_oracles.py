@@ -13,6 +13,12 @@ cauchy_binet_lhs_by_subsets and minor_summation_lhs_by_subsets are the
 exact discrete left sides one row subset at a time, a fresh Bareiss
 determinant and Pfaffian expansion per subset, that the minor and
 Pfaffian tables of andreief.discrete must equal.
+
+evaluate_by_kind and closed_form_members are the member formulas written
+out kind by kind, as the package had them before every kind became one
+form x**p_j * exp(-q x^2 + l_j x): the raw members, and the members
+divided by the domain's embedded weight where a closed form exists (None
+where it does not, which is the absorption table).
 """
 
 import itertools
@@ -149,3 +155,64 @@ def minor_summation_lhs_by_subsets(a, t):
         pf = _expand_pfaffian(ar, list(cols))
         total += pf * _exact_det([[tr[i][j] for j in cols] for i in range(n)], div)
     return total
+
+
+def evaluate_by_kind(family, j, x):
+    """Member j of the family at x, by a switch over the kinds."""
+    arr = np.asarray(x, dtype=float)
+    kind = family.kind
+    if kind in ("stretched_monomial", "laguerre_meijer") and np.any(arr <= 0):
+        raise ValueError(f"x must be positive for {kind} families")
+    if kind == "monomial":
+        val = arr**j
+    elif kind == "weighted_monomial":
+        if family.weight.kind == "gaussian":
+            weight = np.exp(-arr * arr)
+        elif family.weight.c == 0.0:
+            weight = np.exp(-arr)
+        else:
+            weight = arr**family.weight.c * np.exp(-arr)
+        val = arr**j * weight
+    elif kind == "stretched_monomial":
+        val = arr ** (family.theta * j)
+    elif kind == "shifted_gaussian":
+        val = np.exp(-arr * arr + 2.0 * family.shifts[j] * arr)
+    else:  # laguerre_meijer
+        val = arr ** (family.nu + j) * np.exp(-arr)
+    return family.scale_of(j) * val
+
+
+def closed_form_members(family, domain):
+    """The members f_j / omega in closed form when the family's decay
+    matches the domain's embedded weight omega, else None."""
+    kind, s = family.kind, family.scale_of
+    gaussian = kind == "weighted_monomial" and family.weight.kind == "gaussian"
+    laguerre = kind == "weighted_monomial" and family.weight.kind == "laguerre"
+    size = range(family.size)
+    if domain.kind == "half_line":
+        if laguerre:
+            c = family.weight.c
+            return [lambda x, j=j: s(j) * np.asarray(x, float) ** (c + j) for j in size]
+        if kind == "laguerre_meijer":
+            return [lambda x, j=j: s(j) * np.asarray(x, float) ** (family.nu + j) for j in size]
+        if gaussian:
+            return [
+                lambda x, j=j: s(j) * np.asarray(x, float) ** j
+                * np.exp(-np.asarray(x, float) ** 2 + np.asarray(x, float))
+                for j in size
+            ]
+        if kind == "shifted_gaussian":
+            return [
+                lambda x, j=j, a=family.shifts[j]: s(j)
+                * np.exp(-np.asarray(x, float) ** 2 + (2.0 * a + 1.0) * np.asarray(x, float))
+                for j in size
+            ]
+    if domain.kind == "real_line":
+        if gaussian:
+            return [lambda x, j=j: s(j) * np.asarray(x, float) ** j for j in size]
+        if kind == "shifted_gaussian":
+            return [
+                lambda x, j=j, a=family.shifts[j]: s(j) * np.exp(2.0 * a * np.asarray(x, float))
+                for j in size
+            ]
+    return None

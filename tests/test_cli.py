@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from andreief import cli
+from andreief import cli, discrete
 from andreief.cli import (
     CHEBYSHEV_FUNCTIONS,
     RunConfig,
@@ -16,7 +16,15 @@ from andreief.cli import (
     main,
     parse_config,
 )
-from andreief.quadrature import Domain
+from andreief.discrete import (
+    block_reclaims_cauchy_binet,
+    cauchy_binet_lhs,
+    discretized_andreief,
+    minor_summation_lhs,
+    minor_summation_rhs,
+    ordered_tuple_sum,
+)
+from andreief.quadrature import BudgetError, Domain
 
 
 def run_main(capsys, argv):
@@ -218,6 +226,19 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "exceeds the default size gate (6)" in err
+
+    def test_debruijn_six_variables_run_within_the_grid_budget(self, capsys):
+        # no size gate: 8**6 grid points run, 40**6 exceed the grid budget
+        code, report, _ = run_json(
+            capsys,
+            ["verify-debruijn", "--n", "6", "--n-nodes", "8", "--kernel", "sign",
+             "--no-timestamp"],
+        )
+        assert code == 0
+        assert report["checks"][0]["name"] == "debruijn-sign"
+        code, out, err = run_main(capsys, ["verify-debruijn", "--n", "6"])
+        assert (code, out) == (2, "")
+        assert "budget exceeded: grid requires 4096000000 evaluations" in err
 
     def test_unknown_config_key_is_two(self, capsys, tmp_path):
         path = tmp_path / "run.json"
@@ -444,6 +465,72 @@ class TestCommandPayloads:
         )
         assert code == 2
         assert "budget exceeded: 16106126460 exact products to tabulate the minors" in err
+
+    @pytest.mark.parametrize(
+        "rows, cols, size, budget",
+        [
+            (5, 3, 2, 9),  # the row subsets
+            (8, 4, 3, 511),  # the Cauchy-Binet minor table
+            (8, 4, 3, 749),  # the minor and Pfaffian tables of minor summation
+            (8, 2, 6, 20159),  # the ordered tuples of the bridge
+            (6, 6, 2, 10240),  # the order-12 compression of the block check
+            (6, 6, 2, 10241),  # none
+        ],
+    )
+    def test_discrete_budgets_are_checked_before_the_first_instance(
+        self, capsys, monkeypatch, rows, cols, size, budget
+    ):
+        # the loop's sums in its order, on inputs of its shapes, give the
+        # error it would raise first; the command raises it before any sum
+        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", budget)
+        x, skew = np.ones((rows, cols), dtype=int), np.zeros((rows, rows), dtype=int)
+        t = np.ones((cols - cols % 2, rows), dtype=int)
+        points = max(rows, size)
+        tables = (np.ones(points), np.ones((points, size)), np.ones((points, size)))
+        loop = (
+            lambda: cauchy_binet_lhs(x, x),
+            lambda: minor_summation_lhs(skew, t),
+            lambda: minor_summation_rhs(skew, t),
+            lambda: ordered_tuple_sum(*tables),
+            lambda: discretized_andreief(*tables),
+            lambda: block_reclaims_cauchy_binet(x, x),
+        )
+        try:
+            for step in loop:
+                step()
+        except BudgetError as exc:
+            expected = f"error: {exc}\n"
+        else:
+            expected = None
+        argv = ["verify-discrete", "--rows", str(rows), "--cols", str(cols), "--n", str(size),
+                "--instances", "1", "--no-timestamp"]
+        if expected is None:
+            assert run_main(capsys, argv)[0] == 0
+            return
+
+        def refuse(*args):
+            raise AssertionError("an instance ran before the budget checks")
+
+        monkeypatch.setattr(cli, "cauchy_binet_lhs", refuse)
+        assert run_main(capsys, argv) == (2, "", expected)
+
+    def test_discrete_refuses_a_later_table_at_once(self, capsys, monkeypatch):
+        # the Cauchy-Binet table of 138 x 4 is within the budget, the minor
+        # summation tables are not: no instance builds the first one
+        def refuse(*args):
+            raise AssertionError("an instance ran before the budget checks")
+
+        monkeypatch.setattr(cli, "cauchy_binet_lhs", refuse)
+        code, out, err = run_main(
+            capsys,
+            ["verify-discrete", "--rows", "138", "--cols", "4", "--instances", "1",
+             "--no-timestamp"],
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: budget exceeded: 102555735 exact products to tabulate the minors "
+            "and Pfaffians of the 138 columns, allowed 100000000\n"
+        )
 
     def test_discrete_block_check_past_the_expansion_oracle(self, capsys):
         # the block check's compression has order 2 * cols = 14, past the

@@ -652,7 +652,7 @@ class TestExactRationalInput:
         assert minor_summation_lhs(a, t) == pytest.approx(0.275, rel=1e-15)
         assert minor_summation_rhs(a, t) == pytest.approx(0.275, rel=1e-15)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(tall_fraction_pairs())
     def test_cauchy_binet_matches_expansion(self, pair):
         x, y = pair
@@ -660,7 +660,7 @@ class TestExactRationalInput:
         assert cauchy_binet_lhs(x, y) == want
         assert cauchy_binet_rhs(x, y) == want
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(skew_and_compressor())
     def test_minor_summation_matches_expansion(self, pair):
         # Pf(T A T^T)^2 = det(T A T^T), expanded over permutations

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from grid_oracles import closed_form_members, evaluate_by_kind
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from andreief.ensembles import (
     BUILTIN_ENSEMBLE_NAMES,
@@ -20,7 +23,7 @@ from andreief.ensembles import (
     weight_factorization,
 )
 from andreief.linalg import determinant, within_tolerance
-from andreief.quadrature import EMBEDDED_WEIGHTS, Domain
+from andreief.quadrature import EMBEDDED_WEIGHTS, Domain, _sample_block, gauss_rule
 
 
 def random_domain_points(domain, rng, n):
@@ -213,6 +216,136 @@ class TestWeightFactorization:
                 got = fns[j](pts) * factor * omega(pts)
                 for a, b in zip(got, want):
                     assert within_tolerance(a, b, 1e-13)
+
+
+DOMAINS = (
+    Domain.finite(0.0, 2.0),
+    Domain.finite(-1.0, 1.0),
+    Domain.half_line(),
+    Domain.real_line(),
+)
+
+# every built-in ensemble, and its parameters where they change the formulas
+BUILTIN_VARIANTS = [(name, {}) for name in BUILTIN_ENSEMBLE_NAMES] + [
+    ("muttalib-borodin", {"theta": 0.5}),
+    ("shifted-gue", {"shifts": (0.0, 0.3, -0.2, 0.5, 1.0, -1.0)}),
+    ("laguerre-product", {"nu": 0}),
+    ("laguerre-product", {"nu": 3}),
+]
+
+
+def sample_points(domain, seed=7):
+    """The domain's Gauss nodes, and a 2-D block of Monte Carlo samples
+    drawn as monte_carlo_nd draws them."""
+    block = _sample_block(np.random.default_rng(seed), domain, (400, 3))
+    return gauss_rule(domain, 24).nodes, block
+
+
+def assert_relative(got, want, rel):
+    # relative down to the smallest normal number: Gauss nodes far out on
+    # the half line take values into the subnormal range
+    assert np.all(np.abs(got - want) <= rel * np.abs(want) + np.finfo(float).tiny)
+
+
+@st.composite
+def families_on_domains(draw):
+    """A random family of any kind with random parameters, and a domain
+    that may or may not be legal for it."""
+    size = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(
+        ["monomial", "gaussian", "laguerre", "stretched_monomial",
+         "shifted_gaussian", "laguerre_meijer"]
+    ))
+    floats = st.floats(0.25, 4.0)
+    scales = draw(st.none() | st.lists(floats, min_size=size, max_size=size))
+    if kind == "gaussian":
+        fam = FunctionFamily(size, "weighted_monomial", weight=Weight("gaussian"), scales=scales)
+    elif kind == "laguerre":
+        c = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0))
+        fam = FunctionFamily(size, "weighted_monomial", weight=Weight("laguerre", c), scales=scales)
+    elif kind == "stretched_monomial":
+        fam = FunctionFamily(size, kind, theta=draw(st.floats(0.1, 3.0)), scales=scales)
+    elif kind == "shifted_gaussian":
+        shifts = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+        fam = FunctionFamily(size, kind, shifts=shifts, scales=scales)
+    elif kind == "laguerre_meijer":
+        fam = FunctionFamily(size, kind, nu=draw(st.integers(0, 3)), scales=scales)
+    else:
+        fam = FunctionFamily(size, kind, scales=scales)
+    return fam, draw(st.sampled_from(DOMAINS))
+
+
+class TestMemberForm:
+    """Every kind is one form x**p_j * exp(-q x^2 + l_j x), and dividing by
+    the embedded weight shifts q or l_j.  Against the kind-by-kind formulas
+    of grid_oracles the members keep their bits, and the absorption
+    decision is the closed-form table."""
+
+    @pytest.mark.parametrize("name, params", BUILTIN_VARIANTS)
+    def test_builtin_members_keep_their_bits(self, name, params):
+        spec = build_ensemble(name, 6, **params)
+        families = (spec.left, spec.right)
+        (left_fns, right_fns), point_factor = weight_factorization(families, spec.domain)
+        closed = [closed_form_members(fam, spec.domain) for fam in families]
+        absorbed = sum(fns is not None for fns in closed)
+        assert point_factor is (EMBEDDED_WEIGHTS[spec.domain.kind] if absorbed == 2 else None)
+        for x in sample_points(spec.domain):
+            for fam, fns, closed_fns in zip(families, (left_fns, right_fns), closed):
+                for j in range(fam.size):
+                    raw = evaluate_by_kind(fam, j, x)
+                    assert np.array_equal(evaluate(fam, j, x), raw)
+                    want = raw if closed_fns is None else closed_fns[j](x)
+                    assert np.array_equal(fns[j](x), want)
+                if x.ndim == 1:
+                    want = np.stack([evaluate_by_kind(fam, j, x) for j in range(fam.size)])
+                    assert np.array_equal(family_matrix(fam, x), want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(families_on_domains())
+    def test_absorbed_member_times_weight_is_the_member(self, case):
+        fam, domain = case
+        try:
+            ensure_family_legal(fam, domain)
+        except ValueError:
+            with pytest.raises(ValueError, match="only legal"):
+                weight_factorization((fam,), domain)
+            return
+        closed = closed_form_members(fam, domain)
+        if closed is None and not domain.is_finite:
+            for families in ((fam,), (fam, fam)):
+                with pytest.raises(ValueError, match="diverges"):
+                    weight_factorization(families, domain)
+            return
+        (fns,), point_factor = weight_factorization((fam,), domain)
+        assert point_factor is None
+        _, pair_factor = weight_factorization((fam, fam), domain)
+        assert pair_factor is (None if closed is None else EMBEDDED_WEIGHTS[domain.kind])
+        omega = OMEGA[domain.kind] if closed is not None else np.ones_like
+        for x in sample_points(domain):
+            for j in range(fam.size):
+                raw = evaluate(fam, j, x)
+                assert_relative(raw, evaluate_by_kind(fam, j, x), 1e-13)
+                assert_relative(fns[j](x) * omega(x), raw, 1e-13)
+                if closed is not None:
+                    assert_relative(fns[j](x), closed[j](x), 1e-13)
+
+    def test_zero_shift_on_the_real_line_is_a_constant_member(self):
+        fam = FunctionFamily(2, "shifted_gaussian", shifts=(0.0, 0.5), scales=(3.0, 1.0))
+        (fns,), _ = weight_factorization((fam,), Domain.real_line())
+        x = np.array([[-1.0, 0.0], [0.5, 2.0]])
+        assert np.array_equal(fns[0](x), np.full(x.shape, 3.0))
+
+    def test_only_raw_members_check_positivity(self):
+        x = np.array([-1.0, 1.0])
+        for fam in (
+            FunctionFamily(2, "laguerre_meijer", nu=1),
+            FunctionFamily(2, "stretched_monomial", theta=1.5),
+        ):
+            with pytest.raises(ValueError, match="must be positive"):
+                family_matrix(fam, x)
+        lag = FunctionFamily(2, "laguerre_meijer", nu=1)
+        (fns,), _ = weight_factorization((lag,), Domain.half_line())
+        assert np.array_equal(fns[1](x), x**2)
 
 
 class TestKernels:

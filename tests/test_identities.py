@@ -354,20 +354,17 @@ class TestDeBruijn:
         with pytest.raises(ValueError, match="does not match"):
             debruijn_rhs(MONO4, DIFFERENCE, UNIT, 8, 2)
 
-    def test_size_gate_and_force(self, caplog):
+    def test_grid_budget_bounds_six_variables(self, monkeypatch):
+        # no size gate: 2n = 6 runs on a small grid, and the grid budget
+        # refuses a large one before any point is evaluated
         fam = FunctionFamily(6, "monomial")
-        with pytest.raises(BudgetError, match="force=True"):
-            debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 3, 6)
-        with caplog.at_level(logging.INFO, logger="andreief"):
-            lhs = debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 3, 6, force=True)
-        assert "evaluation count: 729" in caplog.messages
-        rhs = debruijn_rhs(fam, DIFFERENCE, UNIT, 3, 6)
-        assert within_tolerance(lhs, rhs, 1e-10)
-
-    def test_gate_logs_nothing_to_stdout(self, capsys):
-        fam = FunctionFamily(6, "monomial")
-        debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 2, 6, force=True)
-        assert capsys.readouterr() == ("", "")
+        lhs = debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 3, 6)
+        assert within_tolerance(lhs, debruijn_rhs(fam, DIFFERENCE, UNIT, 3, 6), 1e-10)
+        monkeypatch.setattr(quadrature, "_grid_chunk_sum", None)
+        with pytest.raises(
+            BudgetError, match="grid requires 4096000000 evaluations, allowed 100000000"
+        ):
+            debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 40, 6)
 
     @pytest.mark.parametrize(
         "engine", [debruijn_lhs_quadrature, debruijn_rhs], ids=["lhs", "rhs"]

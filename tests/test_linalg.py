@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from andreief import linalg
 from andreief.linalg import (
     EXPANSION_LIMIT,
     SkewMatrix,
@@ -264,6 +265,26 @@ class TestBatchRoutines:
     def test_pfaffian_batch_odd_rejected(self):
         with pytest.raises(ValueError, match="even order"):
             pfaffian_batch(np.zeros((4, 3, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("n", [0, 2, 4, 6])
+    def test_complex_stacks_rejected(self, n, dtype):
+        # a cast to float would keep the real part and drop the rest
+        skew = np.triu(np.ones((n, n)), 1)
+        stack = ((skew - skew.T) * 1j).astype(dtype)[None]
+        name = np.dtype(dtype).name
+        for kernel in (determinant_batch, pfaffian_batch):
+            with pytest.raises(ValueError, match=f"real input required, got dtype {name}"):
+                kernel(stack)
+        for scalar in (determinant, pfaffian):
+            with pytest.raises(ValueError, match=name):
+                scalar(stack[0])
+
+    def test_float_stacks_are_not_copied(self):
+        stack = np.random.default_rng(5).standard_normal((4, 3, 3)).transpose(0, 2, 1)
+        assert linalg._as_float(stack) is stack
+        ints = np.arange(8).reshape(2, 2, 2)
+        assert linalg._as_float(ints).dtype == np.float64
 
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
