@@ -8,8 +8,12 @@ Four computations share this module:
   Gram matrix of pairwise integrals, F^T W Phi on the node tables;
 * the 2n-fold integral of det[f_j(x_k)] Pf[h(x_j, x_k)] / (2n)! against the
   Pfaffian of the matrix of double integrals of f_j(x) h(x, y) f_k(y); the
-  left side sums the tensor grid of a Gauss rule from tables of the family
-  values f_j(x_k) and kernel values h(x_a, x_b), computed once per node;
+  left side sums the tensor grid of a Gauss rule from tables built once
+  per call: the kernel values h(x_a, x_b) per node pair, and the n x n
+  minors of the family values f_j(x_k) per ordered n-tuple of nodes, so a
+  grid point's determinant is a dot product of two table rows (Laplace
+  expansion along its first n coordinates) and its Pfaffian stack is
+  filled from the strict-upper kernel entries;
 * the finite-interval covariance-style gap (b-a) int fg - int f int g and
   its double-integral form, which is non-negative for co-monotone pairs;
 * the bundled pass/fail report combining the routes above.
@@ -25,6 +29,7 @@ the nodes, and discrete.discretized_andreief reads the same tables.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -58,6 +63,7 @@ from .quadrature import (
     MCEstimate,
     _check_finite,
     gauss_rule,
+    grid_size,
     integrate_1d,
     integrate_nd,
     monte_carlo_nd,
@@ -334,6 +340,38 @@ def debruijn_rhs(
     return pfaffian(skew_symmetrize(b))
 
 
+def _half_minor_tables(values: np.ndarray, half: int):
+    """(minors, cofactors) tables of the half-size minors of a (2n, N)
+    family table values[j, k] = f_j(x_k), with n = half.
+
+    Row u of either table is one ordered n-tuple of nodes, numbered in
+    row-major order over (N,) * n, and column s is the s-th row subset S
+    of size n in itertools.combinations order.  minors[u, s] =
+    det[f_j(x_{u_k})]_{j in S, k < n}, and cofactors[u, s] =
+    eps_S * minors[u, S'] with S' the complement of S and
+    eps_S = (-1)^(sum S + n(n-1)/2) (0-based).  Laplace expansion along
+    the first n columns then gives, for a grid point t = (u, v),
+
+        det[f_j(x_{t_k})] = sum_s minors[u, s] * cofactors[v, s].
+
+    One determinant_batch call per subset, on an (N**n, n, n) stack, so the
+    temporaries stay at one stack.  Both tables are read-only.
+    """
+    two_n, n_nodes = values.shape
+    tuples = np.stack(np.unravel_index(np.arange(n_nodes**half), (n_nodes,) * half))
+    row_sets = list(itertools.combinations(range(two_n), half))
+    minors = np.empty((tuples.shape[1], len(row_sets)))
+    for s, rows in enumerate(row_sets):
+        stack = np.take(values[list(rows)], tuples, axis=1)  # (n, n, N**n)
+        minors[:, s] = determinant_batch(stack.transpose(2, 0, 1))
+    # complementing reverses lexicographic order, so S' is column C - 1 - s
+    signs = [(-1.0) ** (sum(rows) + half * (half - 1) // 2) for rows in row_sets]
+    cofactors = minors[:, ::-1] * np.array(signs)
+    minors.setflags(write=False)
+    cofactors.setflags(write=False)
+    return minors, cofactors
+
+
 def debruijn_lhs_quadrature(
     left: FunctionFamily,
     kernel: KernelFunction,
@@ -347,21 +385,50 @@ def debruijn_lhs_quadrature(
 
     Every grid point is a tuple of the rule's nodes, so the family values
     F[k, j] = f_j(x_k) and the kernel values H[a, b] = h(x_a, x_b) are
-    computed, and checked finite, once per node and node pair; each grid
-    chunk gathers its det and Pf stacks from those tables.  The gathers are
-    entry-major ((J, 2n, P) and (2n, 2n, P) arrays, handed over as their
-    (P, n, n) transposes), the layout the batched kernels read without a
-    copy.
+    computed, and checked finite, once per node and node pair.  The
+    determinant comes from half-tuple minor tables (_half_minor_tables):
+    a grid point t = (u, v), u its first n coordinates and v its last n,
+    has det = sum_S eps_S D_S(u) D_S'(v) over the C(2n, n) row subsets S,
+    so each grid chunk gathers two table rows per point and takes their
+    dot product, with no per-point elimination.  The Pfaffian stack is
+    filled from the n(2n-1) strict-upper kernel entries per point; its
+    lower triangle is their negation and its diagonal zero, which is what
+    the antisymmetrized table holds bit for bit.
+
+    The grid budget is checked before the minor tables are built.  A grid
+    point that repeats a node has two equal columns and det 0, so fewer
+    nodes than 2n give the exact value 0.0, as fewer nodes than N do for
+    andreief_lhs_quadrature.  Otherwise the budget puts 2n <= 8 and
+    N**n <= 10**4, so either table has at most 10**4 * C(8, 4) entries.
     """
     _check_debruijn_size(two_n, left.size)
     rule, _, (values,) = _node_measure((left,), domain, n_nodes)
-    values = np.ascontiguousarray(values.T)
-    table = _kernel_table(kernel.antisymmetrized(), rule.nodes)
+    table = _kernel_table(kernel.antisymmetrized(), rule.nodes).ravel()
+    grid_size(n_nodes, two_n)
+    if n_nodes < two_n:
+        return 0.0
+    half = two_n // 2
+    minors, cofactors = _half_minor_tables(np.ascontiguousarray(values.T), half)
+    halves = (n_nodes,) * half
 
     def integrand(index: np.ndarray) -> np.ndarray:
         rows = index.T  # (2n, P)
-        dets = determinant_batch(np.take(values, rows, axis=1).transpose(2, 0, 1))
-        kernels = table[rows[:, None, :], rows[None, :, :]]
+        # The row gathers die before the Pfaffian stack is allocated: held
+        # alongside it, a chunk's temporaries went past the allocator's trim
+        # threshold, and a 2n = 4 left side on 24 nodes took 26,000 page
+        # faults per call instead of 8.
+        dets = np.einsum(
+            "ps,ps->p",
+            np.take(minors, np.ravel_multi_index(rows[:half], halves), axis=0),
+            np.take(cofactors, np.ravel_multi_index(rows[half:], halves), axis=0),
+        )
+        kernels = np.empty((two_n, two_n, rows.shape[1]))
+        for j in range(two_n):
+            kernels[j, j] = 0.0
+            for k in range(j + 1, two_n):
+                np.take(table, rows[j] * n_nodes + rows[k], out=kernels[j, k])
+                # 0 - h, not -h: a repeated node's +0.0 stays +0.0
+                np.subtract(0.0, kernels[j, k], out=kernels[k, j])
         return dets * pfaffian_batch(kernels.transpose(2, 0, 1))
 
     raw = integrate_nd(rule, two_n, integrand)

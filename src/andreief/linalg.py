@@ -53,10 +53,15 @@ EXPANSION_LIMIT = 9
 _LOCKSTEP_MAX_ORDER = 5
 
 # Matrices eliminated at once by a lockstep LU or Parlett-Reid.  Temporaries
-# scale with this count (about 0.7 MB for the LU at order 4) and one call
-# runs per pool thread, so it bounds their peak memory: eliminating a whole
-# 8192-point grid chunk at once put the tensor benchmark's peak RSS at
-# 45.2-46.1 MB, two blocks of 4096 at 43.5-44.0 MB (LAPACK: 44.9-45.7 MB).
+# scale with this count (about 0.7 MB for the LU at order 4), so it bounds
+# their peak memory per call.  The stacks that still reach the LU's orders
+# 4-5 are the float subset sums of andreief.discrete (up to _SUBSET_BLOCK
+# subsets, on the calling thread), Monte Carlo blocks at N = 4-5 (8192 rows,
+# one call per pool thread) and the de Bruijn minor tables at 2n = 8; the
+# de Bruijn grid itself no longer eliminates per point.  The count was set
+# on that grid: eliminating a whole 8192-point chunk at once put the tensor
+# benchmark's peak RSS at 45.2-46.1 MB, two blocks of 4096 at 43.5-44.0 MB
+# (LAPACK: 44.9-45.7 MB).
 _LOCKSTEP_BLOCK = 4096
 
 
@@ -114,8 +119,11 @@ def determinant_batch(stack) -> np.ndarray:
       and 13.3-15.0 ms, lockstep 3.2-4.1 and 6.0-6.7 ms.
     * 6 and up: LAPACK's row-pivoted LU (``numpy.linalg.det``).  Alone,
       the lockstep ties with it at orders 6-7 and is 15% slower at 8; it
-      still leads at 6-7 with two threads.  No stack of order 6 or more is
-      on a hot path, so the cutoff stays at 5.
+      still leads at 6-7 with two threads.  The hot stacks are of order
+      5 at most: the float subset sums of andreief.discrete (the
+      Andreief quadrature left side) and Monte Carlo blocks, since the de
+      Bruijn grid reads half-size minor tables instead of eliminating
+      each point.  So the cutoff stays at 5.
 
     A pivot that underflows to zero gives 0.0 without a divide-by-zero
     warning.  A complex stack raises ValueError.

@@ -52,6 +52,7 @@ __all__ = [
     "MCEstimate",
     "QuadratureRule",
     "gauss_rule",
+    "grid_size",
     "integrate_1d",
     "integrate_nd",
     "monte_carlo_nd",
@@ -327,6 +328,20 @@ def _grid_chunk_sum(rule: QuadratureRule, dim: int, f, start: int, stop: int) ->
     return float(np.dot(wprod, values))
 
 
+def grid_size(n_nodes: int, dim: int) -> int:
+    """Point count n_nodes**dim of the dim-fold grid of an n_nodes rule;
+    BudgetError when it exceeds DEFAULT_EVAL_BUDGET.  integrate_nd refuses
+    by it, and a caller that builds tables for a grid can refuse by it
+    before building them."""
+    total_evals = n_nodes**dim
+    if total_evals > DEFAULT_EVAL_BUDGET:
+        raise BudgetError(
+            f"budget exceeded: grid requires {total_evals} evaluations, "
+            f"allowed {DEFAULT_EVAL_BUDGET}"
+        )
+    return total_evals
+
+
 def integrate_nd(rule: QuadratureRule, dim: int, f) -> float:
     """Full tensor-product sum of f over the dim-fold grid of the rule.
 
@@ -344,12 +359,7 @@ def integrate_nd(rule: QuadratureRule, dim: int, f) -> float:
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    total_evals = rule.n_nodes**dim
-    if total_evals > DEFAULT_EVAL_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: grid requires {total_evals} evaluations, "
-            f"allowed {DEFAULT_EVAL_BUDGET}"
-        )
+    total_evals = grid_size(rule.n_nodes, dim)
     partials = _run_blocks(
         lambda start: _grid_chunk_sum(
             rule, dim, f, start, min(start + _GRID_CHUNK, total_evals)

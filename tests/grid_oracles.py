@@ -62,17 +62,21 @@ def andreief_lhs_permutation_oracle(spec, n_nodes=12):
     return math.factorial(n) * integrate_nd(rule, n, point_integrand(rule, integrand))
 
 
-def debruijn_lhs_point_grid(left, kernel, domain, n_nodes, two_n):
+def debruijn_lhs_point_grid(left, kernel, domain, n_nodes, two_n, absolute=False):
     """The de Bruijn left side with the family and the kernel evaluated at
     every grid point: the tensor sum of det[f_j(x_k)] Pf[h(x_j, x_k)],
-    divided by (2n)!."""
+    divided by (2n)!.  absolute=True sums |det Pf| instead, the scale of
+    the sum's rounding error."""
     rule = gauss_rule(domain, n_nodes)
     (fns,), _ = weight_factorization((left,), domain)
     h = kernel.antisymmetrized()
+    reduce = np.abs if absolute else (lambda v: v)
 
     def integrand(points):
         kernels = np.asarray(h(points[:, :, None], points[:, None, :]), dtype=float)
-        return determinant_batch(_value_stack(fns, points)) * pfaffian_batch(kernels)
+        return reduce(
+            determinant_batch(_value_stack(fns, points)) * pfaffian_batch(kernels)
+        )
 
     raw = integrate_nd(rule, two_n, point_integrand(rule, integrand))
     return raw / math.factorial(two_n)

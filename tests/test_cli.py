@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from andreief import cli, discrete
+from andreief import cli, discrete, identities
 from andreief.cli import (
     CHEBYSHEV_FUNCTIONS,
     RunConfig,
@@ -239,6 +239,21 @@ class TestExitCodes:
         code, out, err = run_main(capsys, ["verify-debruijn", "--n", "6"])
         assert (code, out) == (2, "")
         assert "budget exceeded: grid requires 4096000000 evaluations" in err
+
+    @pytest.mark.parametrize("two_n, points", [(6, 4096000000), (8, 6553600000000)])
+    def test_debruijn_grid_refusal_builds_no_table(self, capsys, monkeypatch, two_n, points):
+        # the grid budget refuses before the half-size minor tables, whose
+        # first determinant_batch call would raise here
+        def no_tables(stack):
+            raise AssertionError("a minor table was built before the budget check")
+
+        monkeypatch.setattr(identities, "determinant_batch", no_tables)
+        code, out, err = run_main(capsys, ["verify-debruijn", "--n", str(two_n)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: budget exceeded: grid requires {points} evaluations, "
+            "allowed 100000000\n"
+        )
 
     def test_unknown_config_key_is_two(self, capsys, tmp_path):
         path = tmp_path / "run.json"

@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from andreief.ensembles import (
     BUILTIN_ENSEMBLE_NAMES,
@@ -34,7 +37,7 @@ from andreief.identities import (
     mc_agrees,
     verify_andreief,
 )
-from andreief.linalg import relative_gap, within_tolerance
+from andreief.linalg import determinant_batch, relative_gap, within_tolerance
 from andreief import quadrature
 from andreief.quadrature import BudgetError, Domain, gauss_rule, integrate_nd
 from grid_oracles import (
@@ -582,6 +585,99 @@ class TestDeBruijnNodeTables:
                 )
             )
         assert values[1:] == values[:-1]
+
+
+@st.composite
+def half_tables_and_points(draw, min_half=1):
+    """A random (2n, N) family table and a few grid points on its N nodes."""
+    half = draw(st.integers(min_half, 3))
+    n_nodes = draw(st.integers(1, 5))
+    values = draw(
+        arrays(float, (2 * half, n_nodes), elements=st.floats(-4.0, 4.0, width=64))
+    )
+    points = draw(
+        arrays(np.intp, (6, 2 * half), elements=st.integers(0, n_nodes - 1))
+    )
+    return values, points
+
+
+def half_table_dets(values, points):
+    """sum_S eps_S D_S(u) D_S'(v) at each grid point t = (u, v), read from
+    the half-tuple minor tables of values."""
+    half = points.shape[1] // 2
+    halves = (values.shape[1],) * half
+    minors, cofactors = identities._half_minor_tables(values, half)
+    u = np.ravel_multi_index(points[:, :half].T, halves)
+    v = np.ravel_multi_index(points[:, half:].T, halves)
+    return np.einsum("ps,ps->p", minors[u], cofactors[v])
+
+
+class TestHalfMinorTables:
+    """The de Bruijn left side reads each grid point's determinant from
+    tables of half-size minors (Laplace expansion along the first n
+    columns) instead of eliminating the 2n x 2n matrix per point."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(half_tables_and_points())
+    def test_laplace_sum_is_the_determinant(self, case):
+        values, points = case
+        got = half_table_dets(values, points)
+        matrices = values[:, points].transpose(1, 0, 2)  # [p, j, k] = f_j(x_{t_k})
+        want = determinant_batch(matrices)
+        hadamard = np.prod(np.linalg.norm(matrices, axis=1), axis=1)
+        assert np.all(np.abs(got - want) <= 1e-12 * hadamard)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(half_tables_and_points(min_half=2), st.data())
+    def test_node_repeated_in_one_half_gives_exact_zero(self, case, data):
+        values, points = case
+        half = points.shape[1] // 2
+        start = data.draw(st.sampled_from([0, half]))
+        points = points.copy()
+        points[:, start + 1] = points[:, start]
+        assert np.all(half_table_dets(values, points) == 0.0)
+
+    def test_fewer_nodes_than_variables_give_exact_zero(self, monkeypatch):
+        # every grid point repeats a node; no table is built and no point
+        # is summed
+        monkeypatch.setattr(identities, "determinant_batch", None)
+        monkeypatch.setattr(identities, "integrate_nd", None)
+        spec = build_ensemble("legendre-monomial", 8)
+        assert debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 7, 8) == 0.0
+
+    def test_tables_are_read_only(self):
+        minors, cofactors = identities._half_minor_tables(np.ones((4, 3)), 2)
+        assert minors.shape == cofactors.shape == (9, 6)
+        assert not minors.flags.writeable and not cofactors.flags.writeable
+
+    @pytest.mark.parametrize("kernel", ["sign", "difference"])
+    @pytest.mark.parametrize("two_n, n_nodes", [(2, 10), (4, 10), (6, 6)])
+    @pytest.mark.parametrize("name", DEBRUIJN_ENSEMBLES)
+    def test_within_term_scale_of_point_grid(self, name, two_n, n_nodes, kernel):
+        # the difference kernel has rank 2, so its sum at 2n >= 4 is all
+        # rounding: the bound is the sum of the absolute terms
+        spec = build_ensemble(name, two_n)
+        args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes, two_n)
+        got = debruijn_lhs_quadrature(*args)
+        want = debruijn_lhs_point_grid(*args)
+        scale = debruijn_lhs_point_grid(*args, absolute=True)
+        assert abs(got - want) <= 1e-12 * scale
+
+    def test_integrand_is_row_wise(self, monkeypatch):
+        # integrate_nd may hand the integrand any row slice of a chunk
+        captured = {}
+
+        def capture(rule, dim, f):
+            captured["f"] = f
+            return 0.0
+
+        monkeypatch.setattr(identities, "integrate_nd", capture)
+        spec = build_ensemble("legendre-monomial", 6)
+        debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 6, 6)
+        index = np.stack(np.unravel_index(np.arange(6**6), (6,) * 6)).T
+        whole = captured["f"](index)
+        for start, stop in [(0, 1), (7, 8), (100, 357), (6**6 - 3, 6**6)]:
+            assert np.array_equal(captured["f"](index[start:stop]), whole[start:stop])
 
 
 class TestNodeMeasure:
