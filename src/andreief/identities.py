@@ -10,10 +10,13 @@ Four computations share this module:
   Pfaffian of the matrix of double integrals of f_j(x) h(x, y) f_k(y); the
   left side sums the tensor grid of a Gauss rule from tables built once
   per call: the kernel values h(x_a, x_b) per node pair, and the n x n
-  minors of the family values f_j(x_k) per ordered n-tuple of nodes, so a
+  minors of the family values f_j(x_k) per ordered n-tuple of nodes.  A
   grid point's determinant is a dot product of two table rows (Laplace
-  expansion along its first n coordinates) and its Pfaffian stack is
-  filled from the strict-upper kernel entries;
+  expansion along its first n coordinates), and since integrate_nd hands
+  the integrand consecutive runs of the grid on the calling thread, a
+  run's determinants are one small product of the two tables and its
+  Pfaffian stack is filled by broadcasting kernel-table rows into one
+  buffer reused from run to run;
 * the finite-interval covariance-style gap (b-a) int fg - int f int g and
   its double-integral form, which is non-negative for co-monotone pairs;
 * the bundled pass/fail report combining the routes above.
@@ -43,6 +46,7 @@ from .ensembles import (
     FunctionFamily,
     KernelFunction,
     NodeMeasure,
+    _form,
     _node_matrix,
     weight_factorization,
 )
@@ -55,6 +59,7 @@ from .linalg import (
     skew_symmetrize,
 )
 from .quadrature import (
+    _GRID_CHUNK,
     DEFAULT_EVAL_BUDGET,
     DEFAULT_NODES_1D,
     DEFAULT_NODES_TENSOR,
@@ -372,6 +377,88 @@ def _half_minor_tables(values: np.ndarray, half: int):
     return minors, cofactors
 
 
+def _debruijn_runs(minors, cofactors, table: np.ndarray, half: int) -> Callable:
+    """The de Bruijn grid integrand det * Pf on consecutive runs of the
+    row-major grid, read from the half-minor tables and the (N, N) kernel
+    table.
+
+    A grid point t = (u, v) has flat number u * H + v, with H = N**n the
+    count of half tuples, so a run is a stretch of rows u of an (H, H)
+    array.  The rows are taken G at a time, G = max(1, _GRID_CHUNK // H),
+    in fixed groups: a group's determinants are one product
+    minors[group] @ cofactors^T (Laplace expansion of each point's own
+    matrix), and its strict-upper kernel entries are written into one
+    (2n, 2n, G * H) buffer per call, pairs within one half from per-call
+    tables and cross pairs from a gather of kernel-table rows.  The lower
+    triangle (0 - h, so a repeated node's +0.0 stays +0.0) and the
+    Pfaffians are taken on the run's part of the group only.  A group is
+    kept while consecutive runs read it.  Every point's value comes from
+    its own group whatever run asks for it, so any split of the grid into
+    runs gives the same values, bit for bit.
+
+    The buffer makes the integrand stateful: integrate_nd calls it once per
+    tile, in grid order, on the calling thread.  A block that is not a
+    consecutive run raises ValueError; a run of any length is accepted.
+    """
+    n_nodes = table.shape[0]
+    two_n, rows = 2 * half, minors.shape[0]
+    group = max(1, _GRID_CHUNK // rows)
+    tuples = np.unravel_index(np.arange(rows), (n_nodes,) * half)
+    within = {
+        pair: table[tuples[pair[0]], tuples[pair[1]]]
+        for pair in itertools.combinations(range(half), 2)
+    }
+    pairs = list(itertools.combinations(range(two_n), 2))
+    kernels = np.zeros((two_n, two_n, group * rows))  # the diagonal stays 0
+    dets = np.empty(group * rows)
+    held = None  # first row of the group in the buffers
+
+    def fill(start: int) -> None:
+        nonlocal held
+        stop = min(start + group, rows)
+        shape = (stop - start, rows)
+        size = shape[0] * rows
+        np.matmul(minors[start:stop], cofactors.T, out=dets[:size].reshape(shape))
+        for j, k in pairs:
+            out = kernels[j, k, :size].reshape(shape)
+            if k < half:
+                out[...] = within[j, k][start:stop, None]
+            elif j >= half:
+                out[...] = within[j - half, k - half]
+            else:
+                # h(x_{u_j}, x_{v_c}): row u_j of the table, read at digit c of v
+                c = k - half
+                grid = out.reshape(shape[0], n_nodes**c, n_nodes, -1)
+                grid[...] = table[tuples[j][start:stop]][:, None, :, None]
+        held = start
+
+    def integrand(index: np.ndarray) -> np.ndarray:
+        count = index.shape[0]
+        first, last = np.ravel_multi_index(index[[0, -1]].T, (n_nodes,) * two_n)
+        if last - first != count - 1:
+            raise ValueError(
+                f"de Bruijn integrand needs a consecutive run of grid points: "
+                f"{count} rows span flat numbers {first} to {last}"
+            )
+        values = np.empty(count)
+        at, end = int(first), int(first) + count
+        while at < end:
+            start = at // rows // group * group
+            if held != start:
+                fill(start)
+            stop = min(end, (start + group) * rows)
+            part = slice(at - start * rows, stop - start * rows)
+            for j, k in pairs:
+                np.subtract(0.0, kernels[j, k, part], out=kernels[k, j, part])
+            values[at - first : stop - first] = dets[part] * pfaffian_batch(
+                kernels[:, :, part].transpose(2, 0, 1)
+            )
+            at = stop
+        return values
+
+    return integrand
+
+
 def debruijn_lhs_quadrature(
     left: FunctionFamily,
     kernel: KernelFunction,
@@ -388,12 +475,11 @@ def debruijn_lhs_quadrature(
     computed, and checked finite, once per node and node pair.  The
     determinant comes from half-tuple minor tables (_half_minor_tables):
     a grid point t = (u, v), u its first n coordinates and v its last n,
-    has det = sum_S eps_S D_S(u) D_S'(v) over the C(2n, n) row subsets S,
-    so each grid chunk gathers two table rows per point and takes their
-    dot product, with no per-point elimination.  The Pfaffian stack is
-    filled from the n(2n-1) strict-upper kernel entries per point; its
-    lower triangle is their negation and its diagonal zero, which is what
-    the antisymmetrized table holds bit for bit.
+    has det = sum_S eps_S D_S(u) D_S'(v) over the C(2n, n) row subsets S.
+    integrate_nd hands the integrand (_debruijn_runs) consecutive runs of
+    the grid, so a run's determinants are slices of small products of the
+    two tables, and its Pfaffian stack is filled from the kernel table by
+    broadcasting, with no per-point gather or elimination.
 
     The grid budget is checked before the minor tables are built.  A grid
     point that repeats a node has two equal columns and det 0, so fewer
@@ -403,36 +489,14 @@ def debruijn_lhs_quadrature(
     """
     _check_debruijn_size(two_n, left.size)
     rule, _, (values,) = _node_measure((left,), domain, n_nodes)
-    table = _kernel_table(kernel.antisymmetrized(), rule.nodes).ravel()
+    table = _kernel_table(kernel.antisymmetrized(), rule.nodes)
     grid_size(n_nodes, two_n)
     if n_nodes < two_n:
         return 0.0
     half = two_n // 2
     minors, cofactors = _half_minor_tables(np.ascontiguousarray(values.T), half)
-    halves = (n_nodes,) * half
-
-    def integrand(index: np.ndarray) -> np.ndarray:
-        rows = index.T  # (2n, P)
-        # The row gathers die before the Pfaffian stack is allocated: held
-        # alongside it, a chunk's temporaries went past the allocator's trim
-        # threshold, and a 2n = 4 left side on 24 nodes took 26,000 page
-        # faults per call instead of 8.
-        dets = np.einsum(
-            "ps,ps->p",
-            np.take(minors, np.ravel_multi_index(rows[:half], halves), axis=0),
-            np.take(cofactors, np.ravel_multi_index(rows[half:], halves), axis=0),
-        )
-        kernels = np.empty((two_n, two_n, rows.shape[1]))
-        for j in range(two_n):
-            kernels[j, j] = 0.0
-            for k in range(j + 1, two_n):
-                np.take(table, rows[j] * n_nodes + rows[k], out=kernels[j, k])
-                # 0 - h, not -h: a repeated node's +0.0 stays +0.0
-                np.subtract(0.0, kernels[j, k], out=kernels[k, j])
-        return dets * pfaffian_batch(kernels.transpose(2, 0, 1))
-
-    raw = integrate_nd(rule, two_n, integrand)
-    return raw / _factorial(two_n)
+    integrand = _debruijn_runs(minors, cofactors, table, half)
+    return integrate_nd(rule, two_n, integrand) / _factorial(two_n)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +537,17 @@ def chebyshev_gap(
 # bundled verification
 
 
+def _non_integer_powers(spec: EnsembleSpec) -> list:
+    """The non-integer powers p of x in the members of either family, when
+    the domain reaches x = 0, where x**p is not smooth."""
+    if spec.domain.kind == "real_line" or (
+        spec.domain.kind == "finite" and spec.domain.a > 0
+    ):
+        return []
+    powers = (p for f in (spec.left, spec.right) for p in _form(f)[0])
+    return sorted({p for p in powers if p is not None and not float(p).is_integer()})
+
+
 def verify_andreief(
     spec: EnsembleSpec, config: VerifyConfig | None = None
 ) -> IdentityReport:
@@ -483,6 +558,15 @@ def verify_andreief(
     gaps in the report, never as a silent adjustment.
     """
     cfg = config if config is not None else VerifyConfig()
+    powers = _non_integer_powers(spec)
+    if powers:
+        _LOG.warning(
+            "%s has non-integer powers of x (%s) at the edge x = 0 of %s: the "
+            "Gauss rules then converge only algebraically, and the %d-node "
+            "tensor side and the %d-node Gram side may disagree",
+            spec.name, ", ".join(f"x**{p:g}" for p in powers), spec.domain,
+            DEFAULT_NODES_TENSOR, cfg.n_nodes_1d,
+        )
     rhs = andreief_rhs(gram_matrix(spec, cfg.n_nodes_1d))
     lhs = andreief_lhs_quadrature(spec, DEFAULT_NODES_TENSOR)
     abs_gap = abs(lhs - rhs)

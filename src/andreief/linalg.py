@@ -53,15 +53,17 @@ EXPANSION_LIMIT = 9
 _LOCKSTEP_MAX_ORDER = 5
 
 # Matrices eliminated at once by a lockstep LU or Parlett-Reid.  Temporaries
-# scale with this count (about 0.7 MB for the LU at order 4), so it bounds
-# their peak memory per call.  The stacks that still reach the LU's orders
-# 4-5 are the float subset sums of andreief.discrete (up to _SUBSET_BLOCK
-# subsets, on the calling thread), Monte Carlo blocks at N = 4-5 (8192 rows,
-# one call per pool thread) and the de Bruijn minor tables at 2n = 8; the
-# de Bruijn grid itself no longer eliminates per point.  The count was set
-# on that grid: eliminating a whole 8192-point chunk at once put the tensor
-# benchmark's peak RSS at 45.2-46.1 MB, two blocks of 4096 at 43.5-44.0 MB
-# (LAPACK: 44.9-45.7 MB).
+# scale with this count (about 0.7 MB for the LU at order 4, 1.2 MB for the
+# Parlett-Reid copy at order 6), so it bounds their peak memory per call.
+# The stacks that still reach the LU's orders 4-5 are the float subset sums
+# of andreief.discrete (up to _SUBSET_BLOCK subsets, on the calling thread),
+# Monte Carlo blocks at N = 4-5 (8192 rows, one call per pool thread) and
+# the de Bruijn minor tables at 2n = 8; the de Bruijn grid eliminates no
+# determinant per point.  Its Pfaffians reach the Parlett-Reid from 2n = 6,
+# up to 8192 per row tile, on the calling thread.  The count was set when
+# the grid still took per-point LU determinants: eliminating a whole
+# 8192-point chunk at once put the tensor benchmark's peak RSS at
+# 45.2-46.1 MB, two blocks of 4096 at 43.5-44.0 MB (LAPACK: 44.9-45.7 MB).
 _LOCKSTEP_BLOCK = 4096
 
 

@@ -19,17 +19,20 @@ evaluating its functions at all n**dim points.  Monte Carlo integrands map
 a (P, dim) block of sample points to a (P,) value array.  Scalar returns
 are broadcast.
 
-Every nd integrand must be row-wise: row i of its values depends on row i
-of its input only.  The integrators call it on row slices of at most
-_EVAL_ROWS rows, so the arrays it makes stay cache-sized, and a slice
-gives the same values as the whole block would.
+Monte Carlo integrands must be row-wise: row i of their values depends
+on row i of their input only.  monte_carlo_nd calls them on row slices of
+at most _EVAL_ROWS rows, so the arrays they make stay cache-sized, and a
+slice gives the same values as the whole block would.
 
-The multidimensional integrators cut their work into fixed blocks (grid
-chunks, sample blocks) and evaluate up to one block per CPU at once on a
-thread pool, so an integrand may run on several threads at once and must
-not mutate shared state.  Samples are drawn on the calling thread from one
-generator, in block order, and partial results are reduced in block order,
-so a result does not depend on the number of CPUs, bit for bit.
+integrate_nd sums the grid one row tile at a time, in grid order, on the
+calling thread: each call of a grid integrand gets a consecutive run of
+at most _GRID_CHUNK grid points, so it may read its tables by runs and
+keep scratch space from one call to the next.  Only monte_carlo_nd uses
+the thread pool: it evaluates up to one sample block per CPU at once, so a
+Monte Carlo integrand may run on several threads at once and must not
+mutate shared state.  Samples are drawn on the calling thread from one
+generator, in block order, and partial results are reduced in block
+order.  So neither result depends on the number of CPUs, bit for bit.
 """
 
 from __future__ import annotations
@@ -62,16 +65,18 @@ DEFAULT_EVAL_BUDGET = 10**8
 DEFAULT_NODES_1D = 40
 DEFAULT_NODES_TENSOR = 12
 
-# Grid points / samples handled per block.  Fixed, so the reduction order
-# (and hence the float result) is the same on every run and every CPU count.
+# Most grid points in a row tile, and samples in a Monte Carlo block.
+# Fixed, so the reduction order (and hence the float result) is the same
+# on every run and every CPU count.
 _GRID_CHUNK = 1 << 13
 _MC_CHUNK = 1 << 17
 
-# Most rows an nd integrand is called on at once; a grid chunk is one call.
+# Most rows a Monte Carlo integrand is called on at once, as many as a
+# grid integrand gets in one row tile.
 _EVAL_ROWS = _GRID_CHUNK
 
-# Blocks evaluated at once, and so the most blocks in memory at once: one
-# per CPU this process may run on.
+# Monte Carlo blocks evaluated at once, and so the most blocks in memory
+# at once: one per CPU this process may run on.
 _WORKERS = (
     len(os.sched_getaffinity(0))
     if hasattr(os, "sched_getaffinity")
@@ -316,18 +321,6 @@ def _block_values(f, block: np.ndarray, points) -> np.ndarray:
     return values
 
 
-def _grid_chunk_sum(rule: QuadratureRule, dim: int, f, start: int, stop: int) -> float:
-    shape = (rule.n_nodes,) * dim
-    # (P, dim) view of a (dim, P) array: index.T, one row per coordinate,
-    # is contiguous for integrands that gather per coordinate
-    index = np.stack(np.unravel_index(np.arange(start, stop), shape)).T
-    values = _block_values(f, index, lambda: rule.nodes[index])
-    wprod = np.ones(stop - start)
-    for coordinate in index.T:
-        wprod *= rule.weights[coordinate]
-    return float(np.dot(wprod, values))
-
-
 def grid_size(n_nodes: int, dim: int) -> int:
     """Point count n_nodes**dim of the dim-fold grid of an n_nodes rule;
     BudgetError when it exceeds DEFAULT_EVAL_BUDGET.  integrate_nd refuses
@@ -342,6 +335,42 @@ def grid_size(n_nodes: int, dim: int) -> int:
     return total_evals
 
 
+def _grid_tiles(rule: QuadratureRule, dim: int):
+    """(index, weights) of each row tile of the dim-fold grid, in grid order.
+
+    A tile is some consecutive tuples of the leading dim - b coordinates
+    times the whole block of the last b, with b the largest such that
+    n**b <= _GRID_CHUNK, so it is a consecutive run of at most _GRID_CHUNK
+    grid points.  The trailing block's index rows and weight products are
+    built once, a tile's weights are outer(leading, trailing), and every
+    tile's (P, dim) index is a view of one buffer: valid until the next
+    tile is drawn.
+    """
+    n, weights = rule.n_nodes, rule.weights
+    inner_dim = 0
+    while inner_dim < dim and n ** (inner_dim + 1) <= _GRID_CHUNK:
+        inner_dim += 1
+    lead_dim, inner = dim - inner_dim, n**inner_dim
+    leads = n**lead_dim
+    per_tile = min(_GRID_CHUNK // inner, leads)
+    # one row per coordinate, so index.T gathers contiguously per coordinate
+    index = np.empty((dim, per_tile * inner), dtype=np.intp)
+    inner_weights = np.ones(inner)
+    for c in range(inner_dim):
+        coordinate = np.arange(inner) // n ** (inner_dim - 1 - c) % n
+        index[lead_dim + c].reshape(per_tile, inner)[...] = coordinate
+        inner_weights *= weights[coordinate]
+    for start in range(0, leads, per_tile):
+        count = min(per_tile, leads - start)
+        block = index[:, : count * inner]
+        lead_weights = np.ones(count)
+        for c in range(lead_dim):
+            coordinate = np.arange(start, start + count) // n ** (lead_dim - 1 - c) % n
+            block[c].reshape(count, inner)[...] = coordinate[:, None]
+            lead_weights *= weights[coordinate]
+        yield block.T, np.multiply.outer(lead_weights, inner_weights).ravel()
+
+
 def integrate_nd(rule: QuadratureRule, dim: int, f) -> float:
     """Full tensor-product sum of f over the dim-fold grid of the rule.
 
@@ -352,21 +381,22 @@ def integrate_nd(rule: QuadratureRule, dim: int, f) -> float:
     integrand g becomes ``lambda index: g(rule.nodes[index])``.  A
     non-finite value is reported with its point's coordinates.  The same
     embedded-weight contract as integrate_1d applies to every coordinate.
-    Grid chunks of _GRID_CHUNK points are evaluated on up to _WORKERS
-    threads at once, so f may run concurrently and must not mutate shared
-    state; their partial sums are reduced in chunk order, so the result is
-    bit-reproducible for a given configuration on any number of CPUs.
+
+    f is called once per row tile (_grid_tiles), in grid order, on the
+    calling thread, with a consecutive run of at most _GRID_CHUNK grid
+    points; the block it receives is valid only during the call.  So a grid
+    integrand may keep per-call scratch space and reuse it from tile to
+    tile.  Tile sums are added in grid order, so the result is the same on
+    every run and every CPU count, bit for bit.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    total_evals = grid_size(rule.n_nodes, dim)
-    partials = _run_blocks(
-        lambda start: _grid_chunk_sum(
-            rule, dim, f, start, min(start + _GRID_CHUNK, total_evals)
-        ),
-        range(0, total_evals, _GRID_CHUNK),
-    )
-    return float(sum(partials))
+    grid_size(rule.n_nodes, dim)
+    total = 0.0
+    for index, weights in _grid_tiles(rule, dim):
+        values = _block_values(f, index, lambda: rule.nodes[index])
+        total += float(np.dot(weights, values))
+    return total
 
 
 def _sample_block(rng, domain: Domain, shape):

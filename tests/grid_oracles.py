@@ -19,6 +19,10 @@ out kind by kind, as the package had them before every kind became one
 form x**p_j * exp(-q x^2 + l_j x): the raw members, and the members
 divided by the domain's embedded weight where a closed form exists (None
 where it does not, which is the absorption table).
+
+integrate_nd_by_chunks is the grid sum as the package had it before row
+tiles: fixed chunks of flat grid numbers, each chunk's index rebuilt with
+np.unravel_index and its weights multiplied coordinate by coordinate.
 """
 
 import itertools
@@ -31,6 +35,25 @@ from andreief.ensembles import weight_factorization
 from andreief.identities import _value_stack
 from andreief.linalg import PIVOT_FLOOR, _expand_pfaffian, determinant_batch, pfaffian_batch
 from andreief.quadrature import gauss_rule, integrate_1d, integrate_nd
+
+
+def integrate_nd_by_chunks(rule, dim, f, chunk=1 << 13, absolute=False):
+    """The dim-fold grid sum of f in chunks of `chunk` flat grid numbers;
+    with absolute=True the sum of |w * f| instead, a scale for rounding."""
+    total_points = rule.n_nodes**dim
+    total = 0.0
+    for start in range(0, total_points, chunk):
+        flat = np.arange(start, min(start + chunk, total_points))
+        index = np.stack(np.unravel_index(flat, (rule.n_nodes,) * dim)).T
+        values = np.asarray(f(index), dtype=float)
+        weights = np.ones(flat.size)
+        for coordinate in index.T:
+            weights *= rule.weights[coordinate]
+        if absolute:
+            total += float(np.sum(np.abs(weights * values)))
+        else:
+            total += float(np.dot(weights, values))
+    return total
 
 
 def point_integrand(rule, g):

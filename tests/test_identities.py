@@ -1,5 +1,6 @@
 """Tests for the determinant- and Pfaffian-identity engines."""
 
+import functools
 import logging
 import math
 from dataclasses import replace
@@ -363,7 +364,7 @@ class TestDeBruijn:
         fam = FunctionFamily(6, "monomial")
         lhs = debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 3, 6)
         assert within_tolerance(lhs, debruijn_rhs(fam, DIFFERENCE, UNIT, 3, 6), 1e-10)
-        monkeypatch.setattr(quadrature, "_grid_chunk_sum", None)
+        monkeypatch.setattr(quadrature, "_grid_tiles", None)
         with pytest.raises(
             BudgetError, match="grid requires 4096000000 evaluations, allowed 100000000"
         ):
@@ -516,6 +517,36 @@ class TestVerifyAndreief:
         assert report.passed
         assert report.rel_gap <= 1e-9
 
+    @pytest.mark.parametrize(
+        "params, powers",
+        [({"theta": 0.5}, "x**0.5"), ({"theta": 1.5}, "x**1.5"),
+         ({"c": 0.5}, "x**0.5, x**1.5")],
+    )
+    def test_non_integer_powers_warn_once(self, caplog, params, powers):
+        # Gauss-Laguerre converges only algebraically on x**p with p not an
+        # integer, and the two sides use 12 and 40 nodes; the verdict and
+        # the report stay as they were
+        spec = build_ensemble("muttalib-borodin", 2, **params)
+        with caplog.at_level(logging.WARNING, logger="andreief"):
+            report = verify_andreief(spec)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        message = caplog.messages[0]
+        assert f"non-integer powers of x ({powers})" in message
+        assert "converge only algebraically" in message
+        assert "12-node tensor side and the 40-node Gram side" in message
+        assert report.passed == (report.rel_gap <= report.metadata["tolerance"])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [build_ensemble("muttalib-borodin", 3, theta=2.0, c=1.0), UNIFORM2, GUE2,
+         replace(build_ensemble("muttalib-borodin", 2, theta=0.5), domain=Domain.finite(0.5, 2.0))],
+        ids=["integer-powers", "uniform", "gue", "away-from-zero"],
+    )
+    def test_integer_or_smooth_powers_do_not_warn(self, caplog, spec):
+        with caplog.at_level(logging.WARNING, logger="andreief"):
+            verify_andreief(spec)
+        assert caplog.records == []
+
     def test_metadata_complete(self):
         report = verify_andreief(UNIFORM2)
         for key in (
@@ -612,6 +643,15 @@ def half_table_dets(values, points):
     return np.einsum("ps,ps->p", minors[u], cofactors[v])
 
 
+@functools.cache
+def point_grid_and_scale(name, two_n, n_nodes, kernel):
+    """debruijn_lhs_point_grid of a built-in ensemble, and its sum of
+    |w * det * Pf|, computed once per case."""
+    spec = build_ensemble(name, two_n)
+    args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes, two_n)
+    return debruijn_lhs_point_grid(*args), debruijn_lhs_point_grid(*args, absolute=True)
+
+
 class TestHalfMinorTables:
     """The de Bruijn left side reads each grid point's determinant from
     tables of half-size minors (Laplace expansion along the first n
@@ -659,12 +699,13 @@ class TestHalfMinorTables:
         spec = build_ensemble(name, two_n)
         args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes, two_n)
         got = debruijn_lhs_quadrature(*args)
-        want = debruijn_lhs_point_grid(*args)
-        scale = debruijn_lhs_point_grid(*args, absolute=True)
+        want, scale = point_grid_and_scale(name, two_n, n_nodes, kernel)
         assert abs(got - want) <= 1e-12 * scale
 
-    def test_integrand_is_row_wise(self, monkeypatch):
-        # integrate_nd may hand the integrand any row slice of a chunk
+    @staticmethod
+    def _integrand_and_grid(monkeypatch, two_n, n_nodes):
+        """The integrand the left side hands integrate_nd, and the whole
+        grid's (P, 2n) index block."""
         captured = {}
 
         def capture(rule, dim, f):
@@ -672,12 +713,40 @@ class TestHalfMinorTables:
             return 0.0
 
         monkeypatch.setattr(identities, "integrate_nd", capture)
-        spec = build_ensemble("legendre-monomial", 6)
-        debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 6, 6)
-        index = np.stack(np.unravel_index(np.arange(6**6), (6,) * 6)).T
-        whole = captured["f"](index)
-        for start, stop in [(0, 1), (7, 8), (100, 357), (6**6 - 3, 6**6)]:
-            assert np.array_equal(captured["f"](index[start:stop]), whole[start:stop])
+        spec = build_ensemble("legendre-monomial", two_n)
+        debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, n_nodes, two_n)
+        shape = (n_nodes,) * two_n
+        return captured["f"], np.stack(np.unravel_index(np.arange(n_nodes**two_n), shape)).T
+
+    def test_integrand_is_row_wise(self, monkeypatch):
+        # any consecutive run, including the whole grid (longer than the
+        # integrand's buffer) and runs that cross its row groups or come
+        # out of grid order, gives the whole grid's values bit for bit
+        f, index = self._integrand_and_grid(monkeypatch, 6, 6)
+        whole = f(index)
+        # 6**3 = 216 half tuples, so a row is 216 points and a group 37 rows
+        runs = [(0, 1), (7, 8), (100, 357), (7990, 8000), (6**6 - 3, 6**6),
+                (215, 8209), (0, 6**6 - 1), (5, 9)]
+        for start, stop in runs:
+            assert np.array_equal(f(index[start:stop]), whole[start:stop])
+
+    def test_block_that_is_not_a_run_raises(self, monkeypatch):
+        f, index = self._integrand_and_grid(monkeypatch, 4, 5)
+        for rows in ([0, 2], [3, 2], [0, 1, 1], [4, 3, 2, 1]):
+            with pytest.raises(ValueError, match="consecutive run"):
+                f(index[rows])
+
+    @pytest.mark.parametrize("kernel", DEBRUIJN_KERNELS)
+    @pytest.mark.parametrize("two_n, n_nodes, chunk", [(2, 10, 7), (4, 10, 7), (6, 6, 200)])
+    @pytest.mark.parametrize("name", DEBRUIJN_ENSEMBLES)
+    def test_runs_that_stop_mid_row(self, monkeypatch, name, two_n, n_nodes, chunk, kernel):
+        # tiles of 7 points, or of 180 on the 216-point rows at 2n = 6,
+        # start and stop inside the integrand's rows and row groups
+        spec = build_ensemble(name, two_n)
+        args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes, two_n)
+        want, scale = point_grid_and_scale(name, two_n, n_nodes, kernel)
+        monkeypatch.setattr(quadrature, "_GRID_CHUNK", chunk)
+        assert abs(debruijn_lhs_quadrature(*args) - want) <= 1e-12 * scale
 
 
 class TestNodeMeasure:

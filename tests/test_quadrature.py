@@ -27,7 +27,7 @@ from andreief.quadrature import (
     integrate_nd,
     monte_carlo_nd,
 )
-from grid_oracles import point_integrand
+from grid_oracles import integrate_nd_by_chunks, point_integrand
 
 UNIT = Domain.finite(0.0, 1.0)
 SYM = Domain.finite(-1.0, 1.0)
@@ -287,6 +287,65 @@ class TestIntegrateND:
         assert within_tolerance(val, (0.5) ** 4, 1e-13)
 
 
+class TestGridTiles:
+    """integrate_nd sums the grid one row tile at a time on the calling
+    thread: consecutive runs of at most _GRID_CHUNK points, in grid order."""
+
+    # (dim, nodes): with the chunk patched to 1, 7, 64 and 8192 these give
+    # one-point tiles, n > _GRID_CHUNK (no trailing block), partial last
+    # tiles and the whole grid in one tile
+    SHAPES = [(1, 9), (2, 9), (3, 5), (4, 4), (5, 3), (6, 3)]
+    CHUNKS = [1, 7, 64, 8192]
+
+    @staticmethod
+    def _integrand(rule, dim):
+        weights = np.arange(1, dim + 1)
+        return point_integrand(
+            rule, lambda p: np.cos(p @ weights) + p[:, 0] * p[:, -1] ** 2
+        )
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("dim, n", SHAPES)
+    def test_matches_the_chunked_sum(self, monkeypatch, dim, n, chunk):
+        rule = gauss_rule(SYM, n)
+        f = self._integrand(rule, dim)
+        want = integrate_nd_by_chunks(rule, dim, f)
+        scale = integrate_nd_by_chunks(rule, dim, f, absolute=True)
+        monkeypatch.setattr(quadrature, "_GRID_CHUNK", chunk)
+        assert abs(integrate_nd(rule, dim, f) - want) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("dim, n", SHAPES)
+    def test_calls_are_consecutive_runs_in_grid_order(self, monkeypatch, dim, n, chunk):
+        monkeypatch.setattr(quadrature, "_GRID_CHUNK", chunk)
+        rule = gauss_rule(SYM, n)
+        caller_threads = threading.active_count()
+        blocks, threads = [], []
+
+        def f(index):
+            blocks.append(index.copy())
+            threads.append(threading.active_count())
+            return np.ones(index.shape[0])
+
+        integrate_nd(rule, dim, f)
+        flat = [np.ravel_multi_index(block.T, (n,) * dim) for block in blocks]
+        # every point once, in grid order: so each call is a consecutive
+        # run, and the calls come in grid order
+        assert np.array_equal(np.concatenate(flat), np.arange(n**dim))
+        assert all(len(run) <= chunk for run in flat)
+        assert threads == [caller_threads] * len(blocks)
+
+    def test_whole_tiles_of_leading_tuples(self, monkeypatch):
+        # 9**2 = 81 <= 200 < 9**3: tiles are 2 leading tuples times the
+        # last two coordinates, and the last tile holds the one left over
+        monkeypatch.setattr(quadrature, "_GRID_CHUNK", 200)
+        sizes = []
+        integrate_nd(
+            gauss_rule(UNIT, 9), 3, lambda i: sizes.append(len(i)) or np.ones(len(i))
+        )
+        assert sizes == [162] * 4 + [81]
+
+
 class TestMonteCarlo:
     def test_constant_has_zero_error(self):
         est = monte_carlo_nd(UNIT, 3, lambda p: np.ones(p.shape[0]), 1000, seed=1)
@@ -369,7 +428,8 @@ def _flat_grid(n):
 
 
 class TestWorkers:
-    """Blocks run on a pool of _WORKERS threads; results must not depend on it."""
+    """Monte Carlo blocks run on a pool of _WORKERS threads, grid tiles on
+    the calling thread; no result may depend on the worker count."""
 
     WORKER_COUNTS = (1, 2, 3)
 
