@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +75,50 @@ CHEBYSHEV_FUNCTIONS = {
     "cos": np.cos,
 }
 
-_INT_KEYS = {"size", "n_nodes", "mc_samples", "seed", "nu", "rows", "cols", "instances"}
-_FLOAT_KEYS = {"tolerance", "theta", "c", "a", "b"}
+
+class Setting(NamedTuple):
+    """One run setting: its flags, value type (bool for an on-switch),
+    default, help text and allowed values.  Its name is its config-file
+    key."""
+
+    flags: tuple
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
+
+
+# every run setting, in --help order
+SETTINGS = {
+    "ensemble": Setting(("--ensemble",), str, "uniform-monomial", "built-in ensemble name"),
+    "size": Setting(("--n", "--size"), int, 2, "number of functions N"),
+    "theta": Setting(("--theta",), float, 2.0, "stretching exponent"),
+    "c": Setting(("--c",), float, 0.0, "Laguerre weight exponent"),
+    "nu": Setting(("--nu",), int, 1, "product-kernel offset"),
+    "shifts": Setting(("--shifts",), str, None, "comma-separated shift list"),
+    "kernel": Setting(("--kernel",), str, "difference", "antisymmetric kernel name (verify-debruijn)"),
+    "rows": Setting(("--rows",), int, 4, "row count M (verify-discrete)"),
+    "cols": Setting(("--cols",), int, 3, "column count N (verify-discrete)"),
+    "instances": Setting(("--instances",), int, 25, "random instances (verify-discrete)"),
+    "f": Setting(("--f",), str, "x", "first function name (verify-chebyshev)"),
+    "g": Setting(("--g",), str, "x^2", "second function name (verify-chebyshev)"),
+    "a": Setting(("--a",), float, 0.0, "interval start (verify-chebyshev)"),
+    "b": Setting(("--b",), float, 1.0, "interval end (verify-chebyshev)"),
+    "n_nodes": Setting(("--n-nodes",), int, DEFAULT_NODES_1D, "1-D quadrature nodes"),
+    "mc_samples": Setting(("--mc-samples",), int, 0, "Monte Carlo samples (0 disables)"),
+    "seed": Setting(("--seed",), int, DEFAULT_SEED, "random seed"),
+    "tolerance": Setting(("--tolerance",), float, DEFAULT_TOLERANCE, "relative pass tolerance"),
+    "output_path": Setting(("--output",), str, None, "report file (default stdout)"),
+    "format": Setting(("--format",), str, "json", "report format", ("json", "csv")),
+    "no_timestamp": Setting(("--no-timestamp",), bool, False, "omit the timestamp field"),
+}
+
+# the command-specific settings each command reports as its extras
+EXTRAS = {
+    "verify-debruijn": ("kernel",),
+    "verify-discrete": ("rows", "cols", "instances"),
+    "verify-chebyshev": ("f", "g", "a", "b"),
+}
 
 
 class UsageError(ValueError):
@@ -109,14 +152,14 @@ class RunConfig:
     command: str
     ensemble: EnsembleSpec
     ensemble_params: dict
-    n_nodes: int = DEFAULT_NODES_1D
-    mc_samples: int = 0
-    seed: int = DEFAULT_SEED
-    tolerance: float = DEFAULT_TOLERANCE
-    output_path: str | None = None
-    format: str = "json"
+    n_nodes: int = SETTINGS["n_nodes"].default
+    mc_samples: int = SETTINGS["mc_samples"].default
+    seed: int = SETTINGS["seed"].default
+    tolerance: float = SETTINGS["tolerance"].default
+    output_path: str | None = SETTINGS["output_path"].default
+    format: str = SETTINGS["format"].default
     extras: dict | None = None
-    timestamp: bool = True
+    timestamp: bool = not SETTINGS["no_timestamp"].default
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -129,7 +172,7 @@ class RunConfig:
             raise UsageError("mc_samples must be non-negative")
         if self.n_nodes < 1:
             raise UsageError("n_nodes must be at least 1")
-        if self.format not in ("json", "csv"):
+        if self.format not in SETTINGS["format"].choices:
             raise UsageError(f"unknown format {self.format!r}; choose json or csv")
         if self.extras is None:
             object.__setattr__(self, "extras", {})
@@ -150,37 +193,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON file with flat key-value settings")
-    parser.add_argument("--ensemble", help="built-in ensemble name")
-    parser.add_argument("--n", "--size", dest="size", type=int, help="number of functions N")
-    parser.add_argument("--theta", type=float, help="stretching exponent")
-    parser.add_argument("--c", type=float, help="Laguerre weight exponent")
-    parser.add_argument("--nu", type=int, help="product-kernel offset")
-    parser.add_argument("--shifts", help="comma-separated shift list")
-    parser.add_argument("--kernel", help="antisymmetric kernel name (verify-debruijn)")
-    parser.add_argument("--rows", type=int, help="row count M (verify-discrete)")
-    parser.add_argument("--cols", type=int, help="column count N (verify-discrete)")
-    parser.add_argument("--instances", type=int, help="random instances (verify-discrete)")
-    parser.add_argument("--f", help="first function name (verify-chebyshev)")
-    parser.add_argument("--g", help="second function name (verify-chebyshev)")
-    parser.add_argument("--a", type=float, help="interval start (verify-chebyshev)")
-    parser.add_argument("--b", type=float, help="interval end (verify-chebyshev)")
-    parser.add_argument("--n-nodes", dest="n_nodes", type=int, help="1-D quadrature nodes")
-    parser.add_argument("--mc-samples", dest="mc_samples", type=int, help="Monte Carlo samples (0 disables)")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--tolerance", type=float, help="relative pass tolerance")
-    parser.add_argument("--output", dest="output_path", help="report file (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), help="report format")
-    parser.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
+    for name, setting in SETTINGS.items():
+        # a switch defaults to None, not False, so that an absent one defers to the file
+        kind = ({"action": "store_true", "default": None} if setting.type is bool
+                else {"type": setting.type, "choices": setting.choices})
+        parser.add_argument(*setting.flags, dest=name, help=setting.help, **kind)
     return parser
 
 
 def _coerce(key: str, value):
+    kind = SETTINGS[key].type if key in SETTINGS else None
     try:
-        if key in _INT_KEYS:
+        if kind is int:
             if isinstance(value, bool) or not float(value) == int(value):
                 raise ValueError
             return int(value)
-        if key in _FLOAT_KEYS:
+        if kind is float:
             return float(value)
     except (TypeError, ValueError):
         raise UsageError(f"invalid value for {key!r}: {value!r}") from None
@@ -203,8 +231,7 @@ def _load_config_text(text: str) -> dict:
         raise UsageError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError("config must be a flat JSON object")
-    settings = {action.dest for action in build_parser()._actions}
-    unknown = sorted(set(raw) - (settings - {"help", "config"}))
+    unknown = sorted(set(raw) - set(SETTINGS) - {"command"})
     if unknown:
         raise UsageError("unknown config key(s): " + ", ".join(map(repr, unknown)))
     return {key: _coerce(key, value) for key, value in raw.items()}
@@ -242,85 +269,52 @@ def parse_config(source) -> RunConfig:
     """Resolve a RunConfig from CLI argv tokens or JSON config text.
 
     A list is parsed as flags (with --config merged underneath them); a
-    string is parsed as the config text itself.  All defaults are applied
-    here, so the result is fully resolved.
+    string is parsed as the config text itself.  Every setting takes its
+    flag, else its config value, else its SETTINGS default, so the result
+    is fully resolved.
     """
     if isinstance(source, str):
         file_values = _load_config_text(source)
-        flags = argparse.Namespace(**{a.dest: None for a in build_parser()._actions})
+        flags = {}
         command = file_values.get("command")
         if command is None:
             raise UsageError("config must name a command")
     else:
-        flags = build_parser().parse_args(_join_function_names(list(source)))
-        file_values = _load_config_file(flags.config) if flags.config else {}
-        command = flags.command
+        parsed = build_parser().parse_args(_join_function_names(list(source)))
+        file_values = _load_config_file(parsed.config) if parsed.config else {}
+        command = parsed.command
+        flags = vars(parsed)
 
-    def pick(key, default, flag_name=None):
-        flag_value = getattr(flags, flag_name or key, None)
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    name = pick("ensemble", "uniform-monomial")
-    size = pick("size", 2)
-    shifts = _parse_shifts(pick("shifts", None))
-    ensemble = build_ensemble(
-        name,
-        size,
-        theta=pick("theta", 2.0),
-        c=pick("c", 0.0),
-        shifts=shifts,
-        nu=pick("nu", 1),
-    )
-    ensemble_params = {
-        "name": name,
-        "size": size,
-        "theta": pick("theta", 2.0),
-        "c": pick("c", 0.0),
-        "shifts": None if shifts is None else list(shifts),
-        "nu": pick("nu", 1),
+    values = {
+        name: flags[name] if flags.get(name) is not None else file_values.get(name, setting.default)
+        for name, setting in SETTINGS.items()
     }
 
-    extras: dict = {}
-    if command == "verify-debruijn":
-        extras["kernel"] = pick("kernel", "difference")
-    elif command == "verify-discrete":
-        extras["rows"] = pick("rows", 4)
-        extras["cols"] = pick("cols", 3)
-        extras["instances"] = pick("instances", 25)
-        if extras["instances"] < 1:
-            raise UsageError("instances must be at least 1")
-    elif command == "verify-chebyshev":
-        for key, default in (("f", "x"), ("g", "x^2")):
-            chosen = pick(key, default)
-            if chosen not in CHEBYSHEV_FUNCTIONS:
-                raise UsageError(
-                    f"unknown function {chosen!r} for {key!r}; choose from: "
-                    + ", ".join(sorted(CHEBYSHEV_FUNCTIONS))
-                )
-            extras[key] = chosen
-        extras["a"] = pick("a", 0.0)
-        extras["b"] = pick("b", 1.0)
+    values["shifts"] = _parse_shifts(values["shifts"])
+    ensemble_params = {"name": values["ensemble"],
+                       **{k: values[k] for k in ("size", "theta", "c", "shifts", "nu")}}
+    ensemble = build_ensemble(**ensemble_params)
+    if ensemble_params["shifts"] is not None:
+        ensemble_params["shifts"] = list(ensemble_params["shifts"])
+
+    extras = {key: values[key] for key in EXTRAS.get(command, ())}
+    if extras.get("instances", 1) < 1:
+        raise UsageError("instances must be at least 1")
+    for key in ("f", "g"):
+        if key in extras and extras[key] not in CHEBYSHEV_FUNCTIONS:
+            raise UsageError(
+                f"unknown function {extras[key]!r} for {key!r}; choose from: "
+                + ", ".join(sorted(CHEBYSHEV_FUNCTIONS))
+            )
 
     return RunConfig(
         command=command,
         ensemble=ensemble,
         ensemble_params=ensemble_params,
-        n_nodes=pick("n_nodes", DEFAULT_NODES_1D),
-        mc_samples=pick("mc_samples", 0),
-        seed=pick("seed", DEFAULT_SEED),
-        tolerance=pick("tolerance", DEFAULT_TOLERANCE),
-        output_path=pick("output_path", None),
-        format=pick("format", "json"),
+        **{key: values[key] for key in ("n_nodes", "mc_samples", "seed", "tolerance",
+                                        "output_path", "format")},
         extras=extras,
-        # store_true flag: only True is informative, so merge with or
-        timestamp=not (
-            bool(getattr(flags, "no_timestamp", False))
-            or bool(file_values.get("no_timestamp", False))
-        ),
+        timestamp=not values["no_timestamp"],
     )
 
 

@@ -169,6 +169,68 @@ class TestParseConfig:
             )
 
 
+# per setting, a value other than its default and a second, different one
+SETTING_SAMPLES = {
+    "ensemble": ("gue-monomial", "legendre-monomial"),
+    "size": (3, 4),
+    "theta": (1.5, 3.0),
+    "c": (0.5, 1.0),
+    "nu": (2, 3),
+    "shifts": ("0.1,0.2", "0.3,0.4"),
+    "kernel": ("sign", "difference"),
+    "rows": (5, 6),
+    "cols": (2, 1),
+    "instances": (3, 4),
+    "f": ("exp", "cos"),
+    "g": ("-x", "x^3"),
+    "a": (-1.0, 0.5),
+    "b": (2.0, 3.0),
+    "n_nodes": (12, 20),
+    "mc_samples": (100, 200),
+    "seed": (7, 8),
+    "tolerance": (1e-6, 1e-7),
+    "output_path": ("report.txt", "other.txt"),
+    "format": ("csv", "json"),
+    "no_timestamp": (True, False),
+}
+
+
+class TestSettingsTable:
+    def test_every_setting_has_samples(self):
+        assert list(SETTING_SAMPLES) == list(cli.SETTINGS)
+
+    @pytest.mark.parametrize("name", list(cli.SETTINGS))
+    def test_flag_and_config_file_resolve_alike(self, name, tmp_path):
+        setting = cli.SETTINGS[name]
+        value, other = SETTING_SAMPLES[name]
+        command = next((c for c, keys in cli.EXTRAS.items() if name in keys), "partition")
+        path = tmp_path / "config.json"
+
+        def from_file(chosen, *flags):
+            path.write_text(json.dumps({name: chosen}), encoding="utf-8")
+            return parse_config([command, "--config", str(path), *flags])
+
+        expected = from_file(value)
+        assert expected != parse_config([command])
+        assert expected != from_file(other)
+        for flag in setting.flags:
+            tokens = [flag] if setting.type is bool else [flag, str(value)]
+            assert parse_config([command, *tokens]) == expected
+            assert from_file(other, *tokens) == expected
+
+    @pytest.mark.parametrize(
+        "name", [n for n, s in cli.SETTINGS.items() if s.type in (int, float)]
+    )
+    def test_numeric_setting_rejects_non_numeric_config(self, name):
+        with pytest.raises(UsageError, match=f"invalid value for '{name}'"):
+            parse_config(json.dumps({"command": "partition", name: "many"}))
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_extras_follow_the_table(self, command):
+        extras = parse_config([command]).extras
+        assert sorted(extras) == sorted(cli.EXTRAS.get(command, ()))
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, capsys):
         code, report, _ = run_json(

@@ -382,6 +382,16 @@ class TestDeBruijn:
         with pytest.raises(ValueError, match=r"value -inf at node \[0\.1127\d* +0\.8872"):
             engine(MONO2, blowup, UNIT, 3, 2)
 
+    @pytest.mark.parametrize(
+        "engine", [debruijn_lhs_quadrature, debruijn_rhs], ids=["lhs", "rhs"]
+    )
+    def test_finite_kernel_table_builds_no_node_pairs(self, engine, monkeypatch):
+        # the node-pair stack only names a bad entry, so a finite table skips it
+        calls = []
+        monkeypatch.setattr(identities, "_check_finite", lambda *args: calls.append(args))
+        engine(MONO2, SIGN, UNIT, 12, 2)
+        assert calls == []
+
     def test_custom_kernel_antisymmetrized(self):
         # x*y + x has antisymmetric part (x - y)/2
         custom = KernelFunction.custom(lambda x, y: x * y + x)

@@ -2,15 +2,17 @@
 
 perfbench/tracing.py wraps functions at the module attributes their
 callers look them up by, and a metric is absent when its attribute is
-gone or no call reaches it.  These tests install the tracer, read-only,
-on short job lists of each workload's commands and check that every
-per_layer name in BENCHMARK.json comes out.
+gone or no call reaches it.  These tests load perfbench/tracing.py and
+perfbench/workloads.py read-only, run one pass of each workload's own job
+list under the tracer and check that every per_layer name in
+BENCHMARK.json comes out.
 """
 
 import contextlib
 import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,31 +20,26 @@ import pytest
 from andreief import biortho, cli, discrete, ensembles, identities, linalg, quadrature
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 31
 
-_spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # registered first: dataclasses look their module up while decorating
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_perfbench("tracing")
+workloads = load_perfbench("workloads")
 
 MODULES = {"cli": cli, "identities": identities, "quadrature": quadrature,
            "linalg": linalg, "ensembles": ensembles, "discrete": discrete,
            "biortho": biortho}
-
-GRID_COMMANDS = [
-    ["verify-andreief", "--ensemble", "gue-monomial", "--n", "3"],
-    ["verify-debruijn", "--ensemble", "legendre-monomial", "--n", "2",
-     "--kernel", "sign", "--n-nodes", "8"],
-]
-
-JOBS = {
-    "tensor": GRID_COMMANDS,
-    "montecarlo": GRID_COMMANDS + [
-        ["verify-andreief", "--n", "2", "--mc-samples", "1000", "--seed", "31"],
-        ["verify-discrete", "--rows", "5", "--cols", "2", "--instances", "2"],
-        ["biorthogonalize", "--n", "3"],
-        ["partition", "--ensemble", "laguerre-product", "--n", "3"],
-        ["verify-chebyshev", "--f=exp", "--g=x"],
-    ],
-}
 
 
 def declared_layer_names() -> list:
@@ -50,15 +47,15 @@ def declared_layer_names() -> list:
     return [metric["name"] for metric in spec["per_layer"]]
 
 
-@pytest.mark.parametrize("workload", sorted(JOBS))
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_every_declared_layer_metric_is_printed(workload):
     tracer = tracing.Tracer()
     tracer.install(MODULES)
     try:
-        for i, argv in enumerate(JOBS[workload]):
-            tracer.job = f"0:{i}"
+        for i, job in enumerate(workloads.jobs(workload, SEED)):
+            tracer.job = f"0:{i}:{job.name}"
             with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv + ["--no-timestamp"]) == 0
+                assert cli.main(list(job.argv)) == 0, job.name
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer, 1, 1.0, 1.0)
