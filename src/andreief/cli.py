@@ -202,14 +202,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _coerce(key: str, value):
+    """A config-file value as its setting's type: a whole number for an
+    int, a number for a float (neither takes true or false), a JSON string
+    for a str (for shifts also a list, as _parse_shifts reads both) and
+    true or false for a switch.  Anything else is a UsageError naming the
+    key."""
     kind = SETTINGS[key].type if key in SETTINGS else None
     try:
+        if kind in (int, float) and isinstance(value, bool):
+            raise ValueError
         if kind is int:
-            if isinstance(value, bool) or not float(value) == int(value):
+            if not float(value) == int(value):
                 raise ValueError
             return int(value)
         if kind is float:
             return float(value)
+        if kind is str and not (
+            isinstance(value, str) or key == "shifts" and isinstance(value, list)
+        ):
+            raise ValueError
+        if kind is bool and not isinstance(value, bool):
+            raise ValueError
     except (TypeError, ValueError):
         raise UsageError(f"invalid value for {key!r}: {value!r}") from None
     return value
@@ -271,7 +284,8 @@ def parse_config(source) -> RunConfig:
     A list is parsed as flags (with --config merged underneath them); a
     string is parsed as the config text itself.  Every setting takes its
     flag, else its config value, else its SETTINGS default, so the result
-    is fully resolved.
+    is fully resolved.  A config file may name the command only when it
+    names the positional one.
     """
     if isinstance(source, str):
         file_values = _load_config_text(source)
@@ -283,6 +297,11 @@ def parse_config(source) -> RunConfig:
         parsed = build_parser().parse_args(_join_function_names(list(source)))
         file_values = _load_config_file(parsed.config) if parsed.config else {}
         command = parsed.command
+        if file_values.get("command", command) != command:
+            raise UsageError(
+                f"config command {file_values['command']!r} differs from the "
+                f"command {command!r}"
+            )
         flags = vars(parsed)
 
     values = {

@@ -420,22 +420,44 @@ def minor_summation_lhs(a, t):
     return total
 
 
+def _largest(a: np.ndarray) -> int:
+    """max |a| as a Python int (0 for an empty array), without the
+    overflow of np.abs on the most negative int64."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _exact_compression(entries: np.ndarray, ta: np.ndarray) -> np.ndarray:
+    """T A T^T on exact input.  Every entry of T A and T A T^T is a sum of
+    at most M^2 terms of magnitude at most max|T|^2 max|A|, so when both
+    arrays are integer-typed and M^2 max|T|^2 max|A| < 2^63 the product is
+    formed in int64; otherwise in object arithmetic."""
+    m = entries.shape[0]
+    if (
+        entries.dtype.kind in "iu" and ta.dtype.kind in "iu"
+        and m * m * _largest(ta) ** 2 * _largest(entries) < 2**63
+    ):
+        t64 = ta.astype(np.int64)
+        return t64 @ entries.astype(np.int64) @ t64.T
+    to = ta.astype(object)
+    return to @ entries.astype(object) @ to.T
+
+
 def minor_summation_rhs(a, t):
     """Pfaffian of T A T^T, the N x N antisymmetric compression of A by T.
 
     Same shape rules as minor_summation_lhs; integer input gives an exact
     integer result, Fraction input an exact Fraction: the one full-order
     entry of the Pfaffian table of T A T^T, whose products are bounded by
-    DEFAULT_EVAL_BUDGET.
+    DEFAULT_EVAL_BUDGET (T A T^T by _exact_compression).
     """
     entries, ta, div = _compression(a, t)
     if ta.shape[0] == 0:
         return 1.0 if div is None else 1
     if div is not None:
-        order, to = ta.shape[0], ta.astype(object)
+        order = ta.shape[0]
         _check_table_budget("compression", order, order)
-        compressed = _PfaffianTable(to @ entries.astype(object) @ to.T)
-        return _table_sum(order, order, [compressed], np.sum)
+        exact = _exact_compression(entries, ta).astype(object)
+        return _table_sum(order, order, [_PfaffianTable(exact)], np.sum)
     compressed = ta @ entries @ ta.T
     # exact antisymmetry holds in exact arithmetic; strip the float noise
     return pfaffian((compressed - compressed.T) / 2.0)
@@ -455,8 +477,12 @@ def block_reclaims_cauchy_binet(x, y) -> tuple:
     xa, ya = _as_rect(x, "x"), _as_rect(y, "y")
     _check_tall(xa, ya)
     m, n = xa.shape
-    # exact input gives object blocks, anything else float ones
-    dtype = object if _exact_division(xa, ya) is not None else float
+    # integer input gives int64 blocks, other exact input object ones, and
+    # anything else float ones
+    if all(v.dtype.kind in "iu" and np.can_cast(v.dtype, np.int64) for v in (xa, ya)):
+        dtype = np.int64
+    else:
+        dtype = object if _exact_division(xa, ya) is not None else float
     a = np.kron([[0, 1], [-1, 0]], np.eye(m, dtype=int)).astype(dtype)
     zero = np.zeros((n, m), dtype=int)
     t = np.block([[xa.T, zero], [zero, ya.T]]).astype(dtype)

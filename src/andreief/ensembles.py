@@ -178,14 +178,21 @@ def _absorbed(form: tuple, domain: Domain) -> tuple | None:
     return None
 
 
+def _positive_check(family: FunctionFamily, form: tuple | None) -> str | None:
+    """The kind named by the x > 0 check of the family's members in a
+    form: only the family's own form (form None) checks, and only for the
+    _POSITIVE_X_KINDS."""
+    return family.kind if form is None and family.kind in _POSITIVE_X_KINDS else None
+
+
 def _member(family: FunctionFamily, j: int, form: tuple | None = None) -> Callable:
     """Callable for member j of a form of the family, by default its own:
     scale_j * x**power * exp(-q x^2 + l x), leaving out a zero term, a zero
-    exponent and a power of None.  Only the family's own form checks x > 0,
-    for the _POSITIVE_X_KINDS."""
+    exponent and a power of None, after the x > 0 check of
+    _positive_check."""
     powers, q, linear = _form(family) if form is None else form
     power, l, scale = powers[j], linear[j], family.scale_of(j)
-    positive_kind = family.kind if form is None and family.kind in _POSITIVE_X_KINDS else None
+    positive_kind = _positive_check(family, form)
 
     def member(x):
         x = np.asarray(x, dtype=float)
@@ -234,6 +241,11 @@ def weight_factorization(
     domains).  With no family absorbing there is nothing that decays, so
     the integral diverges and a ValueError says so.  A single family
     therefore never carries a point factor: it is None or the call raises.
+
+    Two families whose reductions agree (the same reduced form, scales and
+    x > 0 check) get one member list object, so a caller evaluates it
+    once: uniform-monomial's x^j twice, gue-monomial's x^j e^{-x^2}
+    reduced to x^j against x^j.
     """
     if not 1 <= len(families) <= 2:
         raise ValueError(f"expected one or two families, got {len(families)}")
@@ -241,6 +253,13 @@ def weight_factorization(
         ensure_family_legal(family, domain)
     absorbed = [_absorbed(_form(family), domain) for family in families]
     member_fns = [_members(family, form) for family, form in zip(families, absorbed)]
+    reductions = [
+        (form or _form(family), tuple(map(family.scale_of, range(family.size))),
+         _positive_check(family, form))
+        for family, form in zip(families, absorbed)
+    ]
+    if len(families) == 2 and reductions[0] == reductions[1]:
+        member_fns[1] = member_fns[0]
     power = len(families) - absorbed.count(None) - 1
     if power == 0 or domain.kind == "finite":
         return member_fns, None
@@ -287,10 +306,12 @@ class NodeMeasure:
 
     def tables(self, families) -> tuple[np.ndarray, list[np.ndarray]]:
         """(W, [F, ...]), one table per family with F[k, j] = f_j(x_k), all
-        checked finite.  A Gauss measure reduces the families against the
-        domain's embedded weight (weight_factorization) and folds the
-        point factor into W[k] = w_k * point_factor(x_k); a point measure
-        evaluates them as they are, with W its unit weights."""
+        checked finite and read-only.  A Gauss measure reduces the families
+        against the domain's embedded weight (weight_factorization) and
+        folds the point factor into W[k] = w_k * point_factor(x_k); a point
+        measure evaluates them as they are, with W its unit weights.  One
+        table is built per distinct member list, so two families that
+        share one get the same table object."""
         if self.domain is None:
             member_fns, point_factor = [_members(f) for f in families], None
         else:
@@ -299,7 +320,13 @@ class NodeMeasure:
         if point_factor is not None:
             weights = weights * np.asarray(point_factor(self.nodes), dtype=float)
         _check_finite(weights, self.nodes)
-        return weights, [_node_matrix(fns, self.nodes) for fns in member_fns]
+        tables = {}
+        for fns in member_fns:
+            if id(fns) not in tables:
+                table = _node_matrix(fns, self.nodes)
+                table.setflags(write=False)
+                tables[id(fns)] = table
+        return weights, [tables[id(fns)] for fns in member_fns]
 
 
 def ensure_family_legal(family: FunctionFamily, domain: Domain) -> None:

@@ -4,8 +4,11 @@ Four computations share this module:
 
 * the N-fold integral of det[f_j(x_k)] det[phi_j(x_k)] (by Gauss
   quadrature summed over node subsets, which is Cauchy-Binet on the node
-  measure, and by Monte Carlo), against N! times the determinant of the
-  Gram matrix of pairwise integrals, F^T W Phi on the node tables;
+  measure, and by Monte Carlo, whose integrand evaluates and eliminates
+  each distinct reduced family once per sample and squares the
+  determinant when the two families reduce alike), against N! times the
+  determinant of the Gram matrix of pairwise integrals, F^T W Phi on the
+  node tables;
 * the 2n-fold integral of det[f_j(x_k)] Pf[h(x_j, x_k)] / (2n)! against the
   Pfaffian of the matrix of double integrals of f_j(x) h(x, y) f_k(y); the
   left side sums the tensor grid of a Gauss rule from tables built once
@@ -24,10 +27,11 @@ Four computations share this module:
 Every engine integrates against the same measure by calling the one
 reduction ensembles.weight_factorization, with the ensemble's two families
 or the Pfaffian side's single family: it returns the member functions and
-one per-point factor (a power of the embedded weight, or None).  The Gauss
-routes read it through _node_measure: the rule's ensembles.NodeMeasure
-folds the point factor into the weights W and tabulates each family on
-the nodes, and discrete.discretized_andreief reads the same tables.
+one per-point factor (a power of the embedded weight, or None); two
+families that reduce alike share one member list.  The Gauss routes read
+it through _node_measure: the rule's ensembles.NodeMeasure folds the
+point factor into the weights W and tabulates each distinct member list
+on the nodes, and discrete.discretized_andreief reads the same tables.
 """
 
 from __future__ import annotations
@@ -171,32 +175,42 @@ def mc_agrees(estimate: MCEstimate, reference: float) -> bool:
 # reduced integrands and node tables
 
 
-def _value_stack(fns, points: np.ndarray) -> np.ndarray:
-    """(P, len(fns), N) stack with [p, j, k] = fns[j](points[p, k]).
+def _value_stack(fns, columns: np.ndarray) -> np.ndarray:
+    """(P, len(fns), N) stack with [p, j, k] = fns[j](columns[k, p]), from
+    an (N, P) block of sample columns.
 
-    Each member is evaluated on the whole (P, N) point block; the result is
-    a transposed view of the contiguous (len(fns), P, N) array of those
-    values, so the stack costs no second copy.
+    Each member is evaluated on the whole block into one contiguous
+    (len(fns), N, P) array, and the stack is a view of it whose entries
+    [:, j, k] are contiguous (P,) vectors: determinant_batch reads them
+    without a copy, in its cofactor formulas and its lockstep LU alike.
     """
-    rows = [np.asarray(fn(points), dtype=float) for fn in fns]
-    return np.stack(rows).transpose(1, 0, 2)
-
-
-def _point_factor_product(point_factor, points: np.ndarray) -> np.ndarray:
-    return np.prod(np.asarray(point_factor(points), dtype=float), axis=1)
+    values = np.empty((len(fns),) + columns.shape)
+    for row, fn in zip(values, fns):
+        row[...] = fn(columns)
+    return values.transpose(2, 0, 1)
 
 
 def _pair_integrand(spec: EnsembleSpec) -> Callable:
+    """The row-wise Monte Carlo integrand det[f_j(x_k)] det[phi_j(x_k)]
+    times the point factor, on the families reduced by
+    weight_factorization.  Each (P, N) row slice is transposed once into
+    contiguous (N, P) columns, and each distinct member list is evaluated
+    and eliminated once: when both families reduce to one list, the
+    integrand is its determinant squared, bit for bit the product of two
+    equal determinants."""
     (left_fns, right_fns), point_factor = weight_factorization(
         (spec.left, spec.right), spec.domain
     )
 
     def integrand(points: np.ndarray) -> np.ndarray:
-        values = determinant_batch(
-            _value_stack(left_fns, points)
-        ) * determinant_batch(_value_stack(right_fns, points))
+        columns = np.ascontiguousarray(points.T)
+        left = determinant_batch(_value_stack(left_fns, columns))
+        if right_fns is left_fns:
+            values = left * left
+        else:
+            values = left * determinant_batch(_value_stack(right_fns, columns))
         if point_factor is not None:
-            values = values * _point_factor_product(point_factor, points)
+            values = values * np.prod(np.asarray(point_factor(columns), dtype=float), axis=0)
         return values
 
     return integrand

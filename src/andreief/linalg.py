@@ -57,8 +57,9 @@ _LOCKSTEP_MAX_ORDER = 5
 # Parlett-Reid copy at order 6), so it bounds their peak memory per call.
 # The stacks that still reach the LU's orders 4-5 are the float subset sums
 # of andreief.discrete (up to _SUBSET_BLOCK subsets, on the calling thread),
-# Monte Carlo blocks at N = 4-5 (8192 rows, one call per pool thread) and
-# the de Bruijn minor tables at 2n = 8; the de Bruijn grid eliminates no
+# Monte Carlo slices at N = 4-5 (8192 rows, one call per pool thread, built
+# entry-major so the LU reads them without a copy) and the de Bruijn minor
+# tables at 2n = 8; the de Bruijn grid eliminates no
 # determinant per point.  Its Pfaffians reach the Parlett-Reid from 2n = 6,
 # up to 8192 per row tile, on the calling thread.  The count was set when
 # the grid still took per-point LU determinants: eliminating a whole

@@ -77,7 +77,7 @@ def andreief_lhs_permutation_oracle(spec, n_nodes=12):
         prod = np.ones(points.shape[0])
         for j in range(n):
             prod *= np.asarray(left_fns[j](points[:, j]), dtype=float)
-        values = prod * determinant_batch(_value_stack(right_fns, points))
+        values = prod * determinant_batch(_value_stack(right_fns, points.T))
         if point_factor is not None:
             values = values * np.prod(np.asarray(point_factor(points), dtype=float), axis=1)
         return values
@@ -98,7 +98,7 @@ def debruijn_lhs_point_grid(left, kernel, domain, n_nodes, two_n, absolute=False
     def integrand(points):
         kernels = np.asarray(h(points[:, :, None], points[:, None, :]), dtype=float)
         return reduce(
-            determinant_batch(_value_stack(fns, points)) * pfaffian_batch(kernels)
+            determinant_batch(_value_stack(fns, points.T)) * pfaffian_batch(kernels)
         )
 
     raw = integrate_nd(rule, two_n, point_integrand(rule, integrand))

@@ -224,6 +224,52 @@ class TestSettingsTable:
     def test_numeric_setting_rejects_non_numeric_config(self, name):
         with pytest.raises(UsageError, match=f"invalid value for '{name}'"):
             parse_config(json.dumps({"command": "partition", name: "many"}))
+        # "tolerance": true once read as 1.0, which passes every check
+        with pytest.raises(UsageError, match=f"invalid value for '{name}': True"):
+            parse_config(json.dumps({"command": "partition", name: True}))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(n, 2) for n, s in cli.SETTINGS.items() if s.type is str]
+        + [(n, "false") for n, s in cli.SETTINGS.items() if s.type is bool]
+        + [("shifts", {"a": 0.1}), ("output_path", None), ("no_timestamp", 0)],
+    )
+    def test_string_and_switch_settings_reject_other_json_types(self, name, value):
+        with pytest.raises(UsageError, match=f"invalid value for '{name}': {value!r}"):
+            parse_config(json.dumps({"command": "partition", name: value}))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"output_path": 2}', "invalid value for 'output_path': 2"),
+         ('{"no_timestamp": "false"}', "invalid value for 'no_timestamp': 'false'")],
+    )
+    def test_mistyped_config_file_exits_two_without_a_report(
+        self, capsys, tmp_path, text, message
+    ):
+        # 2 once named file descriptor 2, and any non-empty string was true
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_main(capsys, ["partition", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_shifts_list_in_config_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"ensemble": "shifted-gue", "size": 2, "shifts": [0.1, 0.3]}',
+                        encoding="utf-8")
+        config = parse_config(["partition", "--config", str(path)])
+        assert config.ensemble.right.shifts == (0.1, 0.3)
+        assert config.ensemble_params["shifts"] == [0.1, 0.3]
+
+    def test_config_command_must_match_the_positional_one(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"command": "verify-debruijn", "size": 4}', encoding="utf-8")
+        with pytest.raises(UsageError, match="'verify-debruijn' differs from the command 'partition'"):
+            parse_config(["partition", "--config", str(path)])
+        code, out, err = run_main(capsys, ["partition", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert "'verify-debruijn'" in err and "'partition'" in err
+        assert parse_config(["verify-debruijn", "--config", str(path)]).ensemble.size == 4
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_extras_follow_the_table(self, command):

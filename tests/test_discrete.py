@@ -320,6 +320,31 @@ class TestMinorSummation:
         with pytest.raises(ValueError, match="at least as many columns"):
             minor_summation_rhs(a, np.ones((4, 2), dtype=int))
 
+    def test_int64_compression_equals_the_object_one(self):
+        rng = np.random.default_rng(41)
+        for order, rows in ((4, 2), (6, 4), (7, 6)):
+            a, t = random_int_skew(rng, order), random_int_matrix(rng, rows, order)
+            assert discrete._exact_compression(a, t).dtype == np.int64
+            as_objects = a.astype(object), t.astype(object)
+            assert discrete._exact_compression(*as_objects).dtype == object
+            rhs = minor_summation_rhs(a, t)
+            assert isinstance(rhs, int)
+            assert rhs == minor_summation_rhs(*as_objects) == minor_summation_lhs_by_subsets(a, t)
+
+    def test_entries_near_2_31_fall_back_to_object_arithmetic(self):
+        # M^2 max|T|^2 max|A| = 16 * 2^62 * (2^31 - 1) is far past 2^63, and
+        # T A T^T in int64 would wrap
+        big = 2**31 - 1
+        a = np.array([[0, big, -big, 1], [-big, 0, big, big], [big, -big, 0, -big],
+                      [-1, -big, big, 0]], dtype=np.int64)
+        t = np.array([[big, 1, -big, big], [-big, big, 2, big]], dtype=np.int64)
+        assert discrete._exact_compression(a, t).dtype == object
+        with np.errstate(over="ignore"):
+            wrapped = (t @ a @ t.T)[0, 1]
+        rhs = minor_summation_rhs(a, t)
+        assert rhs == minor_summation_lhs_by_subsets(a, t) == minor_summation_lhs(a, t)
+        assert rhs != wrapped
+
     def test_integer_input_must_be_antisymmetric(self):
         bad = np.array([[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="not antisymmetric"):
@@ -542,6 +567,16 @@ class TestBlockConstruction:
                 ratios.add(ms // cb)
         assert len(ratios) == 1
         assert ratios <= {1, -1}
+
+    def test_integer_entries_near_2_31_stay_exact(self):
+        # the int64 blocks compress in object arithmetic past the int64 bound
+        x = np.array([[2**31 - 1, 5], [-(2**31), 2**31 - 3], [7, -(2**31) + 9]])
+        y = np.array([[2**31 - 2, -1], [3, 2**31 - 1], [-(2**31) + 4, 2]])
+        ms, cb = block_reclaims_cauchy_binet(x, y)
+        assert isinstance(ms, int)
+        assert cb == cauchy_binet_lhs_by_subsets(x, y)
+        assert abs(ms) == abs(cb)
+        assert ms == block_reclaims_cauchy_binet(x.astype(object), y.astype(object))[0]
 
     def test_float_inputs_supported(self):
         rng = np.random.default_rng(9)

@@ -13,6 +13,7 @@ from andreief.ensembles import (
     EnsembleSpec,
     FunctionFamily,
     KernelFunction,
+    NodeMeasure,
     Weight,
     build_ensemble,
     ensure_family_legal,
@@ -150,6 +151,39 @@ class TestWeightFactorization:
         fam = FunctionFamily(2, "weighted_monomial", weight=Weight("gaussian"))
         _, point_factor = weight_factorization((fam, fam), Domain.real_line())
         assert point_factor is EMBEDDED_WEIGHTS["real_line"]
+
+    @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
+    def test_pairs_share_one_list_when_their_reductions_agree(self, name):
+        spec = build_ensemble(name, 3)
+        (left_fns, right_fns), _ = weight_factorization((spec.left, spec.right), spec.domain)
+        shared = name in ("uniform-monomial", "legendre-monomial", "gue-monomial")
+        assert (left_fns is right_fns) is shared
+        x = random_domain_points(spec.domain, np.random.default_rng(3), 7)
+        if shared:
+            # the right families are plain monomials, reduced to themselves
+            for j, fn in enumerate(left_fns):
+                assert np.array_equal(fn(x), evaluate(spec.right, j, x))
+
+    def test_scales_and_a_restored_weight_decide_sharing(self):
+        gauss = FunctionFamily(3, "weighted_monomial", weight=Weight("gaussian"))
+        domain = Domain.real_line()
+        (left, right), point_factor = weight_factorization((gauss, gauss), domain)
+        assert left is right and point_factor is EMBEDDED_WEIGHTS["real_line"]
+        (left, right), _ = weight_factorization((gauss, rescale(gauss, [1.0, 1.0, 1.0])), domain)
+        assert left is right
+        (left, right), _ = weight_factorization((gauss, rescale(gauss, [1.0, 2.0, 1.0])), domain)
+        assert left is not right
+
+    def test_shared_list_gives_one_read_only_table(self):
+        for name, shared in (("gue-monomial", True), ("muttalib-borodin", False)):
+            spec = build_ensemble(name, 3)
+            rule = gauss_rule(spec.domain, 8)
+            measure = NodeMeasure(rule.nodes, rule.weights, spec.domain)
+            _, (f, phi) = measure.tables((spec.left, spec.right))
+            assert (f is phi) is shared
+            assert not f.flags.writeable and not phi.flags.writeable
+        _, (f, phi) = NodeMeasure.points([0.5, 1.5]).tables((spec.left, spec.left))
+        assert f is not phi and np.array_equal(f, phi)
 
     def test_no_absorbing_family_rejected(self):
         mono = FunctionFamily(2, "monomial")

@@ -242,6 +242,82 @@ class TestAndreiefLhsMC:
         assert a == b
 
 
+# (mean, std_error) in hex of andreief_lhs_mc at N = 3, seed 31, over two
+# full blocks and a 5-row one, recorded while the integrand still evaluated
+# and eliminated both families on the (P, N) rows of every slice
+MC_PINS = {
+    "uniform-monomial": ("0x1.6bc9f283d1218p-9", "0x1.9123e3725649dp-17"),
+    "gue-monomial": ("0x1.0650aa4ea90edp+3", "0x1.674ba0fd06e1dp-4"),
+    "muttalib-borodin": ("0x1.1290584c82e1cp+12", "0x1.756b322a2b078p+8"),
+}
+PIN_SAMPLES = 2 * quadrature._MC_CHUNK + 5
+
+
+class TestPairIntegrand:
+    """The Monte Carlo integrand evaluates each distinct reduced member
+    list once per row slice, on entry-major stacks, and keeps every bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", list(MC_PINS))
+    def test_estimates_keep_their_bits(self, monkeypatch, name, workers):
+        monkeypatch.setattr(quadrature, "_WORKERS", workers)
+        est = andreief_lhs_mc(build_ensemble(name, 3), PIN_SAMPLES, 31)
+        assert (est.mean.hex(), est.std_error.hex()) == MC_PINS[name]
+
+    @pytest.mark.parametrize(
+        "name, lists",
+        [("uniform-monomial", 1), ("gue-monomial", 1), ("muttalib-borodin", 2)],
+    )
+    def test_one_evaluation_and_elimination_per_distinct_list(
+        self, monkeypatch, name, lists
+    ):
+        calls, stacks = [], []
+
+        def counting(families, domain):
+            member_fns, point_factor = weight_factorization(families, domain)
+            wrapped = {}
+            for fns in member_fns:
+                wrapped.setdefault(id(fns), [
+                    lambda x, fn=fn, j=j: calls.append(j) or fn(x)
+                    for j, fn in enumerate(fns)
+                ])
+            return [wrapped[id(fns)] for fns in member_fns], point_factor
+
+        def recording(stack):
+            stacks.append(stack)
+            return determinant_batch(stack)
+
+        monkeypatch.setattr(quadrature, "_WORKERS", 1)
+        monkeypatch.setattr(identities, "weight_factorization", counting)
+        monkeypatch.setattr(identities, "determinant_batch", recording)
+        andreief_lhs_mc(build_ensemble(name, 3), PIN_SAMPLES, 31)
+        slices = PIN_SAMPLES // quadrature._EVAL_ROWS + 1
+        assert calls.count(0) == lists * slices
+        assert len(calls) == 3 * lists * slices
+        assert len(stacks) == lists * slices
+        for stack in stacks:
+            # a view of a contiguous (n, n, P) array: entries are contiguous
+            assert stack.base.flags.c_contiguous
+            assert stack.strides[0] == stack.itemsize
+
+    def test_a_differing_positivity_check_stays_unshared(self):
+        # theta = 1 and c = 0 reduce both families to x^j on the half line,
+        # but only the stretched monomials check x > 0
+        spec = build_ensemble("muttalib-borodin", 3, theta=1.0, c=0.0)
+        (left_fns, right_fns), point_factor = weight_factorization(
+            (spec.left, spec.right), spec.domain
+        )
+        assert left_fns is not right_fns and point_factor is None
+        integrand = _pair_integrand(spec)
+        points = np.array([[0.5, 1.0, 2.0], [0.25, 0.0, 3.0]])
+        with pytest.raises(ValueError, match="^x must be positive for stretched_monomial families$"):
+            integrand(points)
+        inside = points + 1.0
+        assert np.array_equal(
+            integrand(inside), _pair_integrand(build_ensemble("laguerre-product", 3, nu=0))(inside)
+        )
+
+
 class TestPermutationOracle:
     def test_uniform_monomial(self):
         val = andreief_lhs_permutation_oracle(UNIFORM2)
