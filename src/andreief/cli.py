@@ -5,7 +5,7 @@ line flags (flags win), executes the requested verification engine, and
 emits a machine-readable report that embeds the fully resolved
 configuration, so pass/fail decisions are recomputable from the report
 alone.  Exit status: 0 when every check passed, 1 when an identity check
-failed, 2 on usage or engine errors.
+failed, 2 on usage or engine errors (running out of memory among them).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ SETTINGS = {
     "c": Setting(("--c",), float, 0.0, "Laguerre weight exponent"),
     "nu": Setting(("--nu",), int, 1, "product-kernel offset"),
     "shifts": Setting(("--shifts",), str, None, "comma-separated shift list"),
-    "kernel": Setting(("--kernel",), str, "difference", "antisymmetric kernel name (verify-debruijn)"),
+    "kernel": Setting(("--kernel",), str, "sign", "antisymmetric kernel name (verify-debruijn)"),
     "rows": Setting(("--rows",), int, 4, "row count M (verify-discrete)"),
     "cols": Setting(("--cols",), int, 3, "column count N (verify-discrete)"),
     "instances": Setting(("--instances",), int, 25, "random instances (verify-discrete)"),
@@ -170,6 +170,8 @@ class RunConfig:
             raise UsageError("tolerance must be positive")
         if self.mc_samples < 0:
             raise UsageError("mc_samples must be non-negative")
+        if self.seed < 0:
+            raise UsageError("seed must be non-negative")
         if self.n_nodes < 1:
             raise UsageError("n_nodes must be at least 1")
         if self.format not in SETTINGS["format"].choices:
@@ -616,6 +618,9 @@ def run(config: RunConfig) -> int:
         checks, payload = _ENGINES[config.command](config)
     except (ValueError, NotImplementedError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     timestamp = datetime.now(timezone.utc).isoformat() if config.timestamp else None
     render = _render_json if config.format == "json" else _render_csv

@@ -26,7 +26,6 @@ batched determinant and Pfaffian kernels.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -42,7 +41,7 @@ from .linalg import (
     pfaffian_batch,
     subsets,
 )
-from .quadrature import DEFAULT_EVAL_BUDGET, BudgetError
+from .quadrature import DEFAULT_EVAL_BUDGET, BudgetError, _index_blocks
 
 __all__ = [
     "block_reclaims_cauchy_binet",
@@ -127,10 +126,26 @@ def _check_tall(x: np.ndarray, y: np.ndarray) -> None:
 def _subset_blocks(m: int, n: int) -> Iterator[np.ndarray]:
     """The row subsets in lexicographic order, as (c, n) index arrays of at
     most _SUBSET_BLOCK subsets each, so a gathered stack stays bounded."""
-    chosen = subsets(m, n)
-    while block := list(itertools.islice(chosen, _SUBSET_BLOCK)):
+    for block in _index_blocks(subsets(m, n), math.comb(m, n), n, _SUBSET_BLOCK):
         # subsets() enumerates 1-based
-        yield np.array(block, dtype=int).reshape(len(block), n) - 1
+        yield block - 1
+
+
+def _pf_det_terms(
+    a: np.ndarray, t: np.ndarray, index: np.ndarray, pfaffians, determinants
+) -> np.ndarray:
+    """Pf(A_{J,J}) * det(T_J) for each row J of a (P, k) block of column
+    indices into the (M, M) array a and the (k, M) array t.
+
+    The stacks are gathered entry-major, each entry a contiguous (P,)
+    vector, so the lockstep eliminations read them without a copy, and one
+    at a time, so only one is held.  The caller passes its own module's
+    pfaffian_batch and determinant_batch, where perfbench's tracer wraps
+    them."""
+    columns = index.T
+    dets = determinants(t[:, columns].transpose(2, 0, 1))
+    principal = a[columns[:, None], columns[None, :]]
+    return pfaffians(principal.transpose(2, 0, 1)) * dets
 
 
 def _check_budget(count: int, what: str) -> None:
@@ -414,9 +429,8 @@ def minor_summation_lhs(a, t):
         return _table_sum(m, n_rows, tables, np.dot)
     total = 0.0
     for idx in _subset_blocks(m, n_rows):
-        subs = entries[idx[:, :, None], idx[:, None, :]]
-        minors = ta[:, idx].transpose(1, 0, 2)
-        total += float(np.sum(pfaffian_batch(subs) * determinant_batch(minors)))
+        terms = _pf_det_terms(entries, ta, idx, pfaffian_batch, determinant_batch)
+        total += float(np.sum(terms))
     return total
 
 

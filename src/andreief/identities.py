@@ -11,15 +11,10 @@ Four computations share this module:
   node tables;
 * the 2n-fold integral of det[f_j(x_k)] Pf[h(x_j, x_k)] / (2n)! against the
   Pfaffian of the matrix of double integrals of f_j(x) h(x, y) f_k(y); the
-  left side sums the tensor grid of a Gauss rule from tables built once
-  per call: the kernel values h(x_a, x_b) per node pair, and the n x n
-  minors of the family values f_j(x_k) per ordered n-tuple of nodes.  A
-  grid point's determinant is a dot product of two table rows (Laplace
-  expansion along its first n coordinates), and since integrate_nd hands
-  the integrand consecutive runs of the grid on the calling thread, a
-  run's determinants are one small product of the two tables and its
-  Pfaffian stack is filled by broadcasting kernel-table rows into one
-  buffer reused from run to run;
+  left side is the minor-summation form of a Gauss rule's tensor grid
+  sum, integrate_nd's sum over node subsets, with each subset's matrices
+  gathered from tables built once per call: the family values f_j(x_k)
+  per node and the kernel values h(x_a, x_b) per node pair;
 * the finite-interval covariance-style gap (b-a) int fg - int f int g and
   its double-integral form, which is non-negative for co-monotone pairs;
 * the bundled pass/fail report combining the routes above.
@@ -36,7 +31,6 @@ on the nodes, and discrete.discretized_andreief reads the same tables.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -44,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import cauchy_binet_lhs
+from .discrete import _pf_det_terms, cauchy_binet_lhs
 from .ensembles import (
     EnsembleSpec,
     FunctionFamily,
@@ -63,7 +57,6 @@ from .linalg import (
     skew_symmetrize,
 )
 from .quadrature import (
-    _GRID_CHUNK,
     DEFAULT_EVAL_BUDGET,
     DEFAULT_NODES_1D,
     DEFAULT_NODES_TENSOR,
@@ -72,7 +65,6 @@ from .quadrature import (
     MCEstimate,
     _check_finite,
     gauss_rule,
-    grid_size,
     integrate_1d,
     integrate_nd,
     monte_carlo_nd,
@@ -360,120 +352,6 @@ def debruijn_rhs(
     return pfaffian(skew_symmetrize(b))
 
 
-def _half_minor_tables(values: np.ndarray, half: int):
-    """(minors, cofactors) tables of the half-size minors of a (2n, N)
-    family table values[j, k] = f_j(x_k), with n = half.
-
-    Row u of either table is one ordered n-tuple of nodes, numbered in
-    row-major order over (N,) * n, and column s is the s-th row subset S
-    of size n in itertools.combinations order.  minors[u, s] =
-    det[f_j(x_{u_k})]_{j in S, k < n}, and cofactors[u, s] =
-    eps_S * minors[u, S'] with S' the complement of S and
-    eps_S = (-1)^(sum S + n(n-1)/2) (0-based).  Laplace expansion along
-    the first n columns then gives, for a grid point t = (u, v),
-
-        det[f_j(x_{t_k})] = sum_s minors[u, s] * cofactors[v, s].
-
-    One determinant_batch call per subset, on an (N**n, n, n) stack, so the
-    temporaries stay at one stack.  Both tables are read-only.
-    """
-    two_n, n_nodes = values.shape
-    tuples = np.stack(np.unravel_index(np.arange(n_nodes**half), (n_nodes,) * half))
-    row_sets = list(itertools.combinations(range(two_n), half))
-    minors = np.empty((tuples.shape[1], len(row_sets)))
-    for s, rows in enumerate(row_sets):
-        stack = np.take(values[list(rows)], tuples, axis=1)  # (n, n, N**n)
-        minors[:, s] = determinant_batch(stack.transpose(2, 0, 1))
-    # complementing reverses lexicographic order, so S' is column C - 1 - s
-    signs = [(-1.0) ** (sum(rows) + half * (half - 1) // 2) for rows in row_sets]
-    cofactors = minors[:, ::-1] * np.array(signs)
-    minors.setflags(write=False)
-    cofactors.setflags(write=False)
-    return minors, cofactors
-
-
-def _debruijn_runs(minors, cofactors, table: np.ndarray, half: int) -> Callable:
-    """The de Bruijn grid integrand det * Pf on consecutive runs of the
-    row-major grid, read from the half-minor tables and the (N, N) kernel
-    table.
-
-    A grid point t = (u, v) has flat number u * H + v, with H = N**n the
-    count of half tuples, so a run is a stretch of rows u of an (H, H)
-    array.  The rows are taken G at a time, G = max(1, _GRID_CHUNK // H),
-    in fixed groups: a group's determinants are one product
-    minors[group] @ cofactors^T (Laplace expansion of each point's own
-    matrix), and its strict-upper kernel entries are written into one
-    (2n, 2n, G * H) buffer per call, pairs within one half from per-call
-    tables and cross pairs from a gather of kernel-table rows.  The lower
-    triangle (0 - h, so a repeated node's +0.0 stays +0.0) and the
-    Pfaffians are taken on the run's part of the group only.  A group is
-    kept while consecutive runs read it.  Every point's value comes from
-    its own group whatever run asks for it, so any split of the grid into
-    runs gives the same values, bit for bit.
-
-    The buffer makes the integrand stateful: integrate_nd calls it once per
-    tile, in grid order, on the calling thread.  A block that is not a
-    consecutive run raises ValueError; a run of any length is accepted.
-    """
-    n_nodes = table.shape[0]
-    two_n, rows = 2 * half, minors.shape[0]
-    group = max(1, _GRID_CHUNK // rows)
-    tuples = np.unravel_index(np.arange(rows), (n_nodes,) * half)
-    within = {
-        pair: table[tuples[pair[0]], tuples[pair[1]]]
-        for pair in itertools.combinations(range(half), 2)
-    }
-    pairs = list(itertools.combinations(range(two_n), 2))
-    kernels = np.zeros((two_n, two_n, group * rows))  # the diagonal stays 0
-    dets = np.empty(group * rows)
-    held = None  # first row of the group in the buffers
-
-    def fill(start: int) -> None:
-        nonlocal held
-        stop = min(start + group, rows)
-        shape = (stop - start, rows)
-        size = shape[0] * rows
-        np.matmul(minors[start:stop], cofactors.T, out=dets[:size].reshape(shape))
-        for j, k in pairs:
-            out = kernels[j, k, :size].reshape(shape)
-            if k < half:
-                out[...] = within[j, k][start:stop, None]
-            elif j >= half:
-                out[...] = within[j - half, k - half]
-            else:
-                # h(x_{u_j}, x_{v_c}): row u_j of the table, read at digit c of v
-                c = k - half
-                grid = out.reshape(shape[0], n_nodes**c, n_nodes, -1)
-                grid[...] = table[tuples[j][start:stop]][:, None, :, None]
-        held = start
-
-    def integrand(index: np.ndarray) -> np.ndarray:
-        count = index.shape[0]
-        first, last = np.ravel_multi_index(index[[0, -1]].T, (n_nodes,) * two_n)
-        if last - first != count - 1:
-            raise ValueError(
-                f"de Bruijn integrand needs a consecutive run of grid points: "
-                f"{count} rows span flat numbers {first} to {last}"
-            )
-        values = np.empty(count)
-        at, end = int(first), int(first) + count
-        while at < end:
-            start = at // rows // group * group
-            if held != start:
-                fill(start)
-            stop = min(end, (start + group) * rows)
-            part = slice(at - start * rows, stop - start * rows)
-            for j, k in pairs:
-                np.subtract(0.0, kernels[j, k, part], out=kernels[k, j, part])
-            values[at - first : stop - first] = dets[part] * pfaffian_batch(
-                kernels[:, :, part].transpose(2, 0, 1)
-            )
-            at = stop
-        return values
-
-    return integrand
-
-
 def debruijn_lhs_quadrature(
     left: FunctionFamily,
     kernel: KernelFunction,
@@ -482,35 +360,27 @@ def debruijn_lhs_quadrature(
     two_n: int,
 ) -> float:
     """Tensor quadrature of det[f_j(x_k)] Pf[h(x_j, x_k)] over 2n variables,
-    divided by (2n)!, within integrate_nd's DEFAULT_EVAL_BUDGET on the
-    n_nodes**(2n) grid points.
+    divided by (2n)!.
 
-    Every grid point is a tuple of the rule's nodes, so the family values
+    The integrand is symmetric in its points (a swap flips the sign of the
+    determinant and of the Pfaffian) and zero where two coincide (the
+    determinant has two equal columns), so integrate_nd sums it over the
+    C(n_nodes, 2n) node subsets, within DEFAULT_EVAL_BUDGET: the
+    minor-summation form of the n_nodes**(2n) grid sum.  Fewer nodes than
+    2n leave no subset and the exact value 0.0.  The family values
     F[k, j] = f_j(x_k) and the kernel values H[a, b] = h(x_a, x_b) are
-    computed, and checked finite, once per node and node pair.  The
-    determinant comes from half-tuple minor tables (_half_minor_tables):
-    a grid point t = (u, v), u its first n coordinates and v its last n,
-    has det = sum_S eps_S D_S(u) D_S'(v) over the C(2n, n) row subsets S.
-    integrate_nd hands the integrand (_debruijn_runs) consecutive runs of
-    the grid, so a run's determinants are slices of small products of the
-    two tables, and its Pfaffian stack is filled from the kernel table by
-    broadcasting, with no per-point gather or elimination.
-
-    The grid budget is checked before the minor tables are built.  A grid
-    point that repeats a node has two equal columns and det 0, so fewer
-    nodes than 2n give the exact value 0.0, as fewer nodes than N do for
-    andreief_lhs_quadrature.  Otherwise the budget puts 2n <= 8 and
-    N**n <= 10**4, so either table has at most 10**4 * C(8, 4) entries.
+    computed, and checked finite, once per node and node pair; a block's
+    (2n, 2n) matrices are gathered from them, and eliminated, by
+    discrete._pf_det_terms, the terms of minor_summation_lhs's float sum.
     """
     _check_debruijn_size(two_n, left.size)
     rule, _, (values,) = _node_measure((left,), domain, n_nodes)
     table = _kernel_table(kernel.antisymmetrized(), rule.nodes)
-    grid_size(n_nodes, two_n)
-    if n_nodes < two_n:
-        return 0.0
-    half = two_n // 2
-    minors, cofactors = _half_minor_tables(np.ascontiguousarray(values.T), half)
-    integrand = _debruijn_runs(minors, cofactors, table, half)
+    family = np.ascontiguousarray(values.T)
+
+    def integrand(index: np.ndarray) -> np.ndarray:
+        return _pf_det_terms(table, family, index, pfaffian_batch, determinant_batch)
+
     return integrate_nd(rule, two_n, integrand) / _factorial(two_n)
 
 
@@ -528,7 +398,9 @@ def chebyshev_gap(
 
     Returns ((b-a) int fg - int f int g, (1/2) int int (f(x)-f(y))(g(x)-g(y))).
     The two agree identically; both are non-negative when f and g are
-    co-monotone, and flip sign together when one is reversed.
+    co-monotone, and flip sign together when one is reversed.  The double
+    form's integrand is symmetric in x and y and zero at x = y, so
+    integrate_nd sums it over the node pairs x < y.
     """
     if domain.kind != "finite":
         raise ValueError("covariance gap requires a finite domain")

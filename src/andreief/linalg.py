@@ -55,16 +55,16 @@ _LOCKSTEP_MAX_ORDER = 5
 # Matrices eliminated at once by a lockstep LU or Parlett-Reid.  Temporaries
 # scale with this count (about 0.7 MB for the LU at order 4, 1.2 MB for the
 # Parlett-Reid copy at order 6), so it bounds their peak memory per call.
-# The stacks that still reach the LU's orders 4-5 are the float subset sums
-# of andreief.discrete (up to _SUBSET_BLOCK subsets, on the calling thread),
-# Monte Carlo slices at N = 4-5 (8192 rows, one call per pool thread, built
-# entry-major so the LU reads them without a copy) and the de Bruijn minor
-# tables at 2n = 8; the de Bruijn grid eliminates no
-# determinant per point.  Its Pfaffians reach the Parlett-Reid from 2n = 6,
-# up to 8192 per row tile, on the calling thread.  The count was set when
-# the grid still took per-point LU determinants: eliminating a whole
-# 8192-point chunk at once put the tensor benchmark's peak RSS at
-# 45.2-46.1 MB, two blocks of 4096 at 43.5-44.0 MB (LAPACK: 44.9-45.7 MB).
+# The stacks that reach the LU's orders 4-5 are the float subset sums of
+# andreief.discrete (up to _SUBSET_BLOCK subsets, on the calling thread),
+# Monte Carlo slices at N = 4-5 (8192 rows, one call per pool thread) and
+# the de Bruijn left side's node subsets at 2n = 4 (8192 per block, on the
+# calling thread); all are built entry-major, so the LU reads them
+# without a copy.  The de Bruijn Pfaffians reach the Parlett-Reid
+# from 2n = 6, 8192 per block.  The count was set when the de Bruijn grid
+# took per-point LU determinants: eliminating a whole 8192-point chunk at
+# once put the tensor benchmark's peak RSS at 45.2-46.1 MB, two blocks of
+# 4096 at 43.5-44.0 MB (LAPACK: 44.9-45.7 MB).
 _LOCKSTEP_BLOCK = 4096
 
 
@@ -124,9 +124,10 @@ def determinant_batch(stack) -> np.ndarray:
       the lockstep ties with it at orders 6-7 and is 15% slower at 8; it
       still leads at 6-7 with two threads.  The hot stacks are of order
       5 at most: the float subset sums of andreief.discrete (the
-      Andreief quadrature left side) and Monte Carlo blocks, since the de
-      Bruijn grid reads half-size minor tables instead of eliminating
-      each point.  So the cutoff stays at 5.
+      Andreief quadrature left side), Monte Carlo blocks and the de
+      Bruijn left side's order-2n stacks at 2n = 4; its 2n = 6-8 stacks,
+      one per node subset, are far fewer than their grid's points.  So
+      the cutoff stays at 5.
 
     A pivot that underflows to zero gives 0.0 without a divide-by-zero
     warning.  A complex stack raises ValueError.

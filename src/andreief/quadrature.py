@@ -11,33 +11,32 @@ Node/weight construction is the Golub-Welsch route: the symmetric
 tridiagonal eigenproblem of the monic three-term recurrence.
 
 Vectorized callable contract: 1-D integrands map an (n,) node array to an
-(n,) value array.  Tensor-grid integrands (integrate_nd) map a (P, dim)
-integer block of node indices into rule.nodes to a (P,) value array: every
-grid point is a tuple of the rule's n nodes, so an integrand can read
-values computed once per node (or node pair) from tables instead of
-evaluating its functions at all n**dim points.  Monte Carlo integrands map
-a (P, dim) block of sample points to a (P,) value array.  Scalar returns
-are broadcast.
+(n,) value array.  Tensor-grid integrands (integrate_nd) are symmetric in
+their dim points and zero wherever two coincide, so the grid sum is a sum
+over node subsets; they map a (P, dim) integer block of sorted, distinct
+node indices into rule.nodes to a (P,) value array, and can read values
+computed once per node (or node pair) from tables.  Monte Carlo
+integrands map a (P, dim) block of sample points to a (P,) value array.
+Scalar returns are broadcast.
 
-Monte Carlo integrands must be row-wise: row i of their values depends
-on row i of their input only.  monte_carlo_nd calls them on row slices of
-at most _EVAL_ROWS rows, so the arrays they make stay cache-sized, and a
-slice gives the same values as the whole block would.
+Both integrators call an integrand on at most _EVAL_ROWS rows at once, so
+the arrays it makes stay cache-sized.  Monte Carlo integrands must be
+row-wise: row i of their values depends on row i of their input only, so
+a slice gives the same values as the whole block would.
 
-integrate_nd sums the grid one row tile at a time, in grid order, on the
-calling thread: each call of a grid integrand gets a consecutive run of
-at most _GRID_CHUNK grid points, so it may read its tables by runs and
-keep scratch space from one call to the next.  Only monte_carlo_nd uses
-the thread pool: it evaluates up to one sample block per CPU at once, so a
-Monte Carlo integrand may run on several threads at once and must not
-mutate shared state.  Samples are drawn on the calling thread from one
-generator, in block order, and partial results are reduced in block
-order.  So neither result depends on the number of CPUs, bit for bit.
+integrate_nd sums its subset blocks in order on the calling thread.  Only
+monte_carlo_nd uses the thread pool: it evaluates up to one sample block
+per CPU at once, so a Monte Carlo integrand may run on several threads at
+once and must not mutate shared state.  Samples are drawn on the calling
+thread from one generator, in block order, and partial results are
+reduced in block order.  So neither result depends on the number of CPUs,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from collections import deque
@@ -55,9 +54,7 @@ __all__ = [
     "MCEstimate",
     "QuadratureRule",
     "gauss_rule",
-    "grid_size",
     "integrate_1d",
-    "integrate_nd",
     "monte_carlo_nd",
 ]
 
@@ -65,15 +62,14 @@ DEFAULT_EVAL_BUDGET = 10**8
 DEFAULT_NODES_1D = 40
 DEFAULT_NODES_TENSOR = 12
 
-# Most grid points in a row tile, and samples in a Monte Carlo block.
-# Fixed, so the reduction order (and hence the float result) is the same
-# on every run and every CPU count.
-_GRID_CHUNK = 1 << 13
+# Most samples in a Monte Carlo block.  Fixed, so the reduction order (and
+# hence the float result) is the same on every run and every CPU count.
 _MC_CHUNK = 1 << 17
 
-# Most rows a Monte Carlo integrand is called on at once, as many as a
-# grid integrand gets in one row tile.
-_EVAL_ROWS = _GRID_CHUNK
+# Most rows an integrand is called on at once: node subsets of integrate_nd,
+# or samples of a Monte Carlo block.  The arrays an integrand makes stay
+# cache-sized.
+_EVAL_ROWS = 1 << 13
 
 # Monte Carlo blocks evaluated at once, and so the most blocks in memory
 # at once: one per CPU this process may run on.
@@ -321,82 +317,50 @@ def _block_values(f, block: np.ndarray, points) -> np.ndarray:
     return values
 
 
-def grid_size(n_nodes: int, dim: int) -> int:
-    """Point count n_nodes**dim of the dim-fold grid of an n_nodes rule;
-    BudgetError when it exceeds DEFAULT_EVAL_BUDGET.  integrate_nd refuses
-    by it, and a caller that builds tables for a grid can refuse by it
-    before building them."""
-    total_evals = n_nodes**dim
-    if total_evals > DEFAULT_EVAL_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: grid requires {total_evals} evaluations, "
-            f"allowed {DEFAULT_EVAL_BUDGET}"
-        )
-    return total_evals
-
-
-def _grid_tiles(rule: QuadratureRule, dim: int):
-    """(index, weights) of each row tile of the dim-fold grid, in grid order.
-
-    A tile is some consecutive tuples of the leading dim - b coordinates
-    times the whole block of the last b, with b the largest such that
-    n**b <= _GRID_CHUNK, so it is a consecutive run of at most _GRID_CHUNK
-    grid points.  The trailing block's index rows and weight products are
-    built once, a tile's weights are outer(leading, trailing), and every
-    tile's (P, dim) index is a view of one buffer: valid until the next
-    tile is drawn.
-    """
-    n, weights = rule.n_nodes, rule.weights
-    inner_dim = 0
-    while inner_dim < dim and n ** (inner_dim + 1) <= _GRID_CHUNK:
-        inner_dim += 1
-    lead_dim, inner = dim - inner_dim, n**inner_dim
-    leads = n**lead_dim
-    per_tile = min(_GRID_CHUNK // inner, leads)
-    # one row per coordinate, so index.T gathers contiguously per coordinate
-    index = np.empty((dim, per_tile * inner), dtype=np.intp)
-    inner_weights = np.ones(inner)
-    for c in range(inner_dim):
-        coordinate = np.arange(inner) // n ** (inner_dim - 1 - c) % n
-        index[lead_dim + c].reshape(per_tile, inner)[...] = coordinate
-        inner_weights *= weights[coordinate]
-    for start in range(0, leads, per_tile):
-        count = min(per_tile, leads - start)
-        block = index[:, : count * inner]
-        lead_weights = np.ones(count)
-        for c in range(lead_dim):
-            coordinate = np.arange(start, start + count) // n ** (lead_dim - 1 - c) % n
-            block[c].reshape(count, inner)[...] = coordinate[:, None]
-            lead_weights *= weights[coordinate]
-        yield block.T, np.multiply.outer(lead_weights, inner_weights).ravel()
+def _index_blocks(tuples, count: int, width: int, rows: int):
+    """The count tuples of width integers that the iterator tuples yields,
+    as consecutive (P, width) intp arrays of at most rows tuples each."""
+    for start in range(0, count, rows):
+        size = min(rows, count - start)
+        flat = itertools.chain.from_iterable(itertools.islice(tuples, size))
+        yield np.fromiter(flat, np.intp, size * width).reshape(size, width)
 
 
 def integrate_nd(rule: QuadratureRule, dim: int, f) -> float:
-    """Full tensor-product sum of f over the dim-fold grid of the rule.
+    """Grid sum of a symmetric, diagonal-zero integrand, taken over node
+    subsets.
 
-    f receives (P, dim) integer blocks of node indices into rule.nodes, in
-    row-major grid order (the last coordinate varies fastest): row i is the
-    grid point rule.nodes[index[i]].  So f can gather values computed once
+    f must be symmetric in its dim points and zero wherever two coincide;
+    for any other f the value is not the dim-fold tensor-product sum.  For
+    such an f the points that repeat a node add nothing, and the dim!
+    orderings of one node subset add alike, so the grid sum is dim! times
+    the sum of prod(w) * f over the C(n_nodes, dim) sorted node subsets,
+    and only those are evaluated: with fewer nodes than dim, none, and the
+    value is 0.0.  DEFAULT_EVAL_BUDGET bounds the subset count, checked
+    before f is first called.  The same embedded-weight contract as
+    integrate_1d applies to every coordinate.
+
+    f receives (P, dim) blocks of node indices into rule.nodes: rows of
+    strictly increasing indices, in lexicographic order, at most _EVAL_ROWS
+    per block, on the calling thread.  So f can gather values computed once
     per node instead of evaluating its functions at every point; a point
     integrand g becomes ``lambda index: g(rule.nodes[index])``.  A
-    non-finite value is reported with its point's coordinates.  The same
-    embedded-weight contract as integrate_1d applies to every coordinate.
-
-    f is called once per row tile (_grid_tiles), in grid order, on the
-    calling thread, with a consecutive run of at most _GRID_CHUNK grid
-    points; the block it receives is valid only during the call.  So a grid
-    integrand may keep per-call scratch space and reuse it from tile to
-    tile.  Tile sums are added in grid order, so the result is the same on
-    every run and every CPU count, bit for bit.
+    non-finite value is reported with its point's coordinates.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    grid_size(rule.n_nodes, dim)
+    count = math.comb(rule.n_nodes, dim)
+    if count > DEFAULT_EVAL_BUDGET:
+        raise BudgetError(
+            f"budget exceeded: {count} {dim}-subsets of the {rule.n_nodes} nodes, "
+            f"allowed {DEFAULT_EVAL_BUDGET}"
+        )
+    subsets = itertools.combinations(range(rule.n_nodes), dim)
     total = 0.0
-    for index, weights in _grid_tiles(rule, dim):
+    for index in _index_blocks(subsets, count, dim, _EVAL_ROWS):
         values = _block_values(f, index, lambda: rule.nodes[index])
-        total += float(np.dot(weights, values))
-    return total
+        total += float(np.dot(np.prod(rule.weights[index], axis=1), values))
+    return math.factorial(dim) * total
 
 
 def _sample_block(rng, domain: Domain, shape):

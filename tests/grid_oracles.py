@@ -1,10 +1,12 @@
-"""Tensor-grid oracles for the tests, written against integrate_nd's index
-contract: an integrand receives (P, dim) blocks of node indices into
-rule.nodes.
+"""Tensor-grid oracles for the tests.  An integrand receives (P, dim)
+blocks of node indices into rule.nodes, as integrate_nd's do, but the
+oracles sum every point of the grid, repeated nodes and every ordering
+included, and ask no symmetry of it.
 
 Each oracle looks its points up, ``rule.nodes[index]``, and evaluates the
 families and the kernel at every grid point, so it checks the package's
-routes against values that were not read from per-node tables.
+routes against values that were not read from per-node tables, nor summed
+over node subsets.
 
 pfaffian_by_elimination is the one-matrix Parlett-Reid elimination that
 the lockstep pfaffian_batch must reproduce bit for bit.
@@ -20,9 +22,10 @@ form x**p_j * exp(-q x^2 + l_j x): the raw members, and the members
 divided by the domain's embedded weight where a closed form exists (None
 where it does not, which is the absorption table).
 
-integrate_nd_by_chunks is the grid sum as the package had it before row
-tiles: fixed chunks of flat grid numbers, each chunk's index rebuilt with
-np.unravel_index and its weights multiplied coordinate by coordinate.
+integrate_nd_by_chunks is the full grid sum in fixed chunks of flat grid
+numbers, each chunk's index rebuilt with np.unravel_index and its weights
+multiplied coordinate by coordinate; andreief_lhs_permutation_oracle and
+debruijn_lhs_point_grid sum through it.
 """
 
 import itertools
@@ -34,7 +37,7 @@ from andreief.discrete import _exact_array, _exact_det, _exact_division
 from andreief.ensembles import weight_factorization
 from andreief.identities import _value_stack
 from andreief.linalg import PIVOT_FLOOR, _expand_pfaffian, determinant_batch, pfaffian_batch
-from andreief.quadrature import gauss_rule, integrate_1d, integrate_nd
+from andreief.quadrature import gauss_rule, integrate_1d
 
 
 def integrate_nd_by_chunks(rule, dim, f, chunk=1 << 13, absolute=False):
@@ -82,27 +85,44 @@ def andreief_lhs_permutation_oracle(spec, n_nodes=12):
             values = values * np.prod(np.asarray(point_factor(points), dtype=float), axis=1)
         return values
 
-    return math.factorial(n) * integrate_nd(rule, n, point_integrand(rule, integrand))
+    return math.factorial(n) * integrate_nd_by_chunks(rule, n, point_integrand(rule, integrand))
 
 
 def debruijn_lhs_point_grid(left, kernel, domain, n_nodes, two_n, absolute=False):
     """The de Bruijn left side with the family and the kernel evaluated at
     every grid point: the tensor sum of det[f_j(x_k)] Pf[h(x_j, x_k)],
     divided by (2n)!.  absolute=True sums |det Pf| instead, the scale of
-    the sum's rounding error."""
+    the sum's rounding error.  absolute="terms" sums |det| * haf|h|, with
+    the hafnian the sum of the Pfaffian's terms in absolute value: the
+    scale where the kernel's rank makes every Pfaffian 0 (the rank-2
+    difference kernel from 2n = 4), so that each |Pf| is rounding too."""
     rule = gauss_rule(domain, n_nodes)
     (fns,), _ = weight_factorization((left,), domain)
     h = kernel.antisymmetrized()
-    reduce = np.abs if absolute else (lambda v: v)
 
     def integrand(points):
         kernels = np.asarray(h(points[:, :, None], points[:, None, :]), dtype=float)
-        return reduce(
-            determinant_batch(_value_stack(fns, points.T)) * pfaffian_batch(kernels)
-        )
+        dets = determinant_batch(_value_stack(fns, points.T))
+        if absolute == "terms":
+            return np.abs(dets) * hafnian_batch(np.abs(kernels))
+        return dets * pfaffian_batch(kernels)
 
-    raw = integrate_nd(rule, two_n, point_integrand(rule, integrand))
+    grid = point_integrand(rule, integrand)
+    raw = integrate_nd_by_chunks(rule, two_n, grid, absolute=bool(absolute))
     return raw / math.factorial(two_n)
+
+
+def hafnian_batch(stack):
+    """Hafnians of a (P, m, m) stack, m even, by expansion along the first
+    row: the sum over perfect matchings of the products of matched entries."""
+    m = stack.shape[1]
+    if m == 0:
+        return np.ones(stack.shape[0])
+    total = np.zeros(stack.shape[0])
+    for j in range(1, m):
+        rest = [k for k in range(1, m) if k != j]
+        total += stack[:, 0, j] * hafnian_batch(stack[:, rest][:, :, rest])
+    return total
 
 
 def pfaffian_by_elimination(m):

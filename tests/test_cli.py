@@ -140,6 +140,17 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="mc_samples must be non-negative"):
             parse_config(["verify-andreief", "--mc-samples", "-5"])
 
+    def test_negative_seed(self, capsys, tmp_path):
+        # numpy's generators take no negative seed
+        with pytest.raises(UsageError, match="seed must be non-negative"):
+            parse_config(["verify-andreief", "--seed", "-1"])
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": -3}', encoding="utf-8")
+        code, out, err = run_main(capsys, ["verify-andreief", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert "seed must be non-negative" in err
+        assert parse_config(["verify-andreief", "--seed", "0"]).seed == 0
+
     def test_unknown_chebyshev_function(self):
         with pytest.raises(UsageError, match="unknown function 'tanh'"):
             parse_config(["verify-chebyshev", "--f", "tanh"])
@@ -177,7 +188,7 @@ SETTING_SAMPLES = {
     "c": (0.5, 1.0),
     "nu": (2, 3),
     "shifts": ("0.1,0.2", "0.3,0.4"),
-    "kernel": ("sign", "difference"),
+    "kernel": ("difference", "sign"),
     "rows": (5, 6),
     "cols": (2, 1),
     "instances": (3, 4),
@@ -336,32 +347,47 @@ class TestExitCodes:
         assert "exceeds the default size gate (6)" in err
 
     def test_debruijn_six_variables_run_within_the_grid_budget(self, capsys):
-        # no size gate: 8**6 grid points run, 40**6 exceed the grid budget
-        code, report, _ = run_json(
-            capsys,
-            ["verify-debruijn", "--n", "6", "--n-nodes", "8", "--kernel", "sign",
-             "--no-timestamp"],
+        # no size gate: the 8**6 and 24**6 grids sum C(8, 6) = 28 and
+        # C(24, 6) = 134,596 node subsets
+        for nodes in ("8", "24"):
+            code, report, _ = run_json(
+                capsys,
+                ["verify-debruijn", "--n", "6", "--n-nodes", nodes, "--kernel", "sign",
+                 "--no-timestamp"],
+            )
+            assert code == 0
+            assert report["checks"][0]["name"] == "debruijn-sign"
+
+    @pytest.mark.parametrize("two_n, n_nodes, subsets", [(6, 80, 300500200), (8, 60, 2558620845)])
+    def test_debruijn_subset_refusal_eliminates_nothing(
+        self, capsys, monkeypatch, two_n, n_nodes, subsets
+    ):
+        # the subset budget refuses before the first block, whose
+        # determinant_batch call would raise here
+        def no_blocks(stack):
+            raise AssertionError("a block was eliminated before the budget check")
+
+        monkeypatch.setattr(identities, "determinant_batch", no_blocks)
+        code, out, err = run_main(
+            capsys, ["verify-debruijn", "--n", str(two_n), "--n-nodes", str(n_nodes)]
         )
-        assert code == 0
-        assert report["checks"][0]["name"] == "debruijn-sign"
-        code, out, err = run_main(capsys, ["verify-debruijn", "--n", "6"])
-        assert (code, out) == (2, "")
-        assert "budget exceeded: grid requires 4096000000 evaluations" in err
-
-    @pytest.mark.parametrize("two_n, points", [(6, 4096000000), (8, 6553600000000)])
-    def test_debruijn_grid_refusal_builds_no_table(self, capsys, monkeypatch, two_n, points):
-        # the grid budget refuses before the half-size minor tables, whose
-        # first determinant_batch call would raise here
-        def no_tables(stack):
-            raise AssertionError("a minor table was built before the budget check")
-
-        monkeypatch.setattr(identities, "determinant_batch", no_tables)
-        code, out, err = run_main(capsys, ["verify-debruijn", "--n", str(two_n)])
         assert (code, out) == (2, "")
         assert err == (
-            f"error: budget exceeded: grid requires {points} evaluations, "
+            f"error: budget exceeded: {subsets} {two_n}-subsets of the {n_nodes} nodes, "
             "allowed 100000000\n"
         )
+
+    @pytest.mark.parametrize("command", ["verify-andreief", "verify-debruijn", "partition"])
+    def test_out_of_memory_is_two(self, capsys, monkeypatch, command):
+        # a dense Jacobi matrix of 100000 nodes would need 74.5 GiB; the
+        # engine raises as numpy's allocation would, without allocating
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setitem(cli._ENGINES, command, exhausted)
+        code, out, err = run_main(capsys, [command, "--n-nodes", "100000"])
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array\n"
 
     def test_unknown_config_key_is_two(self, capsys, tmp_path):
         path = tmp_path / "run.json"

@@ -1,6 +1,7 @@
 """Tests for the determinant- and Pfaffian-identity engines."""
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import replace
@@ -45,6 +46,7 @@ from grid_oracles import (
     andreief_lhs_permutation_oracle,
     debruijn_lhs_point_grid,
     gram_matrix_per_entry,
+    integrate_nd_by_chunks,
     point_integrand,
 )
 
@@ -164,7 +166,7 @@ class TestAndreiefLhsQuadrature:
     def test_equals_tensor_grid(self, name, size):
         spec = build_ensemble(name, size)
         rule = gauss_rule(spec.domain, 12)
-        grid = integrate_nd(rule, size, point_integrand(rule, _pair_integrand(spec)))
+        grid = integrate_nd_by_chunks(rule, size, point_integrand(rule, _pair_integrand(spec)))
         assert abs(andreief_lhs_quadrature(spec, 12) - grid) <= 1e-13 * abs(grid)
 
     @pytest.mark.parametrize("size", [5, 6])
@@ -434,17 +436,17 @@ class TestDeBruijn:
         with pytest.raises(ValueError, match="does not match"):
             debruijn_rhs(MONO4, DIFFERENCE, UNIT, 8, 2)
 
-    def test_grid_budget_bounds_six_variables(self, monkeypatch):
-        # no size gate: 2n = 6 runs on a small grid, and the grid budget
-        # refuses a large one before any point is evaluated
+    def test_subset_budget_bounds_six_variables(self, monkeypatch):
+        # no size gate: 2n = 6 runs, and the budget on the grid sum's node
+        # subsets refuses a large one before any matrix is eliminated
         fam = FunctionFamily(6, "monomial")
-        lhs = debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 3, 6)
-        assert within_tolerance(lhs, debruijn_rhs(fam, DIFFERENCE, UNIT, 3, 6), 1e-10)
-        monkeypatch.setattr(quadrature, "_grid_tiles", None)
+        lhs = debruijn_lhs_quadrature(fam, SIGN, UNIT, 12, 6)
+        assert within_tolerance(lhs, debruijn_rhs(fam, SIGN, UNIT, 12, 6), 1e-10)
+        monkeypatch.setattr(identities, "determinant_batch", None)
         with pytest.raises(
-            BudgetError, match="grid requires 4096000000 evaluations, allowed 100000000"
+            BudgetError, match="300500200 6-subsets of the 80 nodes, allowed 100000000"
         ):
-            debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 40, 6)
+            debruijn_lhs_quadrature(fam, SIGN, UNIT, 80, 6)
 
     @pytest.mark.parametrize(
         "engine", [debruijn_lhs_quadrature, debruijn_rhs], ids=["lhs", "rhs"]
@@ -687,111 +689,79 @@ class TestDeBruijnNodeTables:
         args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, 10, two_n)
         tables = debruijn_lhs_quadrature(*args)
         points = debruijn_lhs_point_grid(*args)
-        assert abs(tables - points) <= 1e-14 * abs(points)
+        if pfaffians_vanish(kernel, two_n):
+            # both sums are rounding around an exact 0, so the bound is the
+            # scale of the Pfaffian's terms
+            bound = 1e-12 * point_grid_and_scale(name, two_n, 10, kernel)[1]
+        else:
+            bound = 1e-14 * abs(points)
+        assert abs(tables - points) <= bound
 
     @pytest.mark.parametrize("kernel", ["sign", "custom"])
     def test_identical_across_worker_counts(self, monkeypatch, kernel):
         spec = build_ensemble("gue-monomial", 4)
-        assert 16**4 > 3 * quadrature._GRID_CHUNK
+        assert math.comb(30, 4) > 3 * quadrature._EVAL_ROWS
         values = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(quadrature, "_WORKERS", workers)
             values.append(
                 debruijn_lhs_quadrature(
-                    spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, 16, 4
+                    spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, 30, 4
                 )
             )
         assert values[1:] == values[:-1]
 
 
-@st.composite
-def half_tables_and_points(draw, min_half=1):
-    """A random (2n, N) family table and a few grid points on its N nodes."""
-    half = draw(st.integers(min_half, 3))
-    n_nodes = draw(st.integers(1, 5))
-    values = draw(
-        arrays(float, (2 * half, n_nodes), elements=st.floats(-4.0, 4.0, width=64))
-    )
-    points = draw(
-        arrays(np.intp, (6, 2 * half), elements=st.integers(0, n_nodes - 1))
-    )
-    return values, points
+# rank of each kernel's antisymmetric part on distinct points: sign's
+# matrices are nonsingular at even order
+KERNEL_RANKS = {"sign": math.inf, "difference": 2, "custom": 4}
 
 
-def half_table_dets(values, points):
-    """sum_S eps_S D_S(u) D_S'(v) at each grid point t = (u, v), read from
-    the half-tuple minor tables of values."""
-    half = points.shape[1] // 2
-    halves = (values.shape[1],) * half
-    minors, cofactors = identities._half_minor_tables(values, half)
-    u = np.ravel_multi_index(points[:, :half].T, halves)
-    v = np.ravel_multi_index(points[:, half:].T, halves)
-    return np.einsum("ps,ps->p", minors[u], cofactors[v])
+def pfaffians_vanish(kernel, two_n):
+    """Whether every 2n x 2n Pfaffian of the kernel is 0 by its rank."""
+    return two_n > KERNEL_RANKS[kernel]
 
 
 @functools.cache
 def point_grid_and_scale(name, two_n, n_nodes, kernel):
-    """debruijn_lhs_point_grid of a built-in ensemble, and its sum of
-    |w * det * Pf|, computed once per case."""
+    """debruijn_lhs_point_grid of a built-in ensemble, and the scale of its
+    rounding, computed once per case: the sum of |w * det * Pf|, or where
+    every Pfaffian vanishes and so is rounding itself, of |w * det| * haf|h|
+    (the Pfaffian's terms in absolute value)."""
     spec = build_ensemble(name, two_n)
     args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes, two_n)
-    return debruijn_lhs_point_grid(*args), debruijn_lhs_point_grid(*args, absolute=True)
+    absolute = "terms" if pfaffians_vanish(kernel, two_n) else True
+    return debruijn_lhs_point_grid(*args), debruijn_lhs_point_grid(*args, absolute=absolute)
 
 
 class TestHalfMinorTables:
-    """The de Bruijn left side reads each grid point's determinant from
-    tables of half-size minors (Laplace expansion along the first n
-    columns) instead of eliminating the 2n x 2n matrix per point."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(half_tables_and_points())
-    def test_laplace_sum_is_the_determinant(self, case):
-        values, points = case
-        got = half_table_dets(values, points)
-        matrices = values[:, points].transpose(1, 0, 2)  # [p, j, k] = f_j(x_{t_k})
-        want = determinant_batch(matrices)
-        hadamard = np.prod(np.linalg.norm(matrices, axis=1), axis=1)
-        assert np.all(np.abs(got - want) <= 1e-12 * hadamard)
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(half_tables_and_points(min_half=2), st.data())
-    def test_node_repeated_in_one_half_gives_exact_zero(self, case, data):
-        values, points = case
-        half = points.shape[1] // 2
-        start = data.draw(st.sampled_from([0, half]))
-        points = points.copy()
-        points[:, start + 1] = points[:, start]
-        assert np.all(half_table_dets(values, points) == 0.0)
+    """The de Bruijn left side as a sum over node subsets, against the full
+    grid of debruijn_lhs_point_grid."""
 
     def test_fewer_nodes_than_variables_give_exact_zero(self, monkeypatch):
-        # every grid point repeats a node; no table is built and no point
-        # is summed
+        # every grid point repeats a node: no subset, so no matrix is
+        # gathered or eliminated
         monkeypatch.setattr(identities, "determinant_batch", None)
-        monkeypatch.setattr(identities, "integrate_nd", None)
+        monkeypatch.setattr(identities, "pfaffian_batch", None)
         spec = build_ensemble("legendre-monomial", 8)
         assert debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 7, 8) == 0.0
 
-    def test_tables_are_read_only(self):
-        minors, cofactors = identities._half_minor_tables(np.ones((4, 3)), 2)
-        assert minors.shape == cofactors.shape == (9, 6)
-        assert not minors.flags.writeable and not cofactors.flags.writeable
-
-    @pytest.mark.parametrize("kernel", ["sign", "difference"])
+    @pytest.mark.parametrize("kernel", ["sign", "difference", "custom"])
     @pytest.mark.parametrize("two_n, n_nodes", [(2, 10), (4, 10), (6, 6)])
     @pytest.mark.parametrize("name", DEBRUIJN_ENSEMBLES)
     def test_within_term_scale_of_point_grid(self, name, two_n, n_nodes, kernel):
-        # the difference kernel has rank 2, so its sum at 2n >= 4 is all
-        # rounding: the bound is the sum of the absolute terms
+        # where every Pfaffian vanishes (difference from 2n = 4, custom at
+        # 2n = 6) the sum is all rounding, and the scale is that of the
+        # Pfaffian's terms
         spec = build_ensemble(name, two_n)
         args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes, two_n)
         got = debruijn_lhs_quadrature(*args)
         want, scale = point_grid_and_scale(name, two_n, n_nodes, kernel)
         assert abs(got - want) <= 1e-12 * scale
 
-    @staticmethod
-    def _integrand_and_grid(monkeypatch, two_n, n_nodes):
-        """The integrand the left side hands integrate_nd, and the whole
-        grid's (P, 2n) index block."""
+    def test_integrand_is_row_wise(self, monkeypatch):
+        # any slice of rows, including more rows than integrate_nd hands
+        # over at once, gives the whole block's values bit for bit
         captured = {}
 
         def capture(rule, dim, f):
@@ -799,39 +769,27 @@ class TestHalfMinorTables:
             return 0.0
 
         monkeypatch.setattr(identities, "integrate_nd", capture)
-        spec = build_ensemble("legendre-monomial", two_n)
-        debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, n_nodes, two_n)
-        shape = (n_nodes,) * two_n
-        return captured["f"], np.stack(np.unravel_index(np.arange(n_nodes**two_n), shape)).T
-
-    def test_integrand_is_row_wise(self, monkeypatch):
-        # any consecutive run, including the whole grid (longer than the
-        # integrand's buffer) and runs that cross its row groups or come
-        # out of grid order, gives the whole grid's values bit for bit
-        f, index = self._integrand_and_grid(monkeypatch, 6, 6)
-        whole = f(index)
-        # 6**3 = 216 half tuples, so a row is 216 points and a group 37 rows
-        runs = [(0, 1), (7, 8), (100, 357), (7990, 8000), (6**6 - 3, 6**6),
-                (215, 8209), (0, 6**6 - 1), (5, 9)]
-        for start, stop in runs:
+        spec = build_ensemble("legendre-monomial", 6)
+        debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 12, 6)
+        index = np.array(list(itertools.combinations(range(12), 6)))
+        index = np.concatenate([index, index[:, ::-1]])  # 1848 rows
+        f, whole = captured["f"], captured["f"](index)
+        # symmetric in the points: reversed rows agree up to rounding
+        assert np.allclose(whole[924:], whole[:924], rtol=1e-9, atol=0.0)
+        for start, stop in [(0, 1), (7, 8), (100, 357), (900, 1848), (5, 9)]:
             assert np.array_equal(f(index[start:stop]), whole[start:stop])
-
-    def test_block_that_is_not_a_run_raises(self, monkeypatch):
-        f, index = self._integrand_and_grid(monkeypatch, 4, 5)
-        for rows in ([0, 2], [3, 2], [0, 1, 1], [4, 3, 2, 1]):
-            with pytest.raises(ValueError, match="consecutive run"):
-                f(index[rows])
 
     @pytest.mark.parametrize("kernel", DEBRUIJN_KERNELS)
     @pytest.mark.parametrize("two_n, n_nodes, chunk", [(2, 10, 7), (4, 10, 7), (6, 6, 200)])
     @pytest.mark.parametrize("name", DEBRUIJN_ENSEMBLES)
     def test_runs_that_stop_mid_row(self, monkeypatch, name, two_n, n_nodes, chunk, kernel):
-        # tiles of 7 points, or of 180 on the 216-point rows at 2n = 6,
-        # start and stop inside the integrand's rows and row groups
+        # a row is the run of subsets that share their first node: blocks
+        # of 7 of the 45 and 210 subsets at 2n = 2 and 4 stop inside rows,
+        # and at 2n = 6 one block holds the one subset of 6 nodes
         spec = build_ensemble(name, two_n)
         args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes, two_n)
         want, scale = point_grid_and_scale(name, two_n, n_nodes, kernel)
-        monkeypatch.setattr(quadrature, "_GRID_CHUNK", chunk)
+        monkeypatch.setattr(quadrature, "_EVAL_ROWS", chunk)
         assert abs(debruijn_lhs_quadrature(*args) - want) <= 1e-12 * scale
 
 

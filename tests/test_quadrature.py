@@ -1,6 +1,7 @@
 """Tests for quadrature rules and the two multidimensional integrators."""
 
 import inspect
+import itertools
 import math
 import sys
 import threading
@@ -16,7 +17,6 @@ from andreief.identities import andreief_lhs_mc
 from andreief.linalg import within_tolerance
 from andreief.quadrature import (
     _EVAL_ROWS,
-    _GRID_CHUNK,
     _MC_CHUNK,
     BudgetError,
     Domain,
@@ -202,10 +202,40 @@ class TestIntegrate1D:
             integrate_1d(rule, lambda x: np.ones(3))
 
 
+def vandermonde_squared(p):
+    """prod_{i<j} (p_i - p_j)^2 per row: symmetric, zero where two
+    coordinates coincide."""
+    out = np.ones(p.shape[0])
+    for i, j in itertools.combinations(range(p.shape[1]), 2):
+        out *= (p[:, i] - p[:, j]) ** 2
+    return out
+
+
+def symmetric_integrand(rule):
+    """A smooth symmetric index integrand that is zero on the diagonals."""
+    return point_integrand(
+        rule,
+        lambda p: vandermonde_squared(p) * (np.cos(p.sum(axis=1)) + (p**2).sum(axis=1)),
+    )
+
+
+def andreief_pair(rule, f, g):
+    """(f(x) g(y) - f(y) g(x))^2, the N = 2 Andreief integrand of {f, g}
+    against itself, as an index integrand."""
+    return point_integrand(
+        rule, lambda p: (f(p[:, 0]) * g(p[:, 1]) - f(p[:, 1]) * g(p[:, 0])) ** 2
+    )
+
+
 class TestIntegrateND:
+    """integrate_nd is the tensor grid sum of an integrand symmetric in its
+    points and zero where two coincide, taken over node subsets."""
+
     def test_constant_square(self):
+        # a constant read only at distinct points: the square less its diagonal
         rule = gauss_rule(UNIT, 4)
-        assert integrate_nd(rule, 2, lambda i: np.ones(i.shape[0])) == pytest.approx(1.0)
+        val = integrate_nd(rule, 2, lambda i: np.ones(i.shape[0]))
+        assert val == pytest.approx(1.0 - float(np.sum(rule.weights**2)), abs=1e-15)
 
     def test_squared_difference(self):
         rule = gauss_rule(UNIT, 4)
@@ -220,16 +250,17 @@ class TestIntegrateND:
 
     @pytest.mark.parametrize("domain", [UNIT, HALF, REAL])
     def test_product_integrand_factorizes(self, domain):
+        # Andreief at N = 2: the pair integral is 2 (int f^2 int g^2 - (int fg)^2)
         rule = gauss_rule(domain, 10)
-        f1 = integrate_1d(rule, lambda x: x**2)
-        g1 = integrate_1d(rule, lambda x: x**3 + 1.0)
-        val = integrate_nd(
-            rule, 2, point_integrand(rule, lambda p: p[:, 0] ** 2 * (p[:, 1] ** 3 + 1.0))
-        )
-        assert within_tolerance(val, f1 * g1, 1e-13)
+        f, g = (lambda x: x**2), (lambda x: x**3 + 1.0)
+        ff, gg, fg = (integrate_1d(rule, lambda x, a=a, b=b: a(x) * b(x))
+                      for a, b in ((f, f), (g, g), (f, g)))
+        val = integrate_nd(rule, 2, andreief_pair(rule, f, g))
+        assert abs(val - 2.0 * (ff * gg - fg * fg)) <= 1e-13 * ff * gg
 
     def test_integrand_receives_row_major_node_indices(self):
-        rule = gauss_rule(UNIT, 3)
+        # the grid points with increasing coordinates, in grid order
+        rule = gauss_rule(UNIT, 4)
         blocks = []
 
         def f(index):
@@ -239,28 +270,33 @@ class TestIntegrateND:
         integrate_nd(rule, 2, f)
         index = np.concatenate(blocks)
         assert index.dtype.kind == "i"
-        assert index.tolist() == [[a, b] for a in range(3) for b in range(3)]
+        assert index.tolist() == [[a, b] for a in range(4) for b in range(a + 1, 4)]
 
     def test_index_tables_match_point_evaluation(self):
         # the node-table form of an integrand sums to the same floats
         rule = gauss_rule(REAL, 9)
-        g = lambda p: np.cos(p[:, 0]) * p[:, 1] ** 2 - p[:, 2]
-        table = (np.cos(rule.nodes), rule.nodes**2, rule.nodes)
+        g = lambda p: vandermonde_squared(p) * np.cos(p).prod(axis=1)
+        cos, x = np.cos(rule.nodes), rule.nodes
         by_table = integrate_nd(
-            rule, 3, lambda i: table[0][i[:, 0]] * table[1][i[:, 1]] - table[2][i[:, 2]]
+            rule, 3, lambda i: vandermonde_squared(x[i]) * cos[i].prod(axis=1)
         )
         assert by_table == integrate_nd(rule, 3, point_integrand(rule, g))
 
     def test_budget_error_reports_counts(self):
-        rule = gauss_rule(UNIT, 12)
-        with pytest.raises(BudgetError, match="requires 5159780352 .* allowed 100000000"):
-            integrate_nd(rule, 9, lambda p: np.ones(p.shape[0]))
+        rule = gauss_rule(UNIT, 60)
+        with pytest.raises(
+            BudgetError, match="2558620845 8-subsets of the 60 nodes, allowed 100000000"
+        ):
+            integrate_nd(rule, 8, lambda p: np.ones(p.shape[0]))
 
     def test_custom_budget(self, monkeypatch):
+        # C(10, 2) = 45 node pairs
         rule = gauss_rule(UNIT, 10)
-        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 99)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 44)
         with pytest.raises(BudgetError):
             integrate_nd(rule, 2, lambda p: np.ones(p.shape[0]))
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 45)
+        integrate_nd(rule, 2, lambda p: np.ones(p.shape[0]))
 
     def test_non_finite_rejected(self):
         rule = gauss_rule(UNIT, 4)
@@ -272,7 +308,7 @@ class TestIntegrateND:
             integrate_nd(rule, 2, point_integrand(rule, f))
 
     def test_non_finite_names_point_coordinates(self):
-        # the first bad point in grid order is (nodes[0], nodes[2])
+        # the first bad subset in grid order is (nodes[0], nodes[2])
         rule = gauss_rule(UNIT, 4)
         f = lambda i: np.where(i[:, 1] >= 2, np.inf, 1.0)
         with pytest.raises(ValueError, match="value inf at node") as info:
@@ -280,44 +316,68 @@ class TestIntegrateND:
         assert str(rule.nodes[[0, 2]]) in str(info.value)
 
     def test_chunked_matches_single_pass(self):
-        n = 17
-        assert n**4 > 2 * _GRID_CHUNK  # spans several chunks
+        # 4! det H_4 (the Hilbert matrix), exact at 28 Gauss-Legendre nodes
+        n = 28
+        assert math.comb(n, 4) > 2 * _EVAL_ROWS  # spans several blocks
         rule = gauss_rule(UNIT, n)
-        val = integrate_nd(rule, 4, point_integrand(rule, lambda p: np.prod(p, axis=1)))
-        assert within_tolerance(val, (0.5) ** 4, 1e-13)
+        val = integrate_nd(rule, 4, point_integrand(rule, vandermonde_squared))
+        assert within_tolerance(val, 24.0 / 6048000.0, 1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("domain", [UNIT, HALF, REAL], ids=str)
+    def test_equals_the_full_grid(self, domain, dim):
+        rule = gauss_rule(domain, 9)
+        integrands = [symmetric_integrand(rule)]
+        if dim == 2:
+            integrands.append(andreief_pair(rule, np.sin, lambda x: x**2 - 1.0))
+        for f in integrands:
+            want = integrate_nd_by_chunks(rule, dim, f)
+            scale = integrate_nd_by_chunks(rule, dim, f, absolute=True)
+            assert abs(integrate_nd(rule, dim, f) - want) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n, dim", [(3, 4), (5, 6), (1, 2)])
+    def test_fewer_nodes_than_dim_is_zero_without_a_call(self, n, dim):
+        def f(index):
+            raise AssertionError("an integrand was called with no node subset")
+
+        assert integrate_nd(_flat_grid(n), dim, f) == 0.0
+
+    def test_index_blocks_share_one_chunker(self):
+        # the helper discrete's subset sums use too, including width 0
+        blocks = list(quadrature._index_blocks(itertools.combinations(range(5), 3), 10, 3, 4))
+        assert [len(b) for b in blocks] == [4, 4, 2]
+        assert np.concatenate(blocks).tolist() == [
+            list(t) for t in itertools.combinations(range(5), 3)
+        ]
+        empty = list(quadrature._index_blocks(iter([()]), 1, 0, 4))
+        assert [b.shape for b in empty] == [(1, 0)]
 
 
 class TestGridTiles:
-    """integrate_nd sums the grid one row tile at a time on the calling
-    thread: consecutive runs of at most _GRID_CHUNK points, in grid order."""
+    """integrate_nd hands its integrand the grid's points with increasing
+    coordinates, in grid order, in consecutive blocks of at most _EVAL_ROWS
+    on the calling thread, and the sum does not depend on the block size."""
 
-    # (dim, nodes): with the chunk patched to 1, 7, 64 and 8192 these give
-    # one-point tiles, n > _GRID_CHUNK (no trailing block), partial last
-    # tiles and the whole grid in one tile
+    # (dim, nodes): with the block size patched to 1, 7, 64 and 8192 these
+    # give one-point blocks, partial last blocks, the whole sum in one
+    # block, and no subset at all (3 nodes, dim 6)
     SHAPES = [(1, 9), (2, 9), (3, 5), (4, 4), (5, 3), (6, 3)]
     CHUNKS = [1, 7, 64, 8192]
-
-    @staticmethod
-    def _integrand(rule, dim):
-        weights = np.arange(1, dim + 1)
-        return point_integrand(
-            rule, lambda p: np.cos(p @ weights) + p[:, 0] * p[:, -1] ** 2
-        )
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("dim, n", SHAPES)
     def test_matches_the_chunked_sum(self, monkeypatch, dim, n, chunk):
         rule = gauss_rule(SYM, n)
-        f = self._integrand(rule, dim)
+        f = symmetric_integrand(rule)
         want = integrate_nd_by_chunks(rule, dim, f)
         scale = integrate_nd_by_chunks(rule, dim, f, absolute=True)
-        monkeypatch.setattr(quadrature, "_GRID_CHUNK", chunk)
+        monkeypatch.setattr(quadrature, "_EVAL_ROWS", chunk)
         assert abs(integrate_nd(rule, dim, f) - want) <= 1e-14 * scale
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("dim, n", SHAPES)
     def test_calls_are_consecutive_runs_in_grid_order(self, monkeypatch, dim, n, chunk):
-        monkeypatch.setattr(quadrature, "_GRID_CHUNK", chunk)
+        monkeypatch.setattr(quadrature, "_EVAL_ROWS", chunk)
         rule = gauss_rule(SYM, n)
         caller_threads = threading.active_count()
         blocks, threads = [], []
@@ -328,22 +388,11 @@ class TestGridTiles:
             return np.ones(index.shape[0])
 
         integrate_nd(rule, dim, f)
-        flat = [np.ravel_multi_index(block.T, (n,) * dim) for block in blocks]
-        # every point once, in grid order: so each call is a consecutive
-        # run, and the calls come in grid order
-        assert np.array_equal(np.concatenate(flat), np.arange(n**dim))
-        assert all(len(run) <= chunk for run in flat)
+        # every point with increasing coordinates once, in grid order
+        want = [list(t) for t in itertools.combinations(range(n), dim)]
+        assert [row for block in blocks for row in block.tolist()] == want
+        assert all(0 < len(block) <= chunk for block in blocks)
         assert threads == [caller_threads] * len(blocks)
-
-    def test_whole_tiles_of_leading_tuples(self, monkeypatch):
-        # 9**2 = 81 <= 200 < 9**3: tiles are 2 leading tuples times the
-        # last two coordinates, and the last tile holds the one left over
-        monkeypatch.setattr(quadrature, "_GRID_CHUNK", 200)
-        sizes = []
-        integrate_nd(
-            gauss_rule(UNIT, 9), 3, lambda i: sizes.append(len(i)) or np.ones(len(i))
-        )
-        assert sizes == [162] * 4 + [81]
 
 
 class TestMonteCarlo:
@@ -428,8 +477,9 @@ def _flat_grid(n):
 
 
 class TestWorkers:
-    """Monte Carlo blocks run on a pool of _WORKERS threads, grid tiles on
-    the calling thread; no result may depend on the worker count."""
+    """Monte Carlo blocks run on a pool of _WORKERS threads, integrate_nd's
+    subset blocks on the calling thread; no result may depend on the
+    worker count."""
 
     WORKER_COUNTS = (1, 2, 3)
 
@@ -441,11 +491,9 @@ class TestWorkers:
         return out
 
     def test_grid_identical_across_worker_counts(self, monkeypatch):
-        rule = gauss_rule(UNIT, 13)
-        assert rule.n_nodes**4 > 3 * _GRID_CHUNK
-        f = point_integrand(
-            rule, lambda p: np.exp(p[:, 0] * p[:, 1]) - p[:, 2] * np.sin(p[:, 3])
-        )
+        rule = gauss_rule(UNIT, 30)
+        assert math.comb(rule.n_nodes, 4) > 3 * _EVAL_ROWS
+        f = symmetric_integrand(rule)
         vals = self._per_worker_count(monkeypatch, lambda: integrate_nd(rule, 4, f))
         assert vals[1:] == vals[:-1]
 
@@ -459,10 +507,13 @@ class TestWorkers:
         assert ests[1:] == ests[:-1]
 
     def test_grid_first_failing_chunk_raises(self, monkeypatch):
-        # non-finite values in chunks 2 and 4 (of 6); chunk 2 must be named
-        n = math.isqrt(6 * _GRID_CHUNK)
+        # non-finite values in blocks 2 and 4 (of 6); block 2 must be named
+        n = 1 + math.isqrt(12 * _EVAL_ROWS)
         rule = _flat_grid(n)
-        bad = {2 * _GRID_CHUNK + 5: np.nan, 4 * _GRID_CHUNK + 5: np.inf}
+        pairs = list(itertools.combinations(range(n), 2))
+        assert 5 * _EVAL_ROWS < len(pairs) <= 6 * _EVAL_ROWS
+        first, later = pairs[2 * _EVAL_ROWS + 5], pairs[4 * _EVAL_ROWS + 5]
+        bad = {first[0] * n + first[1]: np.nan, later[0] * n + later[1]: np.inf}
 
         def f(p):
             index = np.rint(p * n - 0.5).astype(int) @ np.array([n, 1])
@@ -471,8 +522,7 @@ class TestWorkers:
                 values[index == i] = value
             return values
 
-        assert n * n > 5 * _GRID_CHUNK
-        want = rule.nodes[np.array(divmod(2 * _GRID_CHUNK + 5, n))]
+        want = rule.nodes[np.array(first)]
         for workers in self.WORKER_COUNTS:
             monkeypatch.setattr(quadrature, "_WORKERS", workers)
             with pytest.raises(ValueError, match="value nan at node") as info:
@@ -506,7 +556,7 @@ class TestWorkers:
             assert threading.active_count() == baseline
             with pytest.raises(ValueError, match="non-finite"):
                 integrate_nd(
-                    rule, 4, point_integrand(rule, lambda p: np.where(p[:, 0] > 0.9, np.nan, 1.0))
+                    rule, 4, point_integrand(rule, lambda p: np.where(p[:, -1] > 0.9, np.nan, 1.0))
                 )
             with pytest.raises(ValueError, match="non-finite"):
                 monte_carlo_nd(UNIT, 1, lambda p: np.where(p[:, 0] > 0.9, np.inf, 1.0),
