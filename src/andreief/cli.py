@@ -15,6 +15,7 @@ import io
 import csv
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -24,7 +25,6 @@ import numpy as np
 
 from .biortho import biorthogonality_residuals, biorthogonalize, partition_function
 from .discrete import (
-    _check_subset_budget,
     _check_table_budget,
     _check_tuple_budget,
     block_reclaims_cauchy_binet,
@@ -49,7 +49,7 @@ from .identities import (
     verify_andreief,
 )
 from .linalg import relative_gap
-from .quadrature import DEFAULT_NODES_1D, DEFAULT_NODES_TENSOR, Domain
+from .quadrature import DEFAULT_NODES_1D, DEFAULT_NODES_TENSOR, Domain, _check_subset_budget
 
 __all__ = ["RunConfig", "main", "parse_config", "run"]
 
@@ -166,8 +166,8 @@ class RunConfig:
             raise UsageError(
                 f"unknown command {self.command!r}; choose from: " + ", ".join(COMMANDS)
             )
-        if not self.tolerance > 0:
-            raise UsageError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise UsageError("tolerance must be positive and finite")
         if self.mc_samples < 0:
             raise UsageError("mc_samples must be non-negative")
         if self.seed < 0:
@@ -386,13 +386,10 @@ def _run_verify_andreief(config: RunConfig):
 def _run_verify_debruijn(config: RunConfig):
     spec = config.ensemble
     kernel = KernelFunction.builtin(config.extras["kernel"])
-    two_n = spec.size
     # both sides share one 1-D rule: the identity then holds exactly over
     # the discrete node measure, even for the discontinuous sign kernel
-    rhs = debruijn_rhs(spec.left, kernel, spec.domain, config.n_nodes, two_n)
-    lhs = debruijn_lhs_quadrature(
-        spec.left, kernel, spec.domain, config.n_nodes, two_n
-    )
+    rhs = debruijn_rhs(spec.left, kernel, spec.domain, config.n_nodes)
+    lhs = debruijn_lhs_quadrature(spec.left, kernel, spec.domain, config.n_nodes)
     return [_check(f"debruijn-{kernel.kind}", lhs, rhs, config.tolerance)], {}
 
 

@@ -26,6 +26,7 @@ batched determinant and Pfaffian kernels.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -33,6 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import quadrature
 from .linalg import (
     SkewMatrix,
     determinant,
@@ -41,7 +43,7 @@ from .linalg import (
     pfaffian_batch,
     subsets,
 )
-from .quadrature import DEFAULT_EVAL_BUDGET, BudgetError, _index_blocks
+from .quadrature import _check_budget, _check_subset_budget, _index_blocks
 
 __all__ = [
     "block_reclaims_cauchy_binet",
@@ -52,11 +54,6 @@ __all__ = [
     "minor_summation_rhs",
     "ordered_tuple_sum",
 ]
-
-
-# Most row subsets or tuples gathered into one det/Pf stack on the float
-# path, or tabulated at once on the exact path.
-_SUBSET_BLOCK = 1 << 14
 
 
 def _exact_division(*arrays):
@@ -125,8 +122,8 @@ def _check_tall(x: np.ndarray, y: np.ndarray) -> None:
 
 def _subset_blocks(m: int, n: int) -> Iterator[np.ndarray]:
     """The row subsets in lexicographic order, as (c, n) index arrays of at
-    most _SUBSET_BLOCK subsets each, so a gathered stack stays bounded."""
-    for block in _index_blocks(subsets(m, n), math.comb(m, n), n, _SUBSET_BLOCK):
+    most _EVAL_ROWS subsets each, so a gathered stack stays bounded."""
+    for block in _index_blocks(subsets(m, n), math.comb(m, n), n):
         # subsets() enumerates 1-based
         yield block - 1
 
@@ -148,21 +145,9 @@ def _pf_det_terms(
     return pfaffians(principal.transpose(2, 0, 1)) * dets
 
 
-def _check_budget(count: int, what: str) -> None:
-    """BudgetError naming count and what it counts when it exceeds
-    DEFAULT_EVAL_BUDGET, before any of it is computed."""
-    if count > DEFAULT_EVAL_BUDGET:
-        raise BudgetError(f"budget exceeded: {count} {what}, allowed {DEFAULT_EVAL_BUDGET}")
-
-
-def _check_subset_budget(m: int, n: int, what: str) -> None:
-    """The budget check of the C(m, n) subsets of a subset sum."""
-    _check_budget(math.comb(m, n), f"{n}-subsets of the {m} {what}")
-
-
 def _grow(binom, k, parents, parent_ranks):
     """The k-subsets of range(m) in colex order, in blocks of at most
-    _SUBSET_BLOCK: (ranks slice, idx, removal ranks), with each subset a
+    _EVAL_ROWS: (ranks slice, idx, removal ranks), with each subset a
     sorted row of idx and column p of its removal ranks the rank of the
     subset without its p-th element.
 
@@ -170,9 +155,9 @@ def _grow(binom, k, parents, parent_ranks):
     so K = S + {c} with c = max K has rank rank(S) + C(c, k): one search
     finds c and the parent S among the (k-1)-subsets parents, whose
     removal ranks parent_ranks shift by C(c, k - 1); removing c leaves S."""
-    count = int(binom[k, -1])
-    for start in range(0, count, _SUBSET_BLOCK):
-        rank = np.arange(start, min(start + _SUBSET_BLOCK, count))
+    count, rows = int(binom[k, -1]), quadrature._EVAL_ROWS
+    for start in range(0, count, rows):
+        rank = np.arange(start, min(start + rows, count))
         last = binom[k, 1:].searchsorted(rank, side="right")
         parent = rank - binom[k].take(last)
         idx = np.empty((len(rank), k), dtype=int)
@@ -231,7 +216,7 @@ def _table_sum(m: int, n: int, tables: list, combine):
     A table holds a value on every subset whose size its step divides, 1
     on the empty one, and its level(idx, ranks, parent_ranks, prev)
     computes them on the subsets idx (see _grow) from those one step
-    smaller, prev.  Subsets run in colex order in blocks of _SUBSET_BLOCK.
+    smaller, prev.  Subsets run in colex order in blocks of _EVAL_ROWS.
     Only the previous size is kept; size n is summed block by block and
     never stored.  Callers bound the products first (_check_table_budget)."""
     prev = {table: table.empty for table in tables}
@@ -326,22 +311,6 @@ def cauchy_binet_rhs(x, y):
     return determinant(xa.T @ ya)
 
 
-def _distinct_tuples(m: int, n: int, prefix=None) -> Iterator[np.ndarray]:
-    """The ordered n-tuples of distinct rows of m that extend prefix (all
-    m!/(m-n)! by default), in lexicographic order, as (c, n) index arrays
-    of at most _SUBSET_BLOCK tuples: each block grows over its free rows."""
-    prefix = np.zeros((1, 0), dtype=int) if prefix is None else prefix
-    if prefix.shape[1] == n:
-        yield prefix
-        return
-    free = np.ones((len(prefix), m), dtype=bool)
-    free[np.arange(len(prefix))[:, None], prefix] = False
-    rows, cols = np.nonzero(free)
-    grown = np.column_stack([prefix[rows], cols])
-    for start in range(0, len(grown), _SUBSET_BLOCK):
-        yield from _distinct_tuples(m, n, grown[start : start + _SUBSET_BLOCK])
-
-
 def _weighted_tables(weights, f, phi) -> tuple[np.ndarray, np.ndarray]:
     """(X, Y) = (W F, Phi) from a finite measure's tables; unit weights
     leave F unchanged bit for bit."""
@@ -361,7 +330,8 @@ def ordered_tuple_sum(weights, f, phi) -> float:
     m, n = x.shape
     _check_tuple_budget(m, n)
     total = 0.0
-    for idx in _distinct_tuples(m, n):
+    tuples = itertools.permutations(range(m), n)
+    for idx in _index_blocks(tuples, math.perm(m, n), n):
         total += float(np.sum(determinant_batch(x[idx]) * determinant_batch(y[idx])))
     return total / math.factorial(n)
 

@@ -17,6 +17,7 @@ tabulates families on a finite measure, a Gauss rule's or a point set's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -68,8 +69,8 @@ class Weight:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "gaussian" and self.c != 0.0:
             raise ValueError("gaussian weight takes no exponent parameter")
-        if self.kind == "laguerre" and self.c < 0:
-            raise ValueError("laguerre weight requires c >= 0")
+        if self.kind == "laguerre" and not 0 <= self.c < math.inf:
+            raise ValueError(f"laguerre weight requires a finite c >= 0, got c = {self.c}")
 
 
 @dataclass(frozen=True)
@@ -107,14 +108,16 @@ class FunctionFamily:
         elif self.weight is not None:
             raise ValueError(f"{self.kind} takes no weight")
         if self.kind == "stretched_monomial":
-            if self.theta is None or not self.theta > 0:
-                raise ValueError("theta must be positive")
+            if self.theta is None or not 0 < self.theta < math.inf:
+                raise ValueError(f"theta must be positive and finite, got {self.theta}")
         elif self.theta is not None:
             raise ValueError(f"{self.kind} takes no theta")
         if self.kind == "shifted_gaussian":
             if self.shifts is None:
                 raise ValueError("shifted_gaussian requires a shift per member")
             object.__setattr__(self, "shifts", tuple(float(a) for a in self.shifts))
+            if not all(map(math.isfinite, self.shifts)):
+                raise ValueError(f"shifts must be finite, got {self.shifts}")
             if len(self.shifts) != self.size:
                 raise ValueError(
                     f"expected {self.size} shifts, got {len(self.shifts)}"
@@ -129,6 +132,8 @@ class FunctionFamily:
             raise ValueError(f"{self.kind} takes no nu")
         if self.scales is not None:
             object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
+            if not all(map(math.isfinite, self.scales)):
+                raise ValueError(f"scales must be finite, got {self.scales}")
             if len(self.scales) != self.size:
                 raise ValueError(
                     f"expected {self.size} scales, got {len(self.scales)}"

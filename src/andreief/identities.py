@@ -57,13 +57,13 @@ from .linalg import (
     skew_symmetrize,
 )
 from .quadrature import (
-    DEFAULT_EVAL_BUDGET,
     DEFAULT_NODES_1D,
     DEFAULT_NODES_TENSOR,
     BudgetError,
     Domain,
     MCEstimate,
     _check_finite,
+    _check_subset_budget,
     gauss_rule,
     integrate_1d,
     integrate_nd,
@@ -93,9 +93,9 @@ DEFAULT_SEED = 42
 
 _LOG = logging.getLogger("andreief")
 
-# Size gate on the Andreief quadrature left side; an explicit force flag
-# overrides it.  It guards the verdict rather than a cost: past it, the
-# max(1, |lhs|, |rhs|) verdict scale makes a pass on small values vacuous.
+# Largest N that verify_andreief gives a verdict on.  It guards the verdict
+# rather than a cost: past it, the max(1, |lhs|, |rhs|) verdict scale makes
+# a pass on small values vacuous.  The left sides themselves take any N.
 TENSOR_SIZE_LIMIT = 6
 
 # Absolute slack added to the 3-sigma Monte Carlo pass rule so that
@@ -133,8 +133,8 @@ class VerifyConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.mc_samples < 0:
             raise ValueError("mc_samples must be non-negative (0 disables MC)")
 
@@ -261,12 +261,7 @@ def andreief_rhs(g: GramMatrix) -> float:
     )
 
 
-def andreief_lhs_quadrature(
-    spec: EnsembleSpec,
-    n_nodes: int = DEFAULT_NODES_TENSOR,
-    *,
-    force: bool = False,
-) -> float:
+def andreief_lhs_quadrature(spec: EnsembleSpec, n_nodes: int = DEFAULT_NODES_TENSOR) -> float:
     """N-fold tensor Gauss quadrature of det[f_j(x_k)] det[phi_j(x_k)],
     summed over node subsets.
 
@@ -277,32 +272,19 @@ def andreief_lhs_quadrature(
     N! * sum_K det((W F)_K) * det(Phi_K) over the C(n_nodes, N) subsets,
     with F[k, j] = f_j(x_k), Phi[k, j] = phi_j(x_k) and
     W = diag(w_k * point_factor(x_k)).  Fewer nodes than N leave no subset
-    and the exact value 0.0.  DEFAULT_EVAL_BUDGET bounds the subset count.
+    and the exact value 0.0.  DEFAULT_EVAL_BUDGET bounds the subset count,
+    checked before the rule is built.
 
     Cauchy-Binet also equals det(F^T W Phi), but that is the Gram route of
     andreief_rhs on another rule: summing the minors keeps this side
     independent of the right side.
     """
     n = spec.size
-    count = math.comb(n_nodes, n)
-    if n > TENSOR_SIZE_LIMIT:
-        if not force:
-            raise BudgetError(
-                f"N = {n}, where the max(1, |lhs|, |rhs|) verdict scale passes "
-                f"small values vacuously, exceeds the default size gate "
-                f"({TENSOR_SIZE_LIMIT}); no CLI option lifts it (a library "
-                "caller can use andreief_lhs_mc or pass force=True)"
-            )
-        _LOG.info("evaluation count: %d", count)
-    if count > DEFAULT_EVAL_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: {count} node subsets, allowed {DEFAULT_EVAL_BUDGET}; "
-            "consider andreief_lhs_mc"
-        )
+    _check_subset_budget(n_nodes, n, "nodes")
     _, weights, (left, right) = _node_measure(
         (spec.left, spec.right), spec.domain, n_nodes
     )
-    if count == 0:
+    if n_nodes < n:
         return 0.0
     return _factorial(n) * cauchy_binet_lhs(weights[:, None] * left, right)
 
@@ -317,21 +299,13 @@ def andreief_lhs_mc(spec: EnsembleSpec, samples: int, seed: int) -> MCEstimate:
 # Pfaffian identity
 
 
-def _check_debruijn_size(two_n: int, family_size: int) -> None:
-    if two_n % 2:
-        raise ValueError(f"size must be even, got {two_n}")
-    if two_n != family_size:
-        raise ValueError(
-            f"size {two_n} does not match family size {family_size}"
-        )
+def _check_even(family: FunctionFamily) -> None:
+    if family.size % 2:
+        raise ValueError(f"size must be even, got {family.size}")
 
 
 def debruijn_rhs(
-    left: FunctionFamily,
-    kernel: KernelFunction,
-    domain: Domain,
-    n_nodes: int,
-    two_n: int,
+    left: FunctionFamily, kernel: KernelFunction, domain: Domain, n_nodes: int
 ) -> float:
     """Pf of the matrix of double integrals int int f_j(x) h(x,y) f_k(y).
 
@@ -340,7 +314,7 @@ def debruijn_rhs(
     (B - B^T)/2 before the Pfaffian; the pre-existing asymmetry (quadrature
     reduction order only) is checked against 1e-12.
     """
-    _check_debruijn_size(two_n, left.size)
+    _check_even(left)
     rule, weights, (values,) = _node_measure((left,), domain, n_nodes)
     weighted = np.ascontiguousarray(values.T) * weights
     b = weighted @ _kernel_table(kernel.antisymmetrized(), rule.nodes) @ weighted.T
@@ -353,14 +327,10 @@ def debruijn_rhs(
 
 
 def debruijn_lhs_quadrature(
-    left: FunctionFamily,
-    kernel: KernelFunction,
-    domain: Domain,
-    n_nodes: int,
-    two_n: int,
+    left: FunctionFamily, kernel: KernelFunction, domain: Domain, n_nodes: int
 ) -> float:
-    """Tensor quadrature of det[f_j(x_k)] Pf[h(x_j, x_k)] over 2n variables,
-    divided by (2n)!.
+    """Tensor quadrature of det[f_j(x_k)] Pf[h(x_j, x_k)] over the 2n =
+    left.size variables, divided by (2n)!.
 
     The integrand is symmetric in its points (a swap flips the sign of the
     determinant and of the Pfaffian) and zero where two coincide (the
@@ -373,7 +343,7 @@ def debruijn_lhs_quadrature(
     (2n, 2n) matrices are gathered from them, and eliminated, by
     discrete._pf_det_terms, the terms of minor_summation_lhs's float sum.
     """
-    _check_debruijn_size(two_n, left.size)
+    _check_even(left)
     rule, _, (values,) = _node_measure((left,), domain, n_nodes)
     table = _kernel_table(kernel.antisymmetrized(), rule.nodes)
     family = np.ascontiguousarray(values.T)
@@ -381,7 +351,7 @@ def debruijn_lhs_quadrature(
     def integrand(index: np.ndarray) -> np.ndarray:
         return _pf_det_terms(table, family, index, pfaffian_batch, determinant_batch)
 
-    return integrate_nd(rule, two_n, integrand) / _factorial(two_n)
+    return integrate_nd(rule, left.size, integrand) / _factorial(left.size)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +412,16 @@ def verify_andreief(
 
     Quadrature LHS is always computed; Monte Carlo runs when
     config.mc_samples > 0.  Disagreement shows up as passed=False with the
-    gaps in the report, never as a silent adjustment.
+    gaps in the report, never as a silent adjustment.  N above
+    TENSOR_SIZE_LIMIT raises BudgetError before either side is computed.
     """
+    if spec.size > TENSOR_SIZE_LIMIT:
+        raise BudgetError(
+            f"N = {spec.size}, where the max(1, |lhs|, |rhs|) verdict scale passes "
+            f"small values vacuously, exceeds the default size gate "
+            f"({TENSOR_SIZE_LIMIT}); no CLI option lifts it (a library caller can "
+            "compute andreief_lhs_quadrature, andreief_lhs_mc and andreief_rhs itself)"
+        )
     cfg = config if config is not None else VerifyConfig()
     powers = _non_integer_powers(spec)
     if powers:

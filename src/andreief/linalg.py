@@ -55,12 +55,12 @@ _LOCKSTEP_MAX_ORDER = 5
 # Matrices eliminated at once by a lockstep LU or Parlett-Reid.  Temporaries
 # scale with this count (about 0.7 MB for the LU at order 4, 1.2 MB for the
 # Parlett-Reid copy at order 6), so it bounds their peak memory per call.
-# The stacks that reach the LU's orders 4-5 are the float subset sums of
-# andreief.discrete (up to _SUBSET_BLOCK subsets, on the calling thread),
-# Monte Carlo slices at N = 4-5 (8192 rows, one call per pool thread) and
-# the de Bruijn left side's node subsets at 2n = 4 (8192 per block, on the
-# calling thread); all are built entry-major, so the LU reads them
-# without a copy.  The de Bruijn Pfaffians reach the Parlett-Reid
+# The stacks that reach the LU's orders 4-5 are the float subset and tuple
+# sums of andreief.discrete, Monte Carlo slices at N = 4-5 (one call per
+# pool thread) and the de Bruijn left side's node subsets at 2n = 4, each
+# at most quadrature._EVAL_ROWS = 8192 matrices; all but the Cauchy-Binet
+# and tuple stacks are built entry-major, so the LU reads them without a
+# copy.  The de Bruijn Pfaffians reach the Parlett-Reid
 # from 2n = 6, 8192 per block.  The count was set when the de Bruijn grid
 # took per-point LU determinants: eliminating a whole 8192-point chunk at
 # once put the tensor benchmark's peak RSS at 45.2-46.1 MB, two blocks of

@@ -19,8 +19,10 @@ computed once per node (or node pair) from tables.  Monte Carlo
 integrands map a (P, dim) block of sample points to a (P,) value array.
 Scalar returns are broadcast.
 
-Both integrators call an integrand on at most _EVAL_ROWS rows at once, so
-the arrays it makes stay cache-sized.  Monte Carlo integrands must be
+Every sum over node subsets or point tuples, here and in andreief.discrete,
+checks DEFAULT_EVAL_BUDGET (_check_budget) before any term is computed and
+runs in blocks of at most _EVAL_ROWS rows, as Monte Carlo integrands do, so
+the arrays made per block stay cache-sized.  Monte Carlo integrands must be
 row-wise: row i of their values depends on row i of their input only, so
 a slice gives the same values as the whole block would.
 
@@ -66,9 +68,9 @@ DEFAULT_NODES_TENSOR = 12
 # hence the float result) is the same on every run and every CPU count.
 _MC_CHUNK = 1 << 17
 
-# Most rows an integrand is called on at once: node subsets of integrate_nd,
-# or samples of a Monte Carlo block.  The arrays an integrand makes stay
-# cache-sized.
+# Most rows handled at once: node subsets of integrate_nd, Monte Carlo
+# samples, and the subsets or tuples andreief.discrete gathers into one
+# det/Pf stack or tabulates exactly.  The arrays made stay cache-sized.
 _EVAL_ROWS = 1 << 13
 
 # Monte Carlo blocks evaluated at once, and so the most blocks in memory
@@ -82,6 +84,18 @@ _WORKERS = (
 
 class BudgetError(ValueError):
     """Requested evaluation count exceeds the configured budget."""
+
+
+def _check_budget(count: int, what: str) -> None:
+    """BudgetError naming count and what it counts when it exceeds
+    DEFAULT_EVAL_BUDGET, before any of it is computed."""
+    if count > DEFAULT_EVAL_BUDGET:
+        raise BudgetError(f"budget exceeded: {count} {what}, allowed {DEFAULT_EVAL_BUDGET}")
+
+
+def _check_subset_budget(m: int, n: int, what: str) -> None:
+    """The budget check of the C(m, n) subsets of a subset sum."""
+    _check_budget(math.comb(m, n), f"{n}-subsets of the {m} {what}")
 
 
 @dataclass(frozen=True)
@@ -269,15 +283,7 @@ def integrate_1d(rule: QuadratureRule, f) -> float:
     If the rule has an embedded weight, f must be the integrand divided by
     that weight.
     """
-    values = np.asarray(f(rule.nodes), dtype=float)
-    if values.ndim == 0:
-        values = np.broadcast_to(values, rule.nodes.shape)
-    if values.shape != rule.nodes.shape:
-        raise ValueError(
-            f"integrand returned shape {values.shape}, expected {rule.nodes.shape}"
-        )
-    _check_finite(values, rule.nodes)
-    return float(np.dot(rule.weights, values))
+    return float(np.dot(rule.weights, _block_values(f, rule.nodes, lambda: rule.nodes)))
 
 
 def _run_blocks(task, blocks) -> list:
@@ -302,8 +308,8 @@ def _run_blocks(task, blocks) -> list:
 
 
 def _block_values(f, block: np.ndarray, points) -> np.ndarray:
-    """f on a (P, dim) block as a checked, finite (P,) array; points()
-    gives the block's (P, dim) coordinates, to name a non-finite value."""
+    """f on a block of P rows (nodes, or (P, dim) points) as a checked,
+    finite (P,) array; points() gives their coordinates, to name a bad value."""
     count = block.shape[0]
     values = np.asarray(f(block), dtype=float)
     if values.ndim == 0:
@@ -317,11 +323,11 @@ def _block_values(f, block: np.ndarray, points) -> np.ndarray:
     return values
 
 
-def _index_blocks(tuples, count: int, width: int, rows: int):
+def _index_blocks(tuples, count: int, width: int):
     """The count tuples of width integers that the iterator tuples yields,
-    as consecutive (P, width) intp arrays of at most rows tuples each."""
-    for start in range(0, count, rows):
-        size = min(rows, count - start)
+    as consecutive (P, width) intp arrays of at most _EVAL_ROWS rows each."""
+    for start in range(0, count, _EVAL_ROWS):
+        size = min(_EVAL_ROWS, count - start)
         flat = itertools.chain.from_iterable(itertools.islice(tuples, size))
         yield np.fromiter(flat, np.intp, size * width).reshape(size, width)
 
@@ -349,15 +355,10 @@ def integrate_nd(rule: QuadratureRule, dim: int, f) -> float:
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    count = math.comb(rule.n_nodes, dim)
-    if count > DEFAULT_EVAL_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: {count} {dim}-subsets of the {rule.n_nodes} nodes, "
-            f"allowed {DEFAULT_EVAL_BUDGET}"
-        )
+    _check_subset_budget(rule.n_nodes, dim, "nodes")
     subsets = itertools.combinations(range(rule.n_nodes), dim)
     total = 0.0
-    for index in _index_blocks(subsets, count, dim, _EVAL_ROWS):
+    for index in _index_blocks(subsets, math.comb(rule.n_nodes, dim), dim):
         values = _block_values(f, index, lambda: rule.nodes[index])
         total += float(np.dot(np.prod(rule.weights[index], axis=1), values))
     return math.factorial(dim) * total

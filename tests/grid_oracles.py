@@ -88,10 +88,10 @@ def andreief_lhs_permutation_oracle(spec, n_nodes=12):
     return math.factorial(n) * integrate_nd_by_chunks(rule, n, point_integrand(rule, integrand))
 
 
-def debruijn_lhs_point_grid(left, kernel, domain, n_nodes, two_n, absolute=False):
+def debruijn_lhs_point_grid(left, kernel, domain, n_nodes, absolute=False):
     """The de Bruijn left side with the family and the kernel evaluated at
-    every grid point: the tensor sum of det[f_j(x_k)] Pf[h(x_j, x_k)],
-    divided by (2n)!.  absolute=True sums |det Pf| instead, the scale of
+    every grid point: the tensor sum of det[f_j(x_k)] Pf[h(x_j, x_k)] over
+    the 2n = left.size variables, divided by (2n)!.  absolute=True sums |det Pf| instead, the scale of
     the sum's rounding error.  absolute="terms" sums |det| * haf|h|, with
     the hafnian the sum of the Pfaffian's terms in absolute value: the
     scale where the kernel's rank makes every Pfaffian 0 (the rank-2
@@ -108,8 +108,8 @@ def debruijn_lhs_point_grid(left, kernel, domain, n_nodes, two_n, absolute=False
         return dets * pfaffian_batch(kernels)
 
     grid = point_integrand(rule, integrand)
-    raw = integrate_nd_by_chunks(rule, two_n, grid, absolute=bool(absolute))
-    return raw / math.factorial(two_n)
+    raw = integrate_nd_by_chunks(rule, left.size, grid, absolute=bool(absolute))
+    return raw / math.factorial(left.size)
 
 
 def hafnian_batch(stack):

@@ -123,8 +123,8 @@ def test_criterion_04_debruijn_two():
     family = FunctionFamily(2, "monomial")
     kernel = KernelFunction.builtin("difference")
     domain = Domain.finite(0.0, 1.0)
-    lhs = debruijn_lhs_quadrature(family, kernel, domain, 40, 2)
-    rhs = debruijn_rhs(family, kernel, domain, 40, 2)
+    lhs = debruijn_lhs_quadrature(family, kernel, domain, 40)
+    rhs = debruijn_rhs(family, kernel, domain, 40)
     want = -1.0 / 12.0
     gap = max(relative_gap(lhs, want), relative_gap(rhs, want))
     ok = gap <= 1e-11
@@ -142,8 +142,8 @@ def test_criterion_05_debruijn_four_both_kernels():
     worst = 0.0
     for kind in ("difference", "sign"):
         kernel = KernelFunction.builtin(kind)
-        lhs = debruijn_lhs_quadrature(family, kernel, domain, 12, 4)
-        rhs = debruijn_rhs(family, kernel, domain, 12, 4)
+        lhs = debruijn_lhs_quadrature(family, kernel, domain, 12)
+        rhs = debruijn_rhs(family, kernel, domain, 12)
         worst = max(worst, relative_gap(lhs, rhs))
     ok = worst <= 1e-9
     report(

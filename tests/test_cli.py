@@ -2,13 +2,14 @@
 the exit-code contract."""
 
 import json
+import logging
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from andreief import cli, discrete, identities
+from andreief import cli, identities, quadrature
 from andreief.cli import (
     CHEBYSHEV_FUNCTIONS,
     RunConfig,
@@ -336,15 +337,47 @@ class TestExitCodes:
         assert "monomial on real_line" in err
         assert "diverges" in err
 
-    def test_andreief_size_gate_is_two(self, capsys):
+    def test_andreief_size_gate_is_two(self, capsys, monkeypatch):
         # past the gate the max(1, |lhs|, |rhs|) verdict scale would pass
-        # shifted-gue at N=8 on values near 3.8e-10 that differ by 5e-4
+        # shifted-gue at N=8 on values near 3.8e-10 that differ by 5e-4;
+        # the gate refuses before the Gram is built
+        def refuse(*args):
+            raise AssertionError("the Gram was built past the size gate")
+
+        monkeypatch.setattr(identities, "gram_matrix", refuse)
         code, out, err = run_main(
             capsys, ["verify-andreief", "--ensemble", "shifted-gue", "--n", "8"]
         )
         assert code == 2
         assert out == ""
         assert "exceeds the default size gate (6)" in err
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan"])
+    def test_non_finite_tolerance_exits_two(self, capsys, tolerance):
+        # an infinite tolerance would pass any gap
+        code, out, err = run_main(
+            capsys, ["verify-andreief", "--tolerance", tolerance, "--no-timestamp"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tolerance must be positive")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ensemble", "muttalib-borodin", "--theta", "inf"], "theta must be positive"),
+            (["--ensemble", "muttalib-borodin", "--c", "nan"], "c = nan"),
+            (["--ensemble", "muttalib-borodin", "--c", "inf"], "c = inf"),
+            (["--ensemble", "shifted-gue", "--shifts", "inf,1"], "shifts must be finite"),
+        ],
+        ids=["theta-inf", "c-nan", "c-inf", "shifts-inf"],
+    )
+    def test_non_finite_ensemble_parameter_exits_two(self, capsys, caplog, flags, message):
+        # refused when the ensemble is built, before any warning or node value
+        with caplog.at_level(logging.WARNING, logger="andreief"):
+            code, out, err = run_main(capsys, ["verify-andreief", *flags, "--no-timestamp"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        assert caplog.records == []
 
     def test_debruijn_six_variables_run_within_the_grid_budget(self, capsys):
         # no size gate: the 8**6 and 24**6 grids sum C(8, 6) = 28 and
@@ -631,7 +664,7 @@ class TestCommandPayloads:
     ):
         # the loop's sums in its order, on inputs of its shapes, give the
         # error it would raise first; the command raises it before any sum
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", budget)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", budget)
         x, skew = np.ones((rows, cols), dtype=int), np.zeros((rows, rows), dtype=int)
         t = np.ones((cols - cols % 2, rows), dtype=int)
         points = max(rows, size)

@@ -11,7 +11,7 @@ from grid_oracles import cauchy_binet_lhs_by_subsets, minor_summation_lhs_by_sub
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andreief import discrete
+from andreief import discrete, quadrature
 from andreief.discrete import (
     block_reclaims_cauchy_binet,
     cauchy_binet_lhs,
@@ -86,7 +86,7 @@ class TestCauchyBinet:
         rng = np.random.default_rng(13)
         x = random_int_matrix(rng, 200, 2)
         y = random_int_matrix(rng, 200, 2)
-        assert math.comb(200, 2) > discrete._SUBSET_BLOCK
+        assert math.comb(200, 2) > quadrature._EVAL_ROWS
         exact = cauchy_binet_rhs(x, y)
         assert relative_gap(cauchy_binet_lhs(x.astype(float), y.astype(float)), exact) < 1e-12
 
@@ -226,7 +226,7 @@ class TestOrderedTupleSum:
         rng = np.random.default_rng(17)
         x = random_int_matrix(rng, 130, 2)
         y = random_int_matrix(rng, 130, 2)
-        assert 130 * 129 > discrete._SUBSET_BLOCK
+        assert 130 * 129 > quadrature._EVAL_ROWS
         exact = cauchy_binet_rhs(x, y)
         assert relative_gap(ordered_tuple_sum(np.ones(130), x, y), exact) < 1e-12
 
@@ -240,9 +240,9 @@ class TestOrderedTupleSum:
     def test_budget_bounds_tuple_count(self, monkeypatch):
         # 4 rows, N = 2: the 4 * 3 tuples of distinct rows, not 4**2
         x = np.ones((4, 2))
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 12)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 12)
         assert ordered_tuple_sum(np.ones(4), x, x) == 0.0
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 11)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 11)
         with pytest.raises(
             BudgetError, match="12 ordered 2-tuples of distinct rows of 4, allowed 11"
         ):
@@ -283,7 +283,7 @@ class TestMinorSummation:
         rng = np.random.default_rng(17)
         a = random_int_skew(rng, 200)
         t = random_int_matrix(rng, 2, 200)
-        assert math.comb(200, 2) > discrete._SUBSET_BLOCK
+        assert math.comb(200, 2) > quadrature._EVAL_ROWS
         exact = minor_summation_rhs(a, t)
         assert relative_gap(minor_summation_lhs(a.astype(float), t.astype(float)), exact) < 1e-12
 
@@ -359,7 +359,7 @@ class TestSubsetBudget:
     def test_cauchy_binet(self, monkeypatch, dtype):
         # 6 rows, N = 3: C(6, 3) = 20 subsets
         x = np.ones((6, 3), dtype=dtype)
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 20)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 20)
         if dtype is int:
             # the exact sum passes the subset count, then stops at the
             # 6 + 2*15 + 3*20 = 96 products of its minor table
@@ -367,7 +367,7 @@ class TestSubsetBudget:
                 cauchy_binet_lhs(x, x)
         else:
             assert cauchy_binet_lhs(x, x) == 0
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 19)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 19)
         monkeypatch.setattr(discrete, "subsets", None)
         with pytest.raises(BudgetError, match="20 3-subsets of the 6 rows, allowed 19"):
             cauchy_binet_lhs(x, x)
@@ -377,14 +377,14 @@ class TestSubsetBudget:
         # A of order 6, N = 2: C(6, 2) = 15 subsets
         a = random_int_skew(np.random.default_rng(97), 6).astype(dtype)
         t = np.ones((2, 6), dtype=dtype)
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 15)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 15)
         if dtype is int:
             # minors 6 + 2*15, Pfaffians 15: 51 products
             with pytest.raises(BudgetError, match="51 exact products"):
                 minor_summation_lhs(a, t)
         else:
             assert minor_summation_lhs(a, t) == 0
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 14)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 14)
         monkeypatch.setattr(discrete, "subsets", None)
         with pytest.raises(BudgetError, match="15 2-subsets of the 6 columns, allowed 14"):
             minor_summation_lhs(a, t)
@@ -398,9 +398,9 @@ class TestTableBudget:
     def test_cauchy_binet(self, monkeypatch):
         # 6 rows, N = 3: 6 + 2*15 + 3*20 = 96 products
         x = np.ones((6, 3), dtype=int)
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 96)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 96)
         assert cauchy_binet_lhs(x, x) == 0
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 95)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 95)
         monkeypatch.setattr(discrete, "_grow", None)
         with pytest.raises(
             BudgetError, match="96 exact products to tabulate the minors of the 6 rows, allowed 95"
@@ -411,9 +411,9 @@ class TestTableBudget:
         # order 6, N = 2: minors 6 + 2*15, Pfaffians 15: 51 products
         a = random_int_skew(np.random.default_rng(97), 6)
         t = np.ones((2, 6), dtype=int)
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 51)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 51)
         assert minor_summation_lhs(a, t) == 0
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 50)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 50)
         monkeypatch.setattr(discrete, "_grow", None)
         with pytest.raises(BudgetError, match="51 exact products to tabulate the minors and "
                            "Pfaffians of the 6 columns, allowed 50"):
@@ -423,9 +423,9 @@ class TestTableBudget:
         # an order-4 compression: Pfaffians 1*6 + 3*1 = 9 products
         rng = np.random.default_rng(98)
         a, t = random_int_skew(rng, 6), random_int_matrix(rng, 4, 6)
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 9)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 9)
         assert minor_summation_rhs(a, t) == minor_summation_lhs_by_subsets(a, t)
-        monkeypatch.setattr(discrete, "DEFAULT_EVAL_BUDGET", 8)
+        monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 8)
         monkeypatch.setattr(discrete, "_grow", None)
         with pytest.raises(BudgetError, match="9 exact products to tabulate the Pfaffians of "
                            "the order-4 compression, allowed 8"):
@@ -529,9 +529,21 @@ class TestMinorTables:
         a, t = random_int_skew(rng, 8), random_int_matrix(rng, 4, 8)
         want = cauchy_binet_lhs_by_subsets(x, y), minor_summation_lhs_by_subsets(a, t)
         rhs = minor_summation_rhs(a, t)
-        monkeypatch.setattr(discrete, "_SUBSET_BLOCK", 3)
+        monkeypatch.setattr(quadrature, "_EVAL_ROWS", 3)
+        blocks = {}
+        grow = discrete._grow
+
+        def counted(binom, k, *args):
+            for block in grow(binom, k, *args):
+                blocks.setdefault((binom.shape[1] - 1, k), []).append(len(block[1]))
+                yield block
+
+        monkeypatch.setattr(discrete, "_grow", counted)
         assert (cauchy_binet_lhs(x, y), minor_summation_lhs(a, t)) == want
         assert minor_summation_rhs(a, t) == rhs == want[1]
+        assert {k for m, k in blocks if m == 8} == {1, 2, 3, 4}
+        for (m, k), sizes in blocks.items():
+            assert max(sizes) <= 3 and len(sizes) >= math.comb(m, k) / 3, (m, k)
 
 
 class TestBlockConstruction:

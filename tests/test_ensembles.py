@@ -102,6 +102,11 @@ class TestFamilyValidation:
         with pytest.raises(ValueError, match="shifts"):
             FunctionFamily(3, "shifted_gaussian", shifts=(0.1, 0.2))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_scales_finite(self, bad):
+        with pytest.raises(ValueError, match="scales must be finite"):
+            FunctionFamily(2, "monomial", scales=(bad, 1.0))
+
     def test_coincident_shifts_permitted(self):
         fam = FunctionFamily(2, "shifted_gaussian", shifts=(0.3, 0.3))
         assert fam.shifts == (0.3, 0.3)

@@ -141,25 +141,13 @@ class TestAndreiefLhsQuadrature:
         lhs = andreief_lhs_quadrature(GUE2)
         assert within_tolerance(lhs, math.pi, 1e-10)
 
-    def test_size_gate(self):
-        spec = build_ensemble("uniform-monomial", 7)
-        with pytest.raises(BudgetError, match="andreief_lhs_mc or pass force=True"):
-            andreief_lhs_quadrature(spec)
-
-    def test_force_prints_count_and_runs(self, caplog):
-        # the route evaluates C(8, 7) node subsets, not 8**7 grid points
-        spec = build_ensemble("uniform-monomial", 7)
-        with caplog.at_level(logging.INFO, logger="andreief"):
-            val = andreief_lhs_quadrature(spec, 8, force=True)
-        assert "evaluation count: 8" in caplog.messages
-        assert math.isfinite(val)
-
-    def test_budget_error_suggests_mc(self, monkeypatch):
-        # C(40, 6) = 3,838,380 node subsets
-        spec = build_ensemble("uniform-monomial", 6)
-        monkeypatch.setattr(identities, "DEFAULT_EVAL_BUDGET", 10**6)
-        with pytest.raises(BudgetError, match="consider andreief_lhs_mc"):
-            andreief_lhs_quadrature(spec, 40)
+    def test_no_size_gate(self):
+        # N = 7 sums the C(8, 7) node subsets, which Cauchy-Binet equates
+        # with N! det(F^T W Phi) on the same rule; the size gate is the
+        # verdict's, in verify_andreief
+        spec = build_ensemble("gue-monomial", 7)
+        lhs = andreief_lhs_quadrature(spec, 8)
+        assert within_tolerance(lhs, andreief_rhs(gram_matrix(spec, 8)), 1e-12)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
@@ -201,9 +189,7 @@ class TestAndreiefLhsQuadrature:
         run = {
             "andreief_lhs_quadrature": lambda: andreief_lhs_quadrature(UNIFORM2, 3),
             "gram_matrix": lambda: gram_matrix(UNIFORM2, 3),
-            "debruijn_rhs": lambda: debruijn_rhs(
-                UNIFORM2.left, SIGN, UNIFORM2.domain, 3, 2
-            ),
+            "debruijn_rhs": lambda: debruijn_rhs(UNIFORM2.left, SIGN, UNIFORM2.domain, 3),
             "biorthogonality_residuals": lambda: biorthogonality_residuals(system, 3),
         }[route]
 
@@ -393,60 +379,56 @@ SIGN = KernelFunction.builtin("sign")
 
 class TestDeBruijn:
     def test_two_by_two_closed_form_rhs(self):
-        val = debruijn_rhs(MONO2, DIFFERENCE, UNIT, 12, 2)
+        val = debruijn_rhs(MONO2, DIFFERENCE, UNIT, 12)
         assert within_tolerance(val, -1.0 / 12.0, 1e-13)
 
     def test_two_by_two_closed_form_lhs(self):
-        val = debruijn_lhs_quadrature(MONO2, DIFFERENCE, UNIT, 12, 2)
+        val = debruijn_lhs_quadrature(MONO2, DIFFERENCE, UNIT, 12)
         assert within_tolerance(val, -1.0 / 12.0, 1e-13)
 
     def test_zero_kernel(self):
         zero = KernelFunction.custom(lambda x, y: 0.0 * (x + y))
-        assert debruijn_rhs(MONO2, zero, UNIT, 8, 2) == 0.0
-        assert debruijn_lhs_quadrature(MONO2, zero, UNIT, 8, 2) == 0.0
+        assert debruijn_rhs(MONO2, zero, UNIT, 8) == 0.0
+        assert debruijn_lhs_quadrature(MONO2, zero, UNIT, 8) == 0.0
 
     @pytest.mark.parametrize("kernel", [DIFFERENCE, SIGN], ids=["difference", "sign"])
     def test_order_two_cross_engine(self, kernel):
-        lhs = debruijn_lhs_quadrature(MONO2, kernel, UNIT, 24, 2)
-        rhs = debruijn_rhs(MONO2, kernel, UNIT, 24, 2)
+        lhs = debruijn_lhs_quadrature(MONO2, kernel, UNIT, 24)
+        rhs = debruijn_rhs(MONO2, kernel, UNIT, 24)
         assert within_tolerance(lhs, rhs, 1e-10)
 
     @pytest.mark.parametrize("kernel", [DIFFERENCE, SIGN], ids=["difference", "sign"])
     def test_order_four_cross_engine(self, kernel):
-        lhs = debruijn_lhs_quadrature(MONO4, kernel, UNIT, 12, 4)
-        rhs = debruijn_rhs(MONO4, kernel, UNIT, 12, 4)
+        lhs = debruijn_lhs_quadrature(MONO4, kernel, UNIT, 12)
+        rhs = debruijn_rhs(MONO4, kernel, UNIT, 12)
         assert within_tolerance(lhs, rhs, 1e-9)
 
     @pytest.mark.parametrize("kernel", [DIFFERENCE, SIGN], ids=["difference", "sign"])
     def test_weighted_family_cross_engine(self, kernel):
         fam = FunctionFamily(2, "weighted_monomial", weight=Weight("gaussian"))
         dom = Domain.real_line()
-        lhs = debruijn_lhs_quadrature(fam, kernel, dom, 20, 2)
-        rhs = debruijn_rhs(fam, kernel, dom, 20, 2)
+        lhs = debruijn_lhs_quadrature(fam, kernel, dom, 20)
+        rhs = debruijn_rhs(fam, kernel, dom, 20)
         assert within_tolerance(lhs, rhs, 1e-10)
 
     def test_odd_size_rejected(self):
         fam = FunctionFamily(3, "monomial")
         with pytest.raises(ValueError, match="even"):
-            debruijn_rhs(fam, DIFFERENCE, UNIT, 8, 3)
+            debruijn_rhs(fam, DIFFERENCE, UNIT, 8)
         with pytest.raises(ValueError, match="even"):
-            debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 8, 3)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            debruijn_rhs(MONO4, DIFFERENCE, UNIT, 8, 2)
+            debruijn_lhs_quadrature(fam, DIFFERENCE, UNIT, 8)
 
     def test_subset_budget_bounds_six_variables(self, monkeypatch):
         # no size gate: 2n = 6 runs, and the budget on the grid sum's node
         # subsets refuses a large one before any matrix is eliminated
         fam = FunctionFamily(6, "monomial")
-        lhs = debruijn_lhs_quadrature(fam, SIGN, UNIT, 12, 6)
-        assert within_tolerance(lhs, debruijn_rhs(fam, SIGN, UNIT, 12, 6), 1e-10)
+        lhs = debruijn_lhs_quadrature(fam, SIGN, UNIT, 12)
+        assert within_tolerance(lhs, debruijn_rhs(fam, SIGN, UNIT, 12), 1e-10)
         monkeypatch.setattr(identities, "determinant_batch", None)
         with pytest.raises(
             BudgetError, match="300500200 6-subsets of the 80 nodes, allowed 100000000"
         ):
-            debruijn_lhs_quadrature(fam, SIGN, UNIT, 80, 6)
+            debruijn_lhs_quadrature(fam, SIGN, UNIT, 80)
 
     @pytest.mark.parametrize(
         "engine", [debruijn_lhs_quadrature, debruijn_rhs], ids=["lhs", "rhs"]
@@ -458,7 +440,7 @@ class TestDeBruijn:
         # the 3-node Gauss-Legendre rule on (0, 1) has nodes 0.1127, 0.5, 0.8873;
         # the first bad entry of the table is h(0.1127, 0.8873) = -inf
         with pytest.raises(ValueError, match=r"value -inf at node \[0\.1127\d* +0\.8872"):
-            engine(MONO2, blowup, UNIT, 3, 2)
+            engine(MONO2, blowup, UNIT, 3)
 
     @pytest.mark.parametrize(
         "engine", [debruijn_lhs_quadrature, debruijn_rhs], ids=["lhs", "rhs"]
@@ -467,14 +449,14 @@ class TestDeBruijn:
         # the node-pair stack only names a bad entry, so a finite table skips it
         calls = []
         monkeypatch.setattr(identities, "_check_finite", lambda *args: calls.append(args))
-        engine(MONO2, SIGN, UNIT, 12, 2)
+        engine(MONO2, SIGN, UNIT, 12)
         assert calls == []
 
     def test_custom_kernel_antisymmetrized(self):
         # x*y + x has antisymmetric part (x - y)/2
         custom = KernelFunction.custom(lambda x, y: x * y + x)
-        ref = debruijn_rhs(MONO2, DIFFERENCE, UNIT, 12, 2)
-        val = debruijn_rhs(MONO2, custom, UNIT, 12, 2)
+        ref = debruijn_rhs(MONO2, DIFFERENCE, UNIT, 12)
+        val = debruijn_rhs(MONO2, custom, UNIT, 12)
         assert within_tolerance(val, 0.5 * ref, 1e-12)
 
 
@@ -575,9 +557,9 @@ class TestInverseWeightPath:
         mono = FunctionFamily(2, "monomial")
         dom = Domain.real_line()
         with pytest.raises(ValueError, match="monomial on real_line: .* diverges"):
-            debruijn_lhs_quadrature(mono, kernel, dom, 12, 2)
+            debruijn_lhs_quadrature(mono, kernel, dom, 12)
         with pytest.raises(ValueError, match="monomial on real_line: .* diverges"):
-            debruijn_rhs(mono, kernel, dom, 12, 2)
+            debruijn_rhs(mono, kernel, dom, 12)
 
 
 class TestVerifyAndreief:
@@ -656,6 +638,16 @@ class TestVerifyAndreief:
             VerifyConfig(tolerance=0.0)
         with pytest.raises(ValueError, match="mc_samples"):
             VerifyConfig(mc_samples=-1)
+        # an infinite tolerance would pass any gap
+        for tolerance in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^tolerance must be positive"):
+                VerifyConfig(tolerance=tolerance)
+
+    def test_size_gate_refuses_before_the_gram(self, monkeypatch):
+        monkeypatch.setattr(identities, "gram_matrix", None)
+        monkeypatch.setattr(identities, "andreief_lhs_quadrature", None)
+        with pytest.raises(BudgetError, match=r"exceeds the default size gate \(6\)"):
+            verify_andreief(build_ensemble("uniform-monomial", 7))
 
 
 # the ensembles whose left family integrates against its domain
@@ -679,14 +671,14 @@ class TestDeBruijnNodeTables:
         for name in set(BUILTIN_ENSEMBLE_NAMES) - set(DEBRUIJN_ENSEMBLES):
             spec = build_ensemble(name, 2)
             with pytest.raises(ValueError, match="diverges"):
-                debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 10, 2)
+                debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 10)
 
     @pytest.mark.parametrize("kernel", DEBRUIJN_KERNELS)
     @pytest.mark.parametrize("two_n", [2, 4])
     @pytest.mark.parametrize("name", DEBRUIJN_ENSEMBLES)
     def test_equals_point_grid(self, name, two_n, kernel):
         spec = build_ensemble(name, two_n)
-        args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, 10, two_n)
+        args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, 10)
         tables = debruijn_lhs_quadrature(*args)
         points = debruijn_lhs_point_grid(*args)
         if pfaffians_vanish(kernel, two_n):
@@ -705,9 +697,7 @@ class TestDeBruijnNodeTables:
         for workers in (1, 2, 3):
             monkeypatch.setattr(quadrature, "_WORKERS", workers)
             values.append(
-                debruijn_lhs_quadrature(
-                    spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, 30, 4
-                )
+                debruijn_lhs_quadrature(spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, 30)
             )
         assert values[1:] == values[:-1]
 
@@ -729,7 +719,7 @@ def point_grid_and_scale(name, two_n, n_nodes, kernel):
     every Pfaffian vanishes and so is rounding itself, of |w * det| * haf|h|
     (the Pfaffian's terms in absolute value)."""
     spec = build_ensemble(name, two_n)
-    args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes, two_n)
+    args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes)
     absolute = "terms" if pfaffians_vanish(kernel, two_n) else True
     return debruijn_lhs_point_grid(*args), debruijn_lhs_point_grid(*args, absolute=absolute)
 
@@ -744,7 +734,7 @@ class TestHalfMinorTables:
         monkeypatch.setattr(identities, "determinant_batch", None)
         monkeypatch.setattr(identities, "pfaffian_batch", None)
         spec = build_ensemble("legendre-monomial", 8)
-        assert debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 7, 8) == 0.0
+        assert debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 7) == 0.0
 
     @pytest.mark.parametrize("kernel", ["sign", "difference", "custom"])
     @pytest.mark.parametrize("two_n, n_nodes", [(2, 10), (4, 10), (6, 6)])
@@ -754,7 +744,7 @@ class TestHalfMinorTables:
         # 2n = 6) the sum is all rounding, and the scale is that of the
         # Pfaffian's terms
         spec = build_ensemble(name, two_n)
-        args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes, two_n)
+        args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes)
         got = debruijn_lhs_quadrature(*args)
         want, scale = point_grid_and_scale(name, two_n, n_nodes, kernel)
         assert abs(got - want) <= 1e-12 * scale
@@ -770,7 +760,7 @@ class TestHalfMinorTables:
 
         monkeypatch.setattr(identities, "integrate_nd", capture)
         spec = build_ensemble("legendre-monomial", 6)
-        debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 12, 6)
+        debruijn_lhs_quadrature(spec.left, SIGN, spec.domain, 12)
         index = np.array(list(itertools.combinations(range(12), 6)))
         index = np.concatenate([index, index[:, ::-1]])  # 1848 rows
         f, whole = captured["f"], captured["f"](index)
@@ -787,7 +777,7 @@ class TestHalfMinorTables:
         # of 7 of the 45 and 210 subsets at 2n = 2 and 4 stop inside rows,
         # and at 2n = 6 one block holds the one subset of 6 nodes
         spec = build_ensemble(name, two_n)
-        args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes, two_n)
+        args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, n_nodes)
         want, scale = point_grid_and_scale(name, two_n, n_nodes, kernel)
         monkeypatch.setattr(quadrature, "_EVAL_ROWS", chunk)
         assert abs(debruijn_lhs_quadrature(*args) - want) <= 1e-12 * scale
@@ -810,9 +800,9 @@ class TestNodeMeasure:
         run = {
             "gram_matrix": lambda: gram_matrix(UNIFORM2, 12),
             "andreief_lhs_quadrature": lambda: andreief_lhs_quadrature(UNIFORM2, 12),
-            "debruijn_rhs": lambda: debruijn_rhs(UNIFORM2.left, SIGN, UNIT, 12, 2),
+            "debruijn_rhs": lambda: debruijn_rhs(UNIFORM2.left, SIGN, UNIT, 12),
             "debruijn_lhs_quadrature": lambda: debruijn_lhs_quadrature(
-                UNIFORM2.left, SIGN, UNIT, 12, 2
+                UNIFORM2.left, SIGN, UNIT, 12
             ),
             "biorthogonality_residuals": lambda: biorthogonality_residuals(system, 12),
             "chebyshev_gap": lambda: chebyshev_gap(np.sin, np.exp, UNIT, 12),

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from andreief import identities, quadrature
+from andreief import discrete, identities, quadrature
 from andreief.ensembles import build_ensemble
 from andreief.identities import andreief_lhs_mc
 from andreief.linalg import within_tolerance
@@ -342,15 +342,46 @@ class TestIntegrateND:
 
         assert integrate_nd(_flat_grid(n), dim, f) == 0.0
 
-    def test_index_blocks_share_one_chunker(self):
-        # the helper discrete's subset sums use too, including width 0
-        blocks = list(quadrature._index_blocks(itertools.combinations(range(5), 3), 10, 3, 4))
+    def test_index_blocks_share_one_chunker(self, monkeypatch):
+        # the helper discrete's subset and tuple sums use too, including width 0
+        monkeypatch.setattr(quadrature, "_EVAL_ROWS", 4)
+        blocks = list(quadrature._index_blocks(itertools.combinations(range(5), 3), 10, 3))
         assert [len(b) for b in blocks] == [4, 4, 2]
         assert np.concatenate(blocks).tolist() == [
             list(t) for t in itertools.combinations(range(5), 3)
         ]
-        empty = list(quadrature._index_blocks(iter([()]), 1, 0, 4))
+        empty = list(quadrature._index_blocks(iter([()]), 1, 0))
         assert [b.shape for b in empty] == [(1, 0)]
+
+
+def _refuse_node_measure(*args):
+    raise AssertionError("the rule was built before the budget check")
+
+
+# every enumerated sum, on an input whose count exceeds a budget of 10
+ENUMERATED_SUMS = {
+    "integrate_nd": lambda: integrate_nd(gauss_rule(UNIT, 6), 3, lambda i: np.ones(len(i))),
+    "andreief_lhs_quadrature": lambda: identities.andreief_lhs_quadrature(
+        build_ensemble("uniform-monomial", 3), 6
+    ),
+    "cauchy_binet_lhs": lambda: discrete.cauchy_binet_lhs(np.ones((6, 3)), np.ones((6, 3))),
+    "minor_summation_lhs": lambda: discrete.minor_summation_lhs(
+        np.zeros((6, 6)), np.ones((2, 6))
+    ),
+    "ordered_tuple_sum": lambda: discrete.ordered_tuple_sum(
+        np.ones(6), np.ones((6, 2)), np.ones((6, 2))
+    ),
+}
+
+
+@pytest.mark.parametrize("route", ENUMERATED_SUMS)
+def test_one_budget_binding(monkeypatch, route):
+    # quadrature.DEFAULT_EVAL_BUDGET bounds every subset and tuple sum, and
+    # andreief_lhs_quadrature refuses before its rule is built
+    monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 10)
+    monkeypatch.setattr(identities, "_node_measure", _refuse_node_measure)
+    with pytest.raises(BudgetError, match="budget exceeded:"):
+        ENUMERATED_SUMS[route]()
 
 
 class TestGridTiles:
