@@ -49,7 +49,9 @@ from .identities import (
     verify_andreief,
 )
 from .linalg import relative_gap
-from .quadrature import DEFAULT_NODES_1D, DEFAULT_NODES_TENSOR, Domain, _check_subset_budget
+from .quadrature import (
+    DEFAULT_NODES_1D, DEFAULT_NODES_TENSOR, Domain, _check_subset_budget, _sample_block
+)
 
 __all__ = ["RunConfig", "main", "parse_config", "run"]
 
@@ -393,16 +395,6 @@ def _run_verify_debruijn(config: RunConfig):
     return [_check(f"debruijn-{kernel.kind}", lhs, rhs, config.tolerance)], {}
 
 
-def _sample_points(domain: Domain, count: int, rng) -> np.ndarray:
-    if domain.kind == "finite":
-        pts = rng.uniform(domain.a, domain.b, size=count)
-    elif domain.kind == "half_line":
-        pts = rng.exponential(1.0, size=count)
-    else:
-        pts = rng.standard_normal(count)
-    return np.sort(pts)
-
-
 def _run_verify_discrete(config: RunConfig):
     rng = np.random.default_rng(config.seed)
     rows_m = config.extras["rows"]
@@ -443,7 +435,7 @@ def _run_verify_discrete(config: RunConfig):
         lhs, rhs = minor_summation_lhs(a, t), minor_summation_rhs(a, t)
         ms_rows.append((lhs, rhs, lhs == rhs, abs(lhs - rhs)))
 
-        pts = _sample_points(spec.domain, n_points, rng)
+        pts = np.sort(_sample_block(rng, spec.domain, (n_points,)))
         weights, (f, phi) = NodeMeasure.points(pts).tables((spec.left, spec.right))
         tuple_sum = ordered_tuple_sum(weights, f, phi)
         lhs, rhs = discretized_andreief(weights, f, phi)

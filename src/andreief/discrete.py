@@ -128,6 +128,12 @@ def _subset_blocks(m: int, n: int) -> Iterator[np.ndarray]:
         yield block - 1
 
 
+def _row_stack(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """x[index], the stack of the rows index[p] of x, as a view of a
+    contiguous entry-major array that the lockstep LU reads uncopied."""
+    return x.T.take(index.T, axis=1).transpose(2, 1, 0)
+
+
 def _pf_det_terms(
     a: np.ndarray, t: np.ndarray, index: np.ndarray, pfaffians, determinants
 ) -> np.ndarray:
@@ -139,8 +145,8 @@ def _pf_det_terms(
     at a time, so only one is held.  The caller passes its own module's
     pfaffian_batch and determinant_batch, where perfbench's tracer wraps
     them."""
+    dets = determinants(_row_stack(t.T, index).transpose(0, 2, 1))
     columns = index.T
-    dets = determinants(t[:, columns].transpose(2, 0, 1))
     principal = a[columns[:, None], columns[None, :]]
     return pfaffians(principal.transpose(2, 0, 1)) * dets
 
@@ -292,7 +298,8 @@ def cauchy_binet_lhs(x, y):
         return _table_sum(m, n, [pair], lambda v: np.dot(v[0], v[1]))
     total = 0.0
     for idx in _subset_blocks(m, n):
-        total += float(np.sum(determinant_batch(xa[idx]) * determinant_batch(ya[idx])))
+        total += float(np.sum(determinant_batch(_row_stack(xa, idx))
+                              * determinant_batch(_row_stack(ya, idx))))
     return total
 
 
@@ -332,7 +339,8 @@ def ordered_tuple_sum(weights, f, phi) -> float:
     total = 0.0
     tuples = itertools.permutations(range(m), n)
     for idx in _index_blocks(tuples, math.perm(m, n), n):
-        total += float(np.sum(determinant_batch(x[idx]) * determinant_batch(y[idx])))
+        total += float(np.sum(determinant_batch(_row_stack(x, idx))
+                              * determinant_batch(_row_stack(y, idx))))
     return total / math.factorial(n)
 
 

@@ -4,8 +4,8 @@ Four computations share this module:
 
 * the N-fold integral of det[f_j(x_k)] det[phi_j(x_k)] (by Gauss
   quadrature summed over node subsets, which is Cauchy-Binet on the node
-  measure, and by Monte Carlo, whose integrand evaluates and eliminates
-  each distinct reduced family once per sample and squares the
+  measure, and by Monte Carlo; both evaluate one integrand, which
+  eliminates each distinct reduced family once per point and squares the
   determinant when the two families reduce alike), against N! times the
   determinant of the Gram matrix of pairwise integrals, F^T W Phi on the
   node tables;
@@ -23,10 +23,11 @@ Every engine integrates against the same measure by calling the one
 reduction ensembles.weight_factorization, with the ensemble's two families
 or the Pfaffian side's single family: it returns the member functions and
 one per-point factor (a power of the embedded weight, or None); two
-families that reduce alike share one member list.  The Gauss routes read
-it through _node_measure: the rule's ensembles.NodeMeasure folds the
-point factor into the weights W and tabulates each distinct member list
-on the nodes, and discrete.discretized_andreief reads the same tables.
+families that reduce alike share one member list.  The Andreief integrand
+(_pair_integrand) reads it directly; the other Gauss routes read it
+through _node_measure: the rule's ensembles.NodeMeasure folds the point
+factor into the weights W and tabulates each distinct member list on the
+nodes, and discrete.discretized_andreief reads the same tables.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import _pf_det_terms, cauchy_binet_lhs
+from .discrete import _pf_det_terms
 from .ensembles import (
     EnsembleSpec,
     FunctionFamily,
@@ -183,8 +184,8 @@ def _value_stack(fns, columns: np.ndarray) -> np.ndarray:
 
 
 def _pair_integrand(spec: EnsembleSpec) -> Callable:
-    """The row-wise Monte Carlo integrand det[f_j(x_k)] det[phi_j(x_k)]
-    times the point factor, on the families reduced by
+    """The row-wise integrand of both Andreief left sides, det[f_j(x_k)]
+    det[phi_j(x_k)] times the point factor, on the families reduced by
     weight_factorization.  Each (P, N) row slice is transposed once into
     contiguous (N, P) columns, and each distinct member list is evaluated
     and eliminated once: when both families reduce to one list, the
@@ -221,8 +222,9 @@ def _kernel_table(h, nodes: np.ndarray) -> np.ndarray:
 
 def _node_measure(families, domain: Domain, n_nodes: int):
     """(rule, weights, tables) of the Gauss node measure for one or two
-    families, from NodeMeasure.tables on the rule.  Every Gauss-rule route
-    reads its weights and family values from here."""
+    families, from NodeMeasure.tables on the rule.  The Gram matrix, both
+    de Bruijn sides and biortho's residuals read their weights and family
+    values from here."""
     rule = gauss_rule(domain, n_nodes)
     weights, tables = NodeMeasure(rule.nodes, rule.weights, domain).tables(families)
     return rule, weights, tables
@@ -262,31 +264,22 @@ def andreief_rhs(g: GramMatrix) -> float:
 
 
 def andreief_lhs_quadrature(spec: EnsembleSpec, n_nodes: int = DEFAULT_NODES_TENSOR) -> float:
-    """N-fold tensor Gauss quadrature of det[f_j(x_k)] det[phi_j(x_k)],
-    summed over node subsets.
-
-    On the rule's nodes x_k and weights w_k the n_nodes**N grid sum is
-    Cauchy-Binet: a grid point that repeats a node gives both determinants
-    two equal columns and contributes 0, and the N! orderings of one node
-    subset K contribute equally.  So the sum is
-    N! * sum_K det((W F)_K) * det(Phi_K) over the C(n_nodes, N) subsets,
-    with F[k, j] = f_j(x_k), Phi[k, j] = phi_j(x_k) and
-    W = diag(w_k * point_factor(x_k)).  Fewer nodes than N leave no subset
-    and the exact value 0.0.  DEFAULT_EVAL_BUDGET bounds the subset count,
-    checked before the rule is built.
+    """N-fold tensor Gauss quadrature of det[f_j(x_k)] det[phi_j(x_k)]:
+    integrate_nd's sum of the Monte Carlo integrand over the C(n_nodes, N)
+    node subsets, as it is symmetric in its points and zero where two
+    coincide.  On the node measure that is Cauchy-Binet,
+    N! * sum_K det((W F)_K) * det(Phi_K).  DEFAULT_EVAL_BUDGET bounds the
+    subset count, checked before the rule is built; fewer nodes than N give
+    the exact value 0.0.
 
     Cauchy-Binet also equals det(F^T W Phi), but that is the Gram route of
     andreief_rhs on another rule: summing the minors keeps this side
     independent of the right side.
     """
-    n = spec.size
-    _check_subset_budget(n_nodes, n, "nodes")
-    _, weights, (left, right) = _node_measure(
-        (spec.left, spec.right), spec.domain, n_nodes
-    )
-    if n_nodes < n:
-        return 0.0
-    return _factorial(n) * cauchy_binet_lhs(weights[:, None] * left, right)
+    _check_subset_budget(n_nodes, spec.size, "nodes")
+    rule = gauss_rule(spec.domain, n_nodes)
+    integrand = _pair_integrand(spec)
+    return integrate_nd(rule, spec.size, lambda index: integrand(rule.nodes[index]))
 
 
 def andreief_lhs_mc(spec: EnsembleSpec, samples: int, seed: int) -> MCEstimate:

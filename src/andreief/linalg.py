@@ -56,10 +56,10 @@ _LOCKSTEP_MAX_ORDER = 5
 # scale with this count (about 0.7 MB for the LU at order 4, 1.2 MB for the
 # Parlett-Reid copy at order 6), so it bounds their peak memory per call.
 # The stacks that reach the LU's orders 4-5 are the float subset and tuple
-# sums of andreief.discrete, Monte Carlo slices at N = 4-5 (one call per
-# pool thread) and the de Bruijn left side's node subsets at 2n = 4, each
-# at most quadrature._EVAL_ROWS = 8192 matrices; all but the Cauchy-Binet
-# and tuple stacks are built entry-major, so the LU reads them without a
+# sums of andreief.discrete, the Andreief integrand's Monte Carlo slices
+# (one call per pool thread) and node subsets at N = 4-5, and the de Bruijn
+# left side's node subsets at 2n = 4, each at most quadrature._EVAL_ROWS =
+# 8192 matrices; all are built entry-major, so the LU reads them without a
 # copy.  The de Bruijn Pfaffians reach the Parlett-Reid
 # from 2n = 6, 8192 per block.  The count was set when the de Bruijn grid
 # took per-point LU determinants: eliminating a whole 8192-point chunk at
@@ -123,11 +123,11 @@ def determinant_batch(stack) -> np.ndarray:
     * 6 and up: LAPACK's row-pivoted LU (``numpy.linalg.det``).  Alone,
       the lockstep ties with it at orders 6-7 and is 15% slower at 8; it
       still leads at 6-7 with two threads.  The hot stacks are of order
-      5 at most: the float subset sums of andreief.discrete (the
-      Andreief quadrature left side), Monte Carlo blocks and the de
-      Bruijn left side's order-2n stacks at 2n = 4; its 2n = 6-8 stacks,
-      one per node subset, are far fewer than their grid's points.  So
-      the cutoff stays at 5.
+      5 at most: the Andreief integrand's, on Monte Carlo blocks and on
+      the quadrature left side's node subsets, and the de Bruijn left
+      side's order-2n stacks at 2n = 4; its 2n = 6-8 stacks, one per
+      node subset, are far fewer than their grid's points.  So the
+      cutoff stays at 5.
 
     A pivot that underflows to zero gives 0.0 without a divide-by-zero
     warning.  A complex stack raises ValueError.

@@ -49,7 +49,7 @@ from andreief.identities import (
     verify_andreief,
 )
 from andreief.linalg import determinant, pfaffian, relative_gap
-from andreief.quadrature import Domain
+from andreief.quadrature import Domain, _sample_block
 from grid_oracles import andreief_lhs_permutation_oracle
 
 
@@ -195,13 +195,7 @@ def test_criterion_07_discretization_bridge():
         size = 2 + trial % 3
         spec = build_ensemble(name, size)
         count = size + trial % 3
-        if spec.domain.kind == "finite":
-            pts = rng.uniform(spec.domain.a, spec.domain.b, size=count)
-        elif spec.domain.kind == "half_line":
-            pts = rng.exponential(1.0, size=count)
-        else:
-            pts = rng.standard_normal(count)
-        nodes = np.sort(pts)
+        nodes = np.sort(_sample_block(rng, spec.domain, (count,)))
         res = point_bridge(spec, nodes)
         x = family_matrix(spec.left, nodes).T
         y = family_matrix(spec.right, nodes).T

@@ -11,7 +11,7 @@ from grid_oracles import cauchy_binet_lhs_by_subsets, minor_summation_lhs_by_sub
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andreief import discrete, quadrature
+from andreief import discrete, linalg, quadrature
 from andreief.discrete import (
     block_reclaims_cauchy_binet,
     cauchy_binet_lhs,
@@ -23,12 +23,13 @@ from andreief.discrete import (
 )
 from andreief.ensembles import (
     BUILTIN_ENSEMBLE_NAMES,
+    KernelFunction,
     NodeMeasure,
     build_ensemble,
     evaluate,
     family_matrix,
 )
-from andreief.identities import andreief_lhs_quadrature, gram_matrix
+from andreief.identities import andreief_lhs_quadrature, debruijn_lhs_quadrature, gram_matrix
 from andreief.linalg import SkewMatrix, det_by_permutation_expansion, relative_gap
 from andreief.quadrature import BudgetError, gauss_rule
 
@@ -247,6 +248,55 @@ class TestOrderedTupleSum:
             BudgetError, match="12 ordered 2-tuples of distinct rows of 4, allowed 11"
         ):
             ordered_tuple_sum(np.ones(4), x, x)
+
+
+class _CopySpy:
+    """numpy, as linalg sees it, recording the shape of every 3-D array
+    that np.ascontiguousarray copies."""
+
+    def __init__(self):
+        self.copies = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def ascontiguousarray(self, a):
+        out = np.ascontiguousarray(a)
+        if out.ndim == 3 and not np.shares_memory(out, a):
+            self.copies.append(out.shape)
+        return out
+
+
+def _debruijn_sum():
+    spec = build_ensemble("legendre-monomial", 4)
+    return debruijn_lhs_quadrature(spec.left, KernelFunction.builtin("sign"), spec.domain, 24)
+
+
+_GATHER_RNG = np.random.default_rng(29)
+_CB_PAIR = _GATHER_RNG.standard_normal((2, 12, 5))
+_TUPLE_TABLES = _GATHER_RNG.uniform(0.5, 2.0, 7), *_GATHER_RNG.standard_normal((2, 7, 4))
+
+# every float sum whose order-4 or -5 stacks reach the lockstep LU
+GATHERED_SUMS = {
+    "debruijn_lhs_quadrature": _debruijn_sum,
+    "cauchy_binet_lhs": lambda: cauchy_binet_lhs(*_CB_PAIR),
+    "ordered_tuple_sum": lambda: ordered_tuple_sum(*_TUPLE_TABLES),
+}
+
+
+class TestEntryMajorGathers:
+    @pytest.mark.parametrize("route", GATHERED_SUMS)
+    def test_stacks_reach_the_lu_uncopied(self, monkeypatch, route):
+        spy = _CopySpy()
+        monkeypatch.setattr(linalg, "np", spy)
+        GATHERED_SUMS[route]()
+        assert spy.copies == []
+
+    @pytest.mark.parametrize("route", GATHERED_SUMS)
+    def test_values_equal_the_row_major_gather(self, monkeypatch, route):
+        value = GATHERED_SUMS[route]()
+        monkeypatch.setattr(discrete, "_row_stack", lambda x, index: x[index])
+        assert GATHERED_SUMS[route]() == value
 
 
 class TestMinorSummation:

@@ -173,6 +173,22 @@ class TestAndreiefLhsQuadrature:
         assert andreief_lhs_quadrature(build_ensemble("gue-monomial", 4), 3) == 0.0
 
     @pytest.mark.parametrize(
+        "name, calls", [("uniform-monomial", 1), ("muttalib-borodin", 2)]
+    )
+    def test_one_determinant_per_distinct_family(self, monkeypatch, name, calls):
+        # the Monte Carlo integrand squares the determinant of families that
+        # reduce alike, on every node subset at once
+        shapes = []
+
+        def spy(stack):
+            shapes.append(stack.shape)
+            return determinant_batch(stack)
+
+        monkeypatch.setattr(identities, "determinant_batch", spy)
+        andreief_lhs_quadrature(build_ensemble(name, 5), 12)
+        assert shapes == [(math.comb(12, 5), 5, 5)] * calls
+
+    @pytest.mark.parametrize(
         "route, side",
         [
             pytest.param("andreief_lhs_quadrature", 0, id="left"),
@@ -199,10 +215,14 @@ class TestAndreiefLhsQuadrature:
             member_fns[side][1] = lambda x: np.where(x > 0.8, np.inf, fn(x))
             return member_fns, point_factor
 
-        # NodeMeasure.tables reduces the families for every Gauss route
+        # NodeMeasure.tables reduces the families for every Gauss route but
+        # the Andreief left side, whose integrand reduces them in identities
         monkeypatch.setattr(ensembles, "weight_factorization", poisoned)
-        # the 3-node Gauss-Legendre rule on (0, 1) has its last node at 0.8873
-        with pytest.raises(ValueError, match=r"non-finite .* at node 0\.887"):
+        monkeypatch.setattr(identities, "weight_factorization", poisoned)
+        # the 3-node Gauss-Legendre rule on (0, 1) has its last node at
+        # 0.8873; the Andreief left side names the point, a row of nodes
+        node = r"\[.*0\.887" if route == "andreief_lhs_quadrature" else r"0\.887"
+        with pytest.raises(ValueError, match=r"non-finite .* at node " + node):
             run()
 
 

@@ -354,7 +354,7 @@ class TestIntegrateND:
         assert [b.shape for b in empty] == [(1, 0)]
 
 
-def _refuse_node_measure(*args):
+def _refuse_rule(*args):
     raise AssertionError("the rule was built before the budget check")
 
 
@@ -379,7 +379,7 @@ def test_one_budget_binding(monkeypatch, route):
     # quadrature.DEFAULT_EVAL_BUDGET bounds every subset and tuple sum, and
     # andreief_lhs_quadrature refuses before its rule is built
     monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 10)
-    monkeypatch.setattr(identities, "_node_measure", _refuse_node_measure)
+    monkeypatch.setattr(identities, "gauss_rule", _refuse_rule)
     with pytest.raises(BudgetError, match="budget exceeded:"):
         ENUMERATED_SUMS[route]()
 
