@@ -15,17 +15,17 @@ from .ensembles import (
     KernelFunction,
     build_ensemble,
 )
-from .identities import IdentityReport, VerifyConfig, verify_andreief
+from .identities import Check, VerifyConfig, verify_andreief
 from .quadrature import Domain
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BiorthogonalSystem",
+    "Check",
     "Domain",
     "EnsembleSpec",
     "FunctionFamily",
-    "IdentityReport",
     "KernelFunction",
     "VerifyConfig",
     "__version__",

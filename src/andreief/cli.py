@@ -4,8 +4,10 @@ Resolves a run configuration from a flat JSON config file and/or command
 line flags (flags win), executes the requested verification engine, and
 emits a machine-readable report that embeds the fully resolved
 configuration, so pass/fail decisions are recomputable from the report
-alone.  Exit status: 0 when every check passed, 1 when an identity check
-failed, 2 on usage or engine errors (running out of memory among them).
+alone: every check is an identities.Check, judged by identities.check, and
+the report's overall verdict is their AND.  Exit status: 0 when every check
+passed, 1 when an identity check failed, 2 on usage or engine errors
+(running out of memory among them).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import NamedTuple
 
@@ -42,13 +44,12 @@ from .identities import (
     VerifyConfig,
     andreief_rhs,
     chebyshev_gap,
+    check,
     debruijn_lhs_quadrature,
     debruijn_rhs,
     gram_matrix,
-    mc_agrees,
     verify_andreief,
 )
-from .linalg import relative_gap
 from .quadrature import (
     DEFAULT_NODES_1D, DEFAULT_NODES_TENSOR, Domain, _check_subset_budget, _sample_block
 )
@@ -125,20 +126,6 @@ EXTRAS = {
 
 class UsageError(ValueError):
     """Configuration input that cannot be resolved into a run."""
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One verified equality; sigma is the MC standard error when the
-    left side is a Monte Carlo mean, else None."""
-
-    name: str
-    lhs: float
-    rhs: float
-    abs_gap: float
-    rel_gap: float
-    sigma: float | None
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -345,21 +332,8 @@ def parse_config(source) -> RunConfig:
 # command engines
 
 
-def _check(name, lhs, rhs, tolerance, sigma=None, passed=None) -> CheckResult:
-    rel = relative_gap(lhs, rhs)
-    return CheckResult(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        abs_gap=abs(lhs - rhs),
-        rel_gap=rel,
-        sigma=sigma,
-        passed=bool(rel <= tolerance) if passed is None else bool(passed),
-    )
-
-
 def _run_verify_andreief(config: RunConfig):
-    report = verify_andreief(
+    return verify_andreief(
         config.ensemble,
         VerifyConfig(
             n_nodes_1d=config.n_nodes,
@@ -367,22 +341,7 @@ def _run_verify_andreief(config: RunConfig):
             seed=config.seed,
             tolerance=config.tolerance,
         ),
-    )
-    checks = [
-        _check("andreief-quadrature", report.lhs_quadrature, report.rhs, config.tolerance)
-    ]
-    if report.lhs_mc is not None:
-        checks.append(
-            _check(
-                "andreief-mc",
-                report.lhs_mc.mean,
-                report.rhs,
-                config.tolerance,
-                sigma=report.lhs_mc.std_error,
-                passed=mc_agrees(report.lhs_mc, report.rhs),
-            )
-        )
-    return checks, {}
+    ), {}
 
 
 def _run_verify_debruijn(config: RunConfig):
@@ -392,7 +351,7 @@ def _run_verify_debruijn(config: RunConfig):
     # the discrete node measure, even for the discontinuous sign kernel
     rhs = debruijn_rhs(spec.left, kernel, spec.domain, config.n_nodes)
     lhs = debruijn_lhs_quadrature(spec.left, kernel, spec.domain, config.n_nodes)
-    return [_check(f"debruijn-{kernel.kind}", lhs, rhs, config.tolerance)], {}
+    return [check(f"debruijn-{kernel.kind}", lhs, rhs, config.tolerance)], {}
 
 
 def _run_verify_discrete(config: RunConfig):
@@ -410,7 +369,7 @@ def _run_verify_discrete(config: RunConfig):
         raw = rng.integers(-3, 4, size=(order, order))
         return raw - raw.T
 
-    cb_rows, ms_rows, bridge_rows, block_rows = [], [], [], []
+    cb_checks, ms_checks, bridge_checks, block_checks = [], [], [], []
     block_ratios = set()
     # the bridge's subset sum against the ordered-tuple sum it reduces
     tuples_agree = True
@@ -428,38 +387,38 @@ def _run_verify_discrete(config: RunConfig):
         _check_table_budget("compression", 2 * cols_n, 2 * cols_n)
     for _ in range(instances):
         x, y = draw(rows_m, cols_n), draw(rows_m, cols_n)
-        lhs, rhs = cauchy_binet_lhs(x, y), cauchy_binet_rhs(x, y)
-        cb_rows.append((lhs, rhs, lhs == rhs, abs(lhs - rhs)))
+        cb_checks.append(check("cauchy-binet", cauchy_binet_lhs(x, y), cauchy_binet_rhs(x, y),
+                               tolerance, exact=True))
 
         a, t = skew(rows_m), draw(ms_cols, rows_m)
-        lhs, rhs = minor_summation_lhs(a, t), minor_summation_rhs(a, t)
-        ms_rows.append((lhs, rhs, lhs == rhs, abs(lhs - rhs)))
+        ms_checks.append(check("minor-summation", minor_summation_lhs(a, t),
+                               minor_summation_rhs(a, t), tolerance, exact=True))
 
         pts = np.sort(_sample_block(rng, spec.domain, (n_points,)))
         weights, (f, phi) = NodeMeasure.points(pts).tables((spec.left, spec.right))
         tuple_sum = ordered_tuple_sum(weights, f, phi)
         lhs, rhs = discretized_andreief(weights, f, phi)
-        tuples_agree &= abs(tuple_sum - lhs) <= tolerance * abs(lhs)
-        gap = relative_gap(lhs, rhs)
-        bridge_rows.append((lhs, rhs, gap <= tolerance, gap))
+        # relative to the subset sum itself: max(1, ...) passes values below 1 vacuously
+        tuples_agree &= check("tuple-sum", tuple_sum, lhs, tolerance, scale=abs(lhs)).passed
+        bridge_checks.append(check("discretization-bridge", lhs, rhs, tolerance))
 
         ms, cb = block_reclaims_cauchy_binet(x, y)
         if cb != 0:
             block_ratios.add(ms // cb)
-        block_rows.append((abs(ms), abs(cb), abs(ms) == abs(cb), abs(abs(ms) - abs(cb))))
+        block_checks.append(check("block-reclaims", abs(ms), abs(cb), tolerance, exact=True))
 
-    def summarize(name, rows, extra_ok=True):
+    def summarize(instance_checks, extra_ok=True):
         # the instance with the largest gap stands for all of them
-        lhs, rhs, _, _ = max(rows, key=lambda row: row[3])
-        return _check(name, lhs, rhs, tolerance, passed=extra_ok and all(r[2] for r in rows))
+        worst = max(instance_checks, key=lambda c: c.rel_gap)
+        return replace(worst, passed=extra_ok and all(c.passed for c in instance_checks))
 
     checks = [
-        summarize("cauchy-binet", cb_rows),
-        summarize("minor-summation", ms_rows),
-        summarize("discretization-bridge", bridge_rows, extra_ok=tuples_agree),
-        summarize("block-reclaims", block_rows, extra_ok=len(block_ratios) <= 1),
+        summarize(cb_checks),
+        summarize(ms_checks),
+        summarize(bridge_checks, extra_ok=tuples_agree),
+        summarize(block_checks, extra_ok=len(block_ratios) <= 1),
     ]
-    payload = {"instances": instances, "bridge_tuple_sum_agrees": bool(tuples_agree)}
+    payload = {"instances": instances, "bridge_tuple_sum_agrees": tuples_agree}
     return checks, payload
 
 
@@ -468,7 +427,7 @@ def _run_verify_chebyshev(config: RunConfig):
     g = CHEBYSHEV_FUNCTIONS[config.extras["g"]]
     domain = Domain.finite(config.extras["a"], config.extras["b"])
     direct, pair_form = chebyshev_gap(f, g, domain, config.n_nodes)
-    checks = [_check("chebyshev-gap-identity", direct, pair_form, config.tolerance)]
+    checks = [check("chebyshev-gap-identity", direct, pair_form, config.tolerance)]
     payload = {
         "gap": direct,
         "direction_reversed": bool(direct < -config.tolerance),
@@ -479,22 +438,15 @@ def _run_verify_chebyshev(config: RunConfig):
 def _run_biorthogonalize(config: RunConfig):
     system = biorthogonalize(config.ensemble, config.n_nodes)
     residuals = biorthogonality_residuals(system, config.n_nodes)
-    scale = max(1.0, float(np.abs(system.h).max()))
     checks = [
-        _check(f"pairing-{j}", float(residuals[j, j]), float(system.h[j]), config.tolerance)
+        check(f"pairing-{j}", float(residuals[j, j]), float(system.h[j]), config.tolerance)
         for j in range(system.size)
     ]
     off = residuals - np.diag(np.diag(residuals))
-    worst = float(np.abs(off).max())
-    checks.append(
-        _check(
-            "off-diagonal-residual",
-            worst,
-            0.0,
-            config.tolerance,
-            passed=worst <= config.tolerance * scale,
-        )
-    )
+    # judged relative to the largest normalization, the scale of every entry
+    scale = max(1.0, float(np.abs(system.h).max()))
+    checks.append(check("off-diagonal-residual", float(np.abs(off).max()), 0.0,
+                        config.tolerance, scale=scale))
     payload = {
         "coefficients": {
             "c": system.c.tolist(),
@@ -508,7 +460,7 @@ def _run_biorthogonalize(config: RunConfig):
 def _run_partition(config: RunConfig):
     value = partition_function(config.ensemble, config.n_nodes)
     reference = andreief_rhs(gram_matrix(config.ensemble, config.n_nodes))
-    checks = [_check("partition-vs-gram-determinant", value, reference, config.tolerance)]
+    checks = [check("partition-vs-gram-determinant", value, reference, config.tolerance)]
     return checks, {"value": value}
 
 
@@ -540,7 +492,7 @@ def _config_section(config: RunConfig) -> dict:
     }
 
 
-def _render_json(checks, payload, config, timestamp) -> str:
+def _render_json(checks, passed, payload, config, timestamp) -> str:
     report = {
         "checks": [
             {
@@ -555,7 +507,7 @@ def _render_json(checks, payload, config, timestamp) -> str:
             for c in checks
         ],
         "config": _config_section(config),
-        "passed": all(c.passed for c in checks),
+        "passed": passed,
     }
     report.update(payload)
     if timestamp is not None:
@@ -571,13 +523,13 @@ def _flatten(prefix: str, value):
         yield prefix, json.dumps(value)
 
 
-def _render_csv(checks, payload, config, timestamp) -> str:
+def _render_csv(checks, passed, payload, config, timestamp) -> str:
     buffer = io.StringIO()
     for key, rendered in _flatten("config", _config_section(config)):
         buffer.write(f"# {key}={rendered}\n")
     for key, rendered in _flatten("", {k: v for k, v in payload.items() if not isinstance(v, dict)}):
         buffer.write(f"# {key}={rendered}\n")
-    buffer.write(f"# passed={json.dumps(all(c.passed for c in checks))}\n")
+    buffer.write(f"# passed={json.dumps(passed)}\n")
     if timestamp is not None:
         buffer.write(f"# timestamp={timestamp}\n")
     writer = csv.writer(buffer, lineterminator="\n")
@@ -611,9 +563,10 @@ def run(config: RunConfig) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
+    passed = all(c.passed for c in checks)
     timestamp = datetime.now(timezone.utc).isoformat() if config.timestamp else None
     render = _render_json if config.format == "json" else _render_csv
-    text = render(checks, payload, config, timestamp)
+    text = render(checks, passed, payload, config, timestamp)
     if config.output_path:
         try:
             with open(config.output_path, "w", encoding="utf-8") as handle:
@@ -623,7 +576,7 @@ def run(config: RunConfig) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    return 0 if all(c.passed for c in checks) else 1
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:

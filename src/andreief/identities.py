@@ -16,8 +16,10 @@ Four computations share this module:
   gathered from tables built once per call: the family values f_j(x_k)
   per node and the kernel values h(x_a, x_b) per node pair;
 * the finite-interval covariance-style gap (b-a) int fg - int f int g and
-  its double-integral form, which is non-negative for co-monotone pairs;
-* the bundled pass/fail report combining the routes above.
+  its double-integral form, which is non-negative for co-monotone pairs.
+
+check is the one place a gap between two sides becomes a verdict: every
+report check, verify_andreief's among them, is a Check it built.
 
 Every engine integrates against the same measure by calling the one
 reduction ensembles.weight_factorization, with the ensemble's two families
@@ -76,13 +78,14 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "MC_PASS_SLACK",
     "TENSOR_SIZE_LIMIT",
+    "Check",
     "GramMatrix",
-    "IdentityReport",
     "VerifyConfig",
     "andreief_lhs_mc",
     "andreief_lhs_quadrature",
     "andreief_rhs",
     "chebyshev_gap",
+    "check",
     "debruijn_lhs_quadrature",
     "debruijn_rhs",
     "gram_matrix",
@@ -140,28 +143,39 @@ class VerifyConfig:
             raise ValueError("mc_samples must be non-negative (0 disables MC)")
 
 
-@dataclass(frozen=True, eq=False)
-class IdentityReport:
-    """Both sides of an identity plus the agreement verdict.
+@dataclass(frozen=True)
+class Check:
+    """One verified equality; sigma is the MC standard error when the
+    left side is a Monte Carlo mean, else None."""
 
-    passed requires rel_gap <= tolerance for the quadrature route and, when
-    a Monte Carlo estimate is present, |mean - rhs| within 3 standard errors
-    (plus MC_PASS_SLACK absolute).
-    """
-
-    lhs_quadrature: float
-    lhs_mc: MCEstimate | None
+    name: str
+    lhs: float
     rhs: float
     abs_gap: float
     rel_gap: float
+    sigma: float | None
     passed: bool
-    metadata: dict
 
 
-def mc_agrees(estimate: MCEstimate, reference: float) -> bool:
-    """3-sigma agreement with a round-off floor for sigma = 0 cases."""
-    slack = MC_PASS_SLACK * max(1.0, abs(reference))
-    return abs(estimate.mean - reference) <= 3.0 * estimate.std_error + slack
+def check(name, lhs, rhs, tolerance, *, scale=None, sigma=None, exact=False) -> Check:
+    """The verdict on lhs = rhs.  rel_gap is |lhs - rhs| / scale, the scale
+    defaulting to relative_gap's max(1, |lhs|, |rhs|); at scale 0 it is 0
+    for equal sides and inf otherwise.  passed is lhs == rhs when exact,
+    |lhs - rhs| within 3 sigma plus MC_PASS_SLACK * max(1, |rhs|) when sigma
+    is given (a round-off floor for sigma = 0), else rel_gap <= tolerance.
+    """
+    abs_gap = abs(lhs - rhs)
+    if scale is None:
+        rel = relative_gap(lhs, rhs)
+    else:
+        rel = abs_gap / scale if scale else (0.0 if abs_gap == 0 else math.inf)
+    if exact:
+        passed = lhs == rhs
+    elif sigma is not None:
+        passed = abs_gap <= 3.0 * sigma + MC_PASS_SLACK * max(1.0, abs(rhs))
+    else:
+        passed = rel <= tolerance
+    return Check(name, lhs, rhs, abs_gap, rel, sigma, bool(passed))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +319,9 @@ def debruijn_rhs(
     On the node measure B = (W F)^T H (W F), with H[a, b] = h(x_a, x_b): a
     full 2-D tensor-quadrature value per entry.  B is antisymmetrized to
     (B - B^T)/2 before the Pfaffian; the pre-existing asymmetry (quadrature
-    reduction order only) is checked against 1e-12.
+    reduction order only) is checked against 1e-12 * max(1, max|B|).  That
+    bound is a precondition guard, not a verdict, so it does not go through
+    check: past it the call raises, and the CLI exits 2 without a report.
     """
     _check_even(left)
     rule, weights, (values,) = _node_measure((left,), domain, n_nodes)
@@ -398,15 +414,13 @@ def _non_integer_powers(spec: EnsembleSpec) -> list:
     return sorted({p for p in powers if p is not None and not float(p).is_integer()})
 
 
-def verify_andreief(
-    spec: EnsembleSpec, config: VerifyConfig | None = None
-) -> IdentityReport:
-    """Evaluate both sides of the determinant identity and report agreement.
+def verify_andreief(spec: EnsembleSpec, config: VerifyConfig | None = None) -> list:
+    """Evaluate both sides of the determinant identity and return the
+    checks: andreief-quadrature, then andreief-mc when config.mc_samples > 0.
 
-    Quadrature LHS is always computed; Monte Carlo runs when
-    config.mc_samples > 0.  Disagreement shows up as passed=False with the
-    gaps in the report, never as a silent adjustment.  N above
-    TENSOR_SIZE_LIMIT raises BudgetError before either side is computed.
+    Disagreement shows up as passed=False with the gaps in the check, never
+    as a silent adjustment.  N above TENSOR_SIZE_LIMIT raises BudgetError
+    before either side is computed.
     """
     if spec.size > TENSOR_SIZE_LIMIT:
         raise BudgetError(
@@ -427,29 +441,9 @@ def verify_andreief(
         )
     rhs = andreief_rhs(gram_matrix(spec, cfg.n_nodes_1d))
     lhs = andreief_lhs_quadrature(spec, DEFAULT_NODES_TENSOR)
-    abs_gap = abs(lhs - rhs)
-    rel = relative_gap(lhs, rhs)
-    passed = rel <= cfg.tolerance
-    estimate = None
+    checks = [check("andreief-quadrature", lhs, rhs, cfg.tolerance)]
     if cfg.mc_samples > 0:
         estimate = andreief_lhs_mc(spec, cfg.mc_samples, cfg.seed)
-        passed = passed and mc_agrees(estimate, rhs)
-    metadata = {
-        "ensemble": spec.name,
-        "size": spec.size,
-        "domain": str(spec.domain),
-        "n_nodes_1d": cfg.n_nodes_1d,
-        "n_nodes_tensor": DEFAULT_NODES_TENSOR,
-        "mc_samples": cfg.mc_samples,
-        "seed": cfg.seed,
-        "tolerance": cfg.tolerance,
-    }
-    return IdentityReport(
-        lhs_quadrature=lhs,
-        lhs_mc=estimate,
-        rhs=rhs,
-        abs_gap=abs_gap,
-        rel_gap=rel,
-        passed=passed,
-        metadata=metadata,
-    )
+        checks.append(check("andreief-mc", estimate.mean, rhs, cfg.tolerance,
+                            sigma=estimate.std_error))
+    return checks

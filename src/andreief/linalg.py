@@ -36,7 +36,6 @@ __all__ = [
     "relative_gap",
     "skew_symmetrize",
     "subsets",
-    "within_tolerance",
 ]
 
 # Pfaffian elimination treats pivots at or below this magnitude as exact zeros.
@@ -69,13 +68,8 @@ _LOCKSTEP_BLOCK = 4096
 
 
 def relative_gap(a: float, b: float) -> float:
-    """Scaled gap |a - b| / max(1, |a|, |b|)."""
+    """Scaled gap |a - b| / max(1, |a|, |b|): identities.check's default."""
     return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
-def within_tolerance(a: float, b: float, tol: float) -> bool:
-    """True when a and b agree per the package tolerance convention."""
-    return relative_gap(a, b) <= tol
 
 
 def _as_float(m) -> np.ndarray:

@@ -764,6 +764,44 @@ class TestCommandPayloads:
             assert report["checks"][0]["rel_gap"] <= 1e-12
 
 
+# one run per command, with a Monte Carlo check, a failing verdict and the
+# off-diagonal residual of a pairing far from 1 among them
+RECOMPUTABLE_RUNS = [
+    ["verify-andreief", "--ensemble", "gue-monomial", "--n", "3"],
+    ["verify-andreief", "--ensemble", "uniform-monomial", "--n", "2",
+     "--mc-samples", "20000", "--seed", "7"],
+    ["verify-andreief", "--ensemble", "muttalib-borodin", "--n", "3", "--tolerance", "1e-15"],
+    ["verify-debruijn", "--n", "4", "--kernel", "sign", "--n-nodes", "12"],
+    ["verify-discrete", "--rows", "6", "--cols", "4", "--instances", "10"],
+    ["verify-chebyshev", "--f", "exp", "--g", "x"],
+    ["biorthogonalize", "--ensemble", "muttalib-borodin", "--n", "8"],
+    ["biorthogonalize", "--ensemble", "laguerre-product", "--n", "6"],
+    ["partition", "--ensemble", "shifted-gue", "--n", "4"],
+]
+
+EXACT_CHECKS = ("cauchy-binet", "minor-summation", "block-reclaims")
+
+
+class TestReportIsRecomputable:
+    """Every verdict in a report follows from the numbers printed beside it."""
+
+    @pytest.mark.parametrize("argv", RECOMPUTABLE_RUNS, ids=" ".join)
+    def test_verdicts_follow_from_the_reported_gaps(self, capsys, argv):
+        code, report, _ = run_json(capsys, [*argv, "--no-timestamp"])
+        tolerance = report["config"]["tolerance"]
+        for c in report["checks"]:
+            assert c["abs_gap"] == abs(c["lhs"] - c["rhs"]), c["name"]
+            if c["name"] in EXACT_CHECKS:
+                assert c["rel_gap"] == 0
+            if c["sigma"] is None:
+                assert c["passed"] == (c["rel_gap"] <= tolerance), c["name"]
+            else:
+                slack = identities.MC_PASS_SLACK * max(1.0, abs(c["rhs"]))
+                assert c["passed"] == (c["abs_gap"] <= 3.0 * c["sigma"] + slack)
+        assert report["passed"] == all(c["passed"] for c in report["checks"])
+        assert code == (0 if report["passed"] else 1)
+
+
 class TestConsoleEntry:
     def test_module_invocation_matches_in_process(self, capsys):
         argv = ["partition", "--no-timestamp"]

@@ -26,6 +26,9 @@ from andreief.ensembles import (
 from andreief import ensembles, identities
 from andreief.biortho import biorthogonality_residuals, biorthogonalize
 from andreief.identities import (
+    DEFAULT_TOLERANCE,
+    MC_PASS_SLACK,
+    Check,
     GramMatrix,
     VerifyConfig,
     _pair_integrand,
@@ -33,13 +36,13 @@ from andreief.identities import (
     andreief_lhs_quadrature,
     andreief_rhs,
     chebyshev_gap,
+    check,
     debruijn_lhs_quadrature,
     debruijn_rhs,
     gram_matrix,
-    mc_agrees,
     verify_andreief,
 )
-from andreief.linalg import determinant_batch, relative_gap, within_tolerance
+from andreief.linalg import determinant_batch, relative_gap
 from andreief import quadrature
 from andreief.quadrature import BudgetError, Domain, gauss_rule, integrate_nd
 from grid_oracles import (
@@ -116,7 +119,7 @@ class TestAndreiefRhs:
         n = 25
         g = GramMatrix(n, 0.9 * np.eye(n), "hand")
         exact = math.factorial(n) * 0.9**n
-        assert within_tolerance(andreief_rhs(g), exact, 1e-12)
+        assert relative_gap(andreief_rhs(g), exact) <= 1e-12
         g_neg = GramMatrix(n, -0.9 * np.eye(n), "hand")
         assert andreief_rhs(g_neg) == pytest.approx(-exact, rel=1e-12)
 
@@ -128,18 +131,18 @@ class TestAndreiefRhs:
 class TestAndreiefLhsQuadrature:
     def test_uniform_monomial(self):
         lhs = andreief_lhs_quadrature(UNIFORM2)
-        assert within_tolerance(lhs, 1.0 / 6.0, 1e-13)
+        assert relative_gap(lhs, 1.0 / 6.0) <= 1e-13
 
     @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
     def test_size_one_equals_gram_entry(self, name):
         spec = build_ensemble(name, 1)
         lhs = andreief_lhs_quadrature(spec, 40)
         entry = gram_matrix(spec, 40).entries[0, 0]
-        assert within_tolerance(lhs, entry, 1e-13)
+        assert relative_gap(lhs, entry) <= 1e-13
 
     def test_gaussian_pair(self):
         lhs = andreief_lhs_quadrature(GUE2)
-        assert within_tolerance(lhs, math.pi, 1e-10)
+        assert relative_gap(lhs, math.pi) <= 1e-10
 
     def test_no_size_gate(self):
         # N = 7 sums the C(8, 7) node subsets, which Cauchy-Binet equates
@@ -147,7 +150,7 @@ class TestAndreiefLhsQuadrature:
         # verdict's, in verify_andreief
         spec = build_ensemble("gue-monomial", 7)
         lhs = andreief_lhs_quadrature(spec, 8)
-        assert within_tolerance(lhs, andreief_rhs(gram_matrix(spec, 8)), 1e-12)
+        assert relative_gap(lhs, andreief_rhs(gram_matrix(spec, 8))) <= 1e-12
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
@@ -329,20 +332,16 @@ class TestPairIntegrand:
 class TestPermutationOracle:
     def test_uniform_monomial(self):
         val = andreief_lhs_permutation_oracle(UNIFORM2)
-        assert within_tolerance(val, 1.0 / 6.0, 1e-13)
+        assert relative_gap(val, 1.0 / 6.0) <= 1e-13
 
     def test_size_one(self):
         spec = build_ensemble("legendre-monomial", 1)
-        assert within_tolerance(
-            andreief_lhs_permutation_oracle(spec),
-            gram_matrix(spec).entries[0, 0],
-            1e-13,
-        )
+        assert relative_gap(
+            andreief_lhs_permutation_oracle(spec), gram_matrix(spec).entries[0, 0]
+        ) <= 1e-13
 
     def test_gaussian_pair(self):
-        assert within_tolerance(
-            andreief_lhs_permutation_oracle(GUE2), math.pi, 1e-10
-        )
+        assert relative_gap(andreief_lhs_permutation_oracle(GUE2), math.pi) <= 1e-10
 
     @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
     @pytest.mark.parametrize("size", [2, 3, 4])
@@ -350,7 +349,7 @@ class TestPermutationOracle:
         spec = build_ensemble(name, size)
         direct = andreief_lhs_quadrature(spec)
         expanded = andreief_lhs_permutation_oracle(spec)
-        assert within_tolerance(direct, expanded, 1e-11)
+        assert relative_gap(direct, expanded) <= 1e-11
 
 
 class TestCatalogueIdentity:
@@ -374,7 +373,7 @@ class TestCatalogueIdentity:
         spec = build_ensemble(name, size)
         rhs = andreief_rhs(gram_matrix(spec))
         est = andreief_lhs_mc(spec, self.MC_SAMPLES.get(name, 10**5), seed)
-        assert mc_agrees(est, rhs)
+        assert check("mc", est.mean, rhs, DEFAULT_TOLERANCE, sigma=est.std_error).passed
 
     def test_scaling_covariance(self):
         spec = build_ensemble("uniform-monomial", 3)
@@ -385,8 +384,8 @@ class TestCatalogueIdentity:
         scaled_rhs = andreief_rhs(gram_matrix(scaled))
         scaled_lhs = andreief_lhs_quadrature(scaled)
         prod = math.prod(factors)
-        assert within_tolerance(scaled_rhs, prod * base_rhs, 1e-12)
-        assert within_tolerance(scaled_lhs, prod * base_lhs, 1e-12)
+        assert relative_gap(scaled_rhs, prod * base_rhs) <= 1e-12
+        assert relative_gap(scaled_lhs, prod * base_lhs) <= 1e-12
         assert relative_gap(scaled_lhs, scaled_rhs) <= 1e-11
 
 
@@ -400,11 +399,11 @@ SIGN = KernelFunction.builtin("sign")
 class TestDeBruijn:
     def test_two_by_two_closed_form_rhs(self):
         val = debruijn_rhs(MONO2, DIFFERENCE, UNIT, 12)
-        assert within_tolerance(val, -1.0 / 12.0, 1e-13)
+        assert relative_gap(val, -1.0 / 12.0) <= 1e-13
 
     def test_two_by_two_closed_form_lhs(self):
         val = debruijn_lhs_quadrature(MONO2, DIFFERENCE, UNIT, 12)
-        assert within_tolerance(val, -1.0 / 12.0, 1e-13)
+        assert relative_gap(val, -1.0 / 12.0) <= 1e-13
 
     def test_zero_kernel(self):
         zero = KernelFunction.custom(lambda x, y: 0.0 * (x + y))
@@ -415,13 +414,13 @@ class TestDeBruijn:
     def test_order_two_cross_engine(self, kernel):
         lhs = debruijn_lhs_quadrature(MONO2, kernel, UNIT, 24)
         rhs = debruijn_rhs(MONO2, kernel, UNIT, 24)
-        assert within_tolerance(lhs, rhs, 1e-10)
+        assert relative_gap(lhs, rhs) <= 1e-10
 
     @pytest.mark.parametrize("kernel", [DIFFERENCE, SIGN], ids=["difference", "sign"])
     def test_order_four_cross_engine(self, kernel):
         lhs = debruijn_lhs_quadrature(MONO4, kernel, UNIT, 12)
         rhs = debruijn_rhs(MONO4, kernel, UNIT, 12)
-        assert within_tolerance(lhs, rhs, 1e-9)
+        assert relative_gap(lhs, rhs) <= 1e-9
 
     @pytest.mark.parametrize("kernel", [DIFFERENCE, SIGN], ids=["difference", "sign"])
     def test_weighted_family_cross_engine(self, kernel):
@@ -429,7 +428,7 @@ class TestDeBruijn:
         dom = Domain.real_line()
         lhs = debruijn_lhs_quadrature(fam, kernel, dom, 20)
         rhs = debruijn_rhs(fam, kernel, dom, 20)
-        assert within_tolerance(lhs, rhs, 1e-10)
+        assert relative_gap(lhs, rhs) <= 1e-10
 
     def test_odd_size_rejected(self):
         fam = FunctionFamily(3, "monomial")
@@ -443,7 +442,7 @@ class TestDeBruijn:
         # subsets refuses a large one before any matrix is eliminated
         fam = FunctionFamily(6, "monomial")
         lhs = debruijn_lhs_quadrature(fam, SIGN, UNIT, 12)
-        assert within_tolerance(lhs, debruijn_rhs(fam, SIGN, UNIT, 12), 1e-10)
+        assert relative_gap(lhs, debruijn_rhs(fam, SIGN, UNIT, 12)) <= 1e-10
         monkeypatch.setattr(identities, "determinant_batch", None)
         with pytest.raises(
             BudgetError, match="300500200 6-subsets of the 80 nodes, allowed 100000000"
@@ -477,7 +476,7 @@ class TestDeBruijn:
         custom = KernelFunction.custom(lambda x, y: x * y + x)
         ref = debruijn_rhs(MONO2, DIFFERENCE, UNIT, 12)
         val = debruijn_rhs(MONO2, custom, UNIT, 12)
-        assert within_tolerance(val, 0.5 * ref, 1e-12)
+        assert relative_gap(val, 0.5 * ref) <= 1e-12
 
 
 class TestChebyshevGap:
@@ -515,7 +514,7 @@ class TestChebyshevGap:
 
     def test_monotone_pair_non_negative(self):
         gap, double_form = chebyshev_gap(lambda x: x, lambda x: x**2, UNIT)
-        assert within_tolerance(gap, double_form, 1e-13)
+        assert relative_gap(gap, double_form) <= 1e-13
         assert gap >= 0
 
     def test_twenty_random_smooth_pairs(self):
@@ -527,7 +526,7 @@ class TestChebyshevGap:
             f = lambda x, c=cf: c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3
             g = lambda x, c=cg: c[0] + c[1] * x + c[2] * x**2 + c[3] * np.sin(x)
             gap, double_form = chebyshev_gap(f, g, dom)
-            assert within_tolerance(gap, double_form, 1e-12)
+            assert relative_gap(gap, double_form) <= 1e-12
 
     def test_co_monotone_suite_non_negative(self):
         increasing = [
@@ -540,14 +539,14 @@ class TestChebyshevGap:
         for i, f in enumerate(increasing):
             for g in increasing[i:]:
                 gap, double_form = chebyshev_gap(f, g, UNIT)
-                assert within_tolerance(gap, double_form, 1e-12)
+                assert relative_gap(gap, double_form) <= 1e-12
                 assert gap >= -1e-13
                 assert double_form >= -1e-13
 
     def test_anti_monotone_flips_sign(self):
         gap, double_form = chebyshev_gap(lambda x: x, lambda x: -x, UNIT)
         assert gap == pytest.approx(-1.0 / 12.0, abs=1e-14)
-        assert within_tolerance(gap, double_form, 1e-13)
+        assert relative_gap(gap, double_form) <= 1e-13
 
     def test_requires_finite_domain(self):
         with pytest.raises(ValueError, match="finite domain"):
@@ -582,28 +581,84 @@ class TestInverseWeightPath:
             debruijn_rhs(mono, kernel, dom, 12)
 
 
+class TestCheck:
+    """identities.check, the one rule that turns a gap into a verdict."""
+
+    def test_default_scale_is_relative_gap(self):
+        for lhs, rhs in ((1.0, 1.0 + 1e-10), (1e6, 1e6 + 1.0), (1e-13, 0.0), (-3.0, 2.0)):
+            c = check("c", lhs, rhs, 1e-9)
+            assert c == Check("c", lhs, rhs, abs(lhs - rhs), relative_gap(lhs, rhs), None,
+                              relative_gap(lhs, rhs) <= 1e-9)
+        assert check("c", 1.0, 1.0 + 1e-10, 1e-9).passed
+        assert not check("c", 1.0, 1.0 + 1e-8, 1e-9).passed
+
+    def test_exact_refuses_what_the_relative_rule_passes(self):
+        lhs, rhs = 10**13, 10**13 + 1
+        assert check("c", lhs, rhs, 1e-9).passed
+        exact = check("c", lhs, rhs, 1e-9, exact=True)
+        assert not exact.passed
+        assert (exact.abs_gap, exact.rel_gap) == (1, relative_gap(lhs, rhs))
+        assert check("c", lhs, lhs, 1e-9, exact=True).passed
+
+    def test_zero_sigma_passes_within_the_slack(self):
+        assert check("mc", 1.0 + 0.5 * MC_PASS_SLACK, 1.0, 1e-15, sigma=0.0).passed
+        assert not check("mc", 1.0 + 2.0 * MC_PASS_SLACK, 1.0, 1e-15, sigma=0.0).passed
+        # the slack scales with |rhs| above 1
+        assert check("mc", 1e3 * (1.0 + 0.5 * MC_PASS_SLACK), 1e3, 1e-15, sigma=0.0).passed
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.25])
+    @pytest.mark.parametrize("rhs", [0.0, 0.5, -40.0])
+    def test_sigma_rule_is_three_sigma_plus_slack(self, sigma, rhs):
+        for lhs in (rhs + 2.9 * sigma, rhs - 3.1 * sigma - 1e-9, rhs + 1e-13):
+            want = abs(lhs - rhs) <= 3.0 * sigma + MC_PASS_SLACK * max(1.0, abs(rhs))
+            c = check("mc", lhs, rhs, 1e-15, sigma=sigma)
+            assert c.passed == want
+            assert (c.sigma, c.rel_gap) == (sigma, relative_gap(lhs, rhs))
+
+    def test_explicit_scale_sets_rel_gap_and_verdict(self):
+        # 2e-9 against 0: the default scale 1 refuses it, the scale 4 passes it
+        assert not check("c", 2e-9, 0.0, 1e-9).passed
+        c = check("c", 2e-9, 0.0, 1e-9, scale=4.0)
+        assert c.rel_gap == 2e-9 / 4.0
+        assert c.passed
+        # below 1 the scale is not lifted to 1
+        small = check("c", 1e-6, 1.1e-6, 1e-9, scale=1e-6)
+        assert small.rel_gap == pytest.approx(0.1)
+        assert not small.passed
+
+    @pytest.mark.parametrize("zero", [0.0, 0, np.float64(0.0)])
+    def test_zero_scale_is_well_defined(self, zero):
+        equal = check("c", 0.0, 0.0, 1e-9, scale=zero)
+        assert (equal.rel_gap, equal.passed) == (0.0, True)
+        apart = check("c", 1e-300, 0.0, 1e-9, scale=zero)
+        assert apart.rel_gap == math.inf
+        assert apart.passed is False
+
+
 class TestVerifyAndreief:
     def test_uniform_monomial_passes(self):
-        report = verify_andreief(UNIFORM2)
+        (report,) = verify_andreief(UNIFORM2)
+        assert report.name == "andreief-quadrature"
         assert report.passed
         assert report.rel_gap <= 1e-12
-        assert report.lhs_mc is None
+        assert report.sigma is None
         assert report.rhs == pytest.approx(1.0 / 6.0, abs=1e-13)
 
     def test_with_mc(self):
         cfg = VerifyConfig(mc_samples=50_000, seed=3)
-        report = verify_andreief(UNIFORM2, cfg)
-        assert report.passed
-        assert report.lhs_mc is not None
-        assert report.lhs_mc.samples == 50_000
+        quad, mc = verify_andreief(UNIFORM2, cfg)
+        assert [quad.name, mc.name] == ["andreief-quadrature", "andreief-mc"]
+        assert quad.passed and mc.passed
+        estimate = andreief_lhs_mc(UNIFORM2, 50_000, 3)
+        assert (mc.lhs, mc.sigma, mc.rhs) == (estimate.mean, estimate.std_error, quad.rhs)
 
     def test_size_one_trivial(self):
-        report = verify_andreief(build_ensemble("shifted-gue", 1))
+        (report,) = verify_andreief(build_ensemble("shifted-gue", 1))
         assert report.passed
 
     def test_muttalib_borodin(self):
         spec = build_ensemble("muttalib-borodin", 3, theta=2.0, c=0.0)
-        report = verify_andreief(spec)
+        (report,) = verify_andreief(spec)
         assert report.passed
         assert report.rel_gap <= 1e-9
 
@@ -618,13 +673,13 @@ class TestVerifyAndreief:
         # the report stay as they were
         spec = build_ensemble("muttalib-borodin", 2, **params)
         with caplog.at_level(logging.WARNING, logger="andreief"):
-            report = verify_andreief(spec)
+            (report,) = verify_andreief(spec)
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         message = caplog.messages[0]
         assert f"non-integer powers of x ({powers})" in message
         assert "converge only algebraically" in message
         assert "12-node tensor side and the 40-node Gram side" in message
-        assert report.passed == (report.rel_gap <= report.metadata["tolerance"])
+        assert report.passed == (report.rel_gap <= DEFAULT_TOLERANCE)
 
     @pytest.mark.parametrize(
         "spec",
@@ -636,22 +691,6 @@ class TestVerifyAndreief:
         with caplog.at_level(logging.WARNING, logger="andreief"):
             verify_andreief(spec)
         assert caplog.records == []
-
-    def test_metadata_complete(self):
-        report = verify_andreief(UNIFORM2)
-        for key in (
-            "ensemble",
-            "size",
-            "domain",
-            "n_nodes_1d",
-            "n_nodes_tensor",
-            "mc_samples",
-            "seed",
-            "tolerance",
-        ):
-            assert key in report.metadata
-        assert report.metadata["ensemble"] == "uniform-monomial"
-        assert report.metadata["size"] == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="tolerance"):
@@ -744,7 +783,7 @@ def point_grid_and_scale(name, two_n, n_nodes, kernel):
     return debruijn_lhs_point_grid(*args), debruijn_lhs_point_grid(*args, absolute=absolute)
 
 
-class TestHalfMinorTables:
+class TestDeBruijnSubsetSum:
     """The de Bruijn left side as a sum over node subsets, against the full
     grid of debruijn_lhs_point_grid."""
 
@@ -792,7 +831,7 @@ class TestHalfMinorTables:
     @pytest.mark.parametrize("kernel", DEBRUIJN_KERNELS)
     @pytest.mark.parametrize("two_n, n_nodes, chunk", [(2, 10, 7), (4, 10, 7), (6, 6, 200)])
     @pytest.mark.parametrize("name", DEBRUIJN_ENSEMBLES)
-    def test_runs_that_stop_mid_row(self, monkeypatch, name, two_n, n_nodes, chunk, kernel):
+    def test_blocks_that_stop_mid_row(self, monkeypatch, name, two_n, n_nodes, chunk, kernel):
         # a row is the run of subsets that share their first node: blocks
         # of 7 of the 45 and 210 subsets at 2n = 2 and 4 stop inside rows,
         # and at 2n = 6 one block holds the one subset of 6 nodes
