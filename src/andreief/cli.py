@@ -108,7 +108,8 @@ SETTINGS = {
     "a": Setting(("--a",), float, 0.0, "interval start (verify-chebyshev)"),
     "b": Setting(("--b",), float, 1.0, "interval end (verify-chebyshev)"),
     "n_nodes": Setting(("--n-nodes",), int, DEFAULT_NODES_1D, "1-D quadrature nodes"),
-    "mc_samples": Setting(("--mc-samples",), int, 0, "Monte Carlo samples (0 disables)"),
+    "mc_samples": Setting(("--mc-samples",), int, 0,
+                          "Monte Carlo samples (0 disables, else at least 2)"),
     "seed": Setting(("--seed",), int, DEFAULT_SEED, "random seed"),
     "tolerance": Setting(("--tolerance",), float, DEFAULT_TOLERANCE, "relative pass tolerance"),
     "output_path": Setting(("--output",), str, None, "report file (default stdout)"),
@@ -159,6 +160,10 @@ class RunConfig:
             raise UsageError("tolerance must be positive and finite")
         if self.mc_samples < 0:
             raise UsageError("mc_samples must be non-negative")
+        if self.mc_samples == 1:
+            raise UsageError(
+                "mc_samples must be 0 (off) or at least 2: one sample has no standard error"
+            )
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
         if self.n_nodes < 1:

@@ -4,11 +4,12 @@ Four computations share this module:
 
 * the N-fold integral of det[f_j(x_k)] det[phi_j(x_k)] (by Gauss
   quadrature summed over node subsets, which is Cauchy-Binet on the node
-  measure, and by Monte Carlo; both evaluate one integrand, which
+  measure, and by Monte Carlo; both run one determinant product, which
   eliminates each distinct reduced family once per point and squares the
-  determinant when the two families reduce alike), against N! times the
-  determinant of the Gram matrix of pairwise integrals, F^T W Phi on the
-  node tables;
+  determinant when the two families reduce alike, the Gauss side on
+  values gathered from tables built once per node and Monte Carlo on
+  values at its samples), against N! times the determinant of the Gram
+  matrix of pairwise integrals, F^T W Phi on the node tables;
 * the 2n-fold integral of det[f_j(x_k)] Pf[h(x_j, x_k)] / (2n)! against the
   Pfaffian of the matrix of double integrals of f_j(x) h(x, y) f_k(y); the
   left side is the minor-summation form of a Gauss rule's tensor grid
@@ -25,15 +26,20 @@ Every engine integrates against the same measure by calling the one
 reduction ensembles.weight_factorization, with the ensemble's two families
 or the Pfaffian side's single family: it returns the member functions and
 one per-point factor (a power of the embedded weight, or None); two
-families that reduce alike share one member list.  The Andreief integrand
-(_pair_integrand) reads it directly; the other Gauss routes read it
-through _node_measure: the rule's ensembles.NodeMeasure folds the point
-factor into the weights W and tabulates each distinct member list on the
-nodes, and discrete.discretized_andreief reads the same tables.
+families that reduce alike share one member list.  Both Andreief left
+sides read it directly (_andreief_integrand): the Gauss side tabulates
+each distinct member list and the point factor on the rule's nodes
+(_node_tables) and keeps the rule's weights, so its products are those
+of the Monte Carlo integrand at the nodes, bit for bit.  The other Gauss
+routes read it through _node_measure: the rule's ensembles.NodeMeasure
+folds the point factor into the weights W and tabulates each distinct
+member list on the nodes, and discrete.discretized_andreief reads the
+same tables.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -141,6 +147,10 @@ class VerifyConfig:
             raise ValueError("tolerance must be positive and finite")
         if self.mc_samples < 0:
             raise ValueError("mc_samples must be non-negative (0 disables MC)")
+        if self.mc_samples == 1:
+            raise ValueError(
+                "mc_samples must be 0 (off) or at least 2: one sample has no standard error"
+            )
 
 
 @dataclass(frozen=True)
@@ -182,45 +192,70 @@ def check(name, lhs, rhs, tolerance, *, scale=None, sigma=None, exact=False) -> 
 # reduced integrands and node tables
 
 
-def _value_stack(fns, columns: np.ndarray) -> np.ndarray:
-    """(P, len(fns), N) stack with [p, j, k] = fns[j](columns[k, p]), from
-    an (N, P) block of sample columns.
-
-    Each member is evaluated on the whole block into one contiguous
-    (len(fns), N, P) array, and the stack is a view of it whose entries
-    [:, j, k] are contiguous (P,) vectors: determinant_batch reads them
-    without a copy, in its cofactor formulas and its lockstep LU alike.
-    """
+def _member_values(fns, columns: np.ndarray) -> np.ndarray:
+    """(len(fns), N, P) array with [j, k, p] = fns[j](columns[k, p]), each
+    member evaluated on the whole (N, P) block of sample columns."""
     values = np.empty((len(fns),) + columns.shape)
     for row, fn in zip(values, fns):
         row[...] = fn(columns)
-    return values.transpose(2, 0, 1)
+    return values
 
 
-def _pair_integrand(spec: EnsembleSpec) -> Callable:
-    """The row-wise integrand of both Andreief left sides, det[f_j(x_k)]
-    det[phi_j(x_k)] times the point factor, on the families reduced by
-    weight_factorization.  Each (P, N) row slice is transposed once into
-    contiguous (N, P) columns, and each distinct member list is evaluated
-    and eliminated once: when both families reduce to one list, the
-    integrand is its determinant squared, bit for bit the product of two
-    equal determinants."""
+def _node_tables(nodes: np.ndarray) -> Callable:
+    """The tabulate argument of _andreief_integrand for a node subset sum: each
+    list fns is evaluated once on the nodes by _node_matrix, which names a
+    bad value's node, into a contiguous (len(fns), n_nodes) table, and an
+    (N, P) block of node indices gathers its (len(fns), N, P) values."""
+
+    def tabulate(fns):
+        table = np.ascontiguousarray(_node_matrix(fns, nodes).T)
+        return lambda columns: table.take(columns, axis=1)
+
+    return tabulate
+
+
+def _andreief_integrand(spec: EnsembleSpec, tabulate: Callable) -> Callable:
+    """The integrand of both Andreief left sides, det[f_j(x_k)]
+    det[phi_j(x_k)] times prod_k of the point factor, on the families
+    reduced by weight_factorization, as a function of an (N, P) block of
+    columns.  tabulate(fns) gives the map from a block to the
+    (len(fns), N, P) values of the list fns: Monte Carlo evaluates the
+    members at its samples (_pair_integrand), and the Gauss left side
+    gathers them from _node_tables.  Either way a value stack is the
+    (P, len(fns), N) view whose entries [:, j, k] are contiguous (P,)
+    vectors, which determinant_batch reads without a copy.
+
+    Each distinct member list is eliminated once: when both families reduce
+    to one list, the integrand is its determinant squared, bit for bit the
+    product of two equal determinants.  The point factor is tabulated like a
+    member and multiplied in after the determinants, so both left sides take
+    the same products in the same order."""
     (left_fns, right_fns), point_factor = weight_factorization(
         (spec.left, spec.right), spec.domain
     )
+    left = tabulate(left_fns)
+    right = None if right_fns is left_fns else tabulate(right_fns)
+    factor = None if point_factor is None else tabulate([point_factor])
 
-    def integrand(points: np.ndarray) -> np.ndarray:
-        columns = np.ascontiguousarray(points.T)
-        left = determinant_batch(_value_stack(left_fns, columns))
-        if right_fns is left_fns:
-            values = left * left
+    def integrand(columns: np.ndarray) -> np.ndarray:
+        dets = determinant_batch(left(columns).transpose(2, 0, 1))
+        if right is None:
+            values = dets * dets
         else:
-            values = left * determinant_batch(_value_stack(right_fns, columns))
-        if point_factor is not None:
-            values = values * np.prod(np.asarray(point_factor(columns), dtype=float), axis=0)
+            values = dets * determinant_batch(right(columns).transpose(2, 0, 1))
+        if factor is not None:
+            values = values * np.prod(factor(columns)[0], axis=0)
         return values
 
     return integrand
+
+
+def _pair_integrand(spec: EnsembleSpec) -> Callable:
+    """The row-wise Monte Carlo integrand: _andreief_integrand with every
+    member evaluated at the samples, each (P, N) row slice transposed once
+    into contiguous (N, P) columns."""
+    integrand = _andreief_integrand(spec, lambda fns: functools.partial(_member_values, fns))
+    return lambda points: integrand(np.ascontiguousarray(points.T))
 
 
 def _kernel_table(h, nodes: np.ndarray) -> np.ndarray:
@@ -238,7 +273,9 @@ def _node_measure(families, domain: Domain, n_nodes: int):
     """(rule, weights, tables) of the Gauss node measure for one or two
     families, from NodeMeasure.tables on the rule.  The Gram matrix, both
     de Bruijn sides and biortho's residuals read their weights and family
-    values from here."""
+    values from here.  Andreief's Gauss left side tabulates the same
+    members (_node_tables) but keeps the point factor out of W, which would
+    change the order of its products and so the last bits of its sum."""
     rule = gauss_rule(domain, n_nodes)
     weights, tables = NodeMeasure(rule.nodes, rule.weights, domain).tables(families)
     return rule, weights, tables
@@ -279,9 +316,13 @@ def andreief_rhs(g: GramMatrix) -> float:
 
 def andreief_lhs_quadrature(spec: EnsembleSpec, n_nodes: int = DEFAULT_NODES_TENSOR) -> float:
     """N-fold tensor Gauss quadrature of det[f_j(x_k)] det[phi_j(x_k)]:
-    integrate_nd's sum of the Monte Carlo integrand over the C(n_nodes, N)
-    node subsets, as it is symmetric in its points and zero where two
-    coincide.  On the node measure that is Cauchy-Binet,
+    integrate_nd's sum of the Monte Carlo integrand's determinant product
+    over the C(n_nodes, N) node subsets, as it is symmetric in its points
+    and zero where two coincide.  Each reduced member list and the point
+    factor are evaluated once per node (_node_tables, which names a
+    non-finite value's node), and every block gathers its stacks from
+    those tables; the products are the Monte Carlo integrand's at the
+    nodes, bit for bit.  On the node measure that is Cauchy-Binet,
     N! * sum_K det((W F)_K) * det(Phi_K).  DEFAULT_EVAL_BUDGET bounds the
     subset count, checked before the rule is built; fewer nodes than N give
     the exact value 0.0.
@@ -292,14 +333,13 @@ def andreief_lhs_quadrature(spec: EnsembleSpec, n_nodes: int = DEFAULT_NODES_TEN
     """
     _check_subset_budget(n_nodes, spec.size, "nodes")
     rule = gauss_rule(spec.domain, n_nodes)
-    integrand = _pair_integrand(spec)
-    return integrate_nd(rule, spec.size, lambda index: integrand(rule.nodes[index]))
+    integrand = _andreief_integrand(spec, _node_tables(rule.nodes))
+    return integrate_nd(rule, spec.size, lambda index: integrand(index.T))
 
 
 def andreief_lhs_mc(spec: EnsembleSpec, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of the same N-fold integral."""
-    integrand = _pair_integrand(spec)
-    return monte_carlo_nd(spec.domain, spec.size, integrand, samples, seed)
+    return monte_carlo_nd(spec.domain, spec.size, _pair_integrand(spec), samples, seed)
 
 
 # ---------------------------------------------------------------------------

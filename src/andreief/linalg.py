@@ -55,15 +55,17 @@ _LOCKSTEP_MAX_ORDER = 5
 # scale with this count (about 0.7 MB for the LU at order 4, 1.2 MB for the
 # Parlett-Reid copy at order 6), so it bounds their peak memory per call.
 # The stacks that reach the LU's orders 4-5 are the float subset and tuple
-# sums of andreief.discrete, the Andreief integrand's Monte Carlo slices
-# (one call per pool thread) and node subsets at N = 4-5, and the de Bruijn
-# left side's node subsets at 2n = 4, each at most quadrature._EVAL_ROWS =
-# 8192 matrices; all are built entry-major, so the LU reads them without a
-# copy.  The de Bruijn Pfaffians reach the Parlett-Reid
-# from 2n = 6, 8192 per block.  The count was set when the de Bruijn grid
-# took per-point LU determinants: eliminating a whole 8192-point chunk at
+# sums of andreief.discrete, the Andreief left sides' stacks at N = 4-5
+# (Monte Carlo slices, one call per pool thread, and node subsets gathered
+# from node tables), and the de Bruijn left side's node subsets at 2n = 4,
+# each at most quadrature._EVAL_ROWS = 8192 matrices; all are built
+# entry-major, so the LU reads them without a copy.  The de Bruijn
+# Pfaffians reach the Parlett-Reid from 2n = 6, 8192 per block.  The count
+# was set when the de Bruijn left side was still a tensor grid with one
+# LU determinant per grid point: eliminating a whole 8192-point chunk at
 # once put the tensor benchmark's peak RSS at 45.2-46.1 MB, two blocks of
-# 4096 at 43.5-44.0 MB (LAPACK: 44.9-45.7 MB).
+# 4096 at 43.5-44.0 MB (LAPACK: 44.9-45.7 MB).  It has not been measured
+# again on the subset sums.
 _LOCKSTEP_BLOCK = 4096
 
 
@@ -156,11 +158,12 @@ def _lockstep_lu_determinant(a: np.ndarray) -> np.ndarray:
     c of every matrix and each step is a handful of ufuncs on contiguous
     (P,) vectors.  Two equal columns then stay bitwise equal until one
     becomes the pivot, and the other cancels to exactly 0, so a matrix
-    with a repeated column -- a grid point that repeats a node, in a value
-    stack [f_j(x_k)] -- gives exactly 0.0.  A stack whose matrix index is
-    its contiguous axis, such as the (P, n, n) view ``g.transpose(2, 0, 1)``
-    of a contiguous (n, n, P) array g, is read without a copy; any other
-    is copied into that layout once.
+    with a repeated column -- two equal points in a value stack
+    [f_j(x_k)], or two equal rows of a discrete sum's input -- gives
+    exactly 0.0.  A stack whose matrix index is its contiguous axis, such
+    as the (P, n, n) view ``g.transpose(2, 0, 1)`` of a contiguous
+    (n, n, P) array g, is read without a copy; any other is copied into
+    that layout once.
 
     Each step takes the largest |entry| of the leading column as pivot (the
     first on ties, as LAPACK's ``idamax``) and divides by it, so every

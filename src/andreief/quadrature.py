@@ -22,7 +22,9 @@ Scalar returns are broadcast.
 Every sum over node subsets or point tuples, here and in andreief.discrete,
 checks DEFAULT_EVAL_BUDGET (_check_budget) before any term is computed and
 runs in blocks of at most _EVAL_ROWS rows, as Monte Carlo integrands do, so
-the arrays made per block stay cache-sized.  Monte Carlo integrands must be
+the arrays made per block stay cache-sized.  integrate_nd unranks each block
+of node subsets in numpy (_unranked_subsets); the discrete sums chunk
+itertools enumerations (_index_blocks).  Monte Carlo integrands must be
 row-wise: row i of their values depends on row i of their input only, so
 a slice gives the same values as the whole block would.
 
@@ -332,6 +334,39 @@ def _index_blocks(tuples, count: int, width: int):
         yield np.fromiter(flat, np.intp, size * width).reshape(size, width)
 
 
+def _unranked_subsets(n: int, dim: int):
+    """The C(n, dim) sorted dim-subsets of range(n) in lexicographic order,
+    as consecutive (P, dim) intp blocks of at most _EVAL_ROWS rows.
+
+    Each block is unranked, not enumerated: the lex rank r of a subset A is
+    the colex rank C(n, dim) - 1 - r of its reflection n - 1 - A, and the
+    colex rank of c_1 < ... < c_dim is sum_i C(c_i, i) (the combinatorial
+    number system), so its largest element c_dim is the last c with
+    C(c, dim) <= rank: one searchsorted per position, from the first
+    element of A on.  A block is the transpose of a contiguous (dim, P)
+    array, so each of its columns is a contiguous (P,) vector."""
+    count = math.comb(n, dim)
+    # C(c, i) for c < n, capped at count (no rank reaches it) to fit an intp
+    binomials = [
+        np.array([min(math.comb(c, i), count) for c in range(n)], dtype=np.intp)
+        for i in range(dim, 0, -1)
+    ]
+
+    def block(start: int) -> np.ndarray:
+        # a function, so its rank and search temporaries are freed before
+        # the caller evaluates the block
+        size = min(_EVAL_ROWS, count - start)
+        rank = np.arange(count - 1 - start, count - 1 - start - size, -1, dtype=np.intp)
+        index = np.empty((dim, size), dtype=np.intp)
+        for column, binomial in zip(index, binomials):
+            c = binomial.searchsorted(rank, side="right") - 1
+            rank -= binomial[c]
+            np.subtract(n - 1, c, out=column)
+        return index.T
+
+    return map(block, range(0, count, _EVAL_ROWS))
+
+
 def integrate_nd(rule: QuadratureRule, dim: int, f) -> float:
     """Grid sum of a symmetric, diagonal-zero integrand, taken over node
     subsets.
@@ -348,19 +383,25 @@ def integrate_nd(rule: QuadratureRule, dim: int, f) -> float:
 
     f receives (P, dim) blocks of node indices into rule.nodes: rows of
     strictly increasing indices, in lexicographic order, at most _EVAL_ROWS
-    per block, on the calling thread.  So f can gather values computed once
-    per node instead of evaluating its functions at every point; a point
-    integrand g becomes ``lambda index: g(rule.nodes[index])``.  A
+    per block, on the calling thread.  The blocks are unranked in numpy
+    (_unranked_subsets), and their columns are contiguous.  So f can gather
+    values computed once per node instead of evaluating its functions at
+    every point; a point integrand g becomes
+    ``lambda index: g(rule.nodes[index])``.  Each row's weight product is
+    w[i_0] * w[i_1] * ..., left to right, one column at a time.  A
     non-finite value is reported with its point's coordinates.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
     _check_subset_budget(rule.n_nodes, dim, "nodes")
-    subsets = itertools.combinations(range(rule.n_nodes), dim)
     total = 0.0
-    for index in _index_blocks(subsets, math.comb(rule.n_nodes, dim), dim):
+    for index in _unranked_subsets(rule.n_nodes, dim):
         values = _block_values(f, index, lambda: rule.nodes[index])
-        total += float(np.dot(np.prod(rule.weights[index], axis=1), values))
+        columns = iter(index.T)
+        weights = rule.weights[next(columns)]
+        for column in columns:
+            weights *= rule.weights[column]
+        total += float(np.dot(weights, values))
     return math.factorial(dim) * total
 
 

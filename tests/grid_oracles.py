@@ -22,6 +22,12 @@ form x**p_j * exp(-q x^2 + l_j x): the raw members, and the members
 divided by the domain's embedded weight where a closed form exists (None
 where it does not, which is the absorption table).
 
+integrate_nd_by_itertools is integrate_nd's subset sum as it was first
+written: the subsets from itertools.combinations in blocks of
+quadrature._EVAL_ROWS, and each row's weight product np.prod along the
+row.  integrate_nd, which unranks its blocks and multiplies its weights a
+column at a time, must equal it bit for bit.
+
 integrate_nd_by_chunks is the full grid sum in fixed chunks of flat grid
 numbers, each chunk's index rebuilt with np.unravel_index and its weights
 multiplied coordinate by coordinate; andreief_lhs_permutation_oracle and
@@ -35,9 +41,23 @@ import numpy as np
 
 from andreief.discrete import _exact_array, _exact_det, _exact_division
 from andreief.ensembles import weight_factorization
-from andreief.identities import _value_stack
+from andreief.identities import _member_values
 from andreief.linalg import PIVOT_FLOOR, _expand_pfaffian, determinant_batch, pfaffian_batch
+from andreief import quadrature
 from andreief.quadrature import gauss_rule, integrate_1d
+
+
+def integrate_nd_by_itertools(rule, dim, f):
+    """dim! times the sum of np.prod(w) * f over the node subsets of
+    itertools.combinations, a block of at most quadrature._EVAL_ROWS rows
+    at a time, each block's block sum added in order."""
+    subsets = itertools.combinations(range(rule.n_nodes), dim)
+    total = 0.0
+    while rows := list(itertools.islice(subsets, quadrature._EVAL_ROWS)):
+        index = np.array(rows, dtype=np.intp)
+        values = np.broadcast_to(np.asarray(f(index), dtype=float), (len(rows),))
+        total += float(np.dot(np.prod(rule.weights[index], axis=1), values))
+    return math.factorial(dim) * total
 
 
 def integrate_nd_by_chunks(rule, dim, f, chunk=1 << 13, absolute=False):
@@ -80,7 +100,7 @@ def andreief_lhs_permutation_oracle(spec, n_nodes=12):
         prod = np.ones(points.shape[0])
         for j in range(n):
             prod *= np.asarray(left_fns[j](points[:, j]), dtype=float)
-        values = prod * determinant_batch(_value_stack(right_fns, points.T))
+        values = prod * determinant_batch(_member_values(right_fns, points.T).transpose(2, 0, 1))
         if point_factor is not None:
             values = values * np.prod(np.asarray(point_factor(points), dtype=float), axis=1)
         return values
@@ -102,7 +122,7 @@ def debruijn_lhs_point_grid(left, kernel, domain, n_nodes, absolute=False):
 
     def integrand(points):
         kernels = np.asarray(h(points[:, :, None], points[:, None, :]), dtype=float)
-        dets = determinant_batch(_value_stack(fns, points.T))
+        dets = determinant_batch(_member_values(fns, points.T).transpose(2, 0, 1))
         if absolute == "terms":
             return np.abs(dets) * hafnian_batch(np.abs(kernels))
         return dets * pfaffian_batch(kernels)

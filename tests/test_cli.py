@@ -141,6 +141,21 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="mc_samples must be non-negative"):
             parse_config(["verify-andreief", "--mc-samples", "-5"])
 
+    def test_one_mc_sample_refused(self, capsys, tmp_path):
+        # one draw has no standard error, so its sigma = 0 verdict would
+        # judge a single sample; 2 samples are the least that give one
+        argv = ["verify-andreief", "--n", "3", "--mc-samples", "1"]
+        with pytest.raises(UsageError, match="mc_samples must be 0 .off. or at least 2"):
+            parse_config(argv)
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "one sample has no standard error" in err
+        path = tmp_path / "config.json"
+        path.write_text('{"mc_samples": 1}', encoding="utf-8")
+        code, out, err = run_main(capsys, ["verify-andreief", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert parse_config(["verify-andreief", "--mc-samples", "2"]).mc_samples == 2
+
     def test_negative_seed(self, capsys, tmp_path):
         # numpy's generators take no negative seed
         with pytest.raises(UsageError, match="seed must be non-negative"):

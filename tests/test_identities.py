@@ -50,6 +50,7 @@ from grid_oracles import (
     debruijn_lhs_point_grid,
     gram_matrix_per_entry,
     integrate_nd_by_chunks,
+    integrate_nd_by_itertools,
     point_integrand,
 )
 
@@ -219,13 +220,12 @@ class TestAndreiefLhsQuadrature:
             return member_fns, point_factor
 
         # NodeMeasure.tables reduces the families for every Gauss route but
-        # the Andreief left side, whose integrand reduces them in identities
+        # the Andreief left side, whose node tables reduce them in identities
         monkeypatch.setattr(ensembles, "weight_factorization", poisoned)
         monkeypatch.setattr(identities, "weight_factorization", poisoned)
         # the 3-node Gauss-Legendre rule on (0, 1) has its last node at
-        # 0.8873; the Andreief left side names the point, a row of nodes
-        node = r"\[.*0\.887" if route == "andreief_lhs_quadrature" else r"0\.887"
-        with pytest.raises(ValueError, match=r"non-finite .* at node " + node):
+        # 0.8873; every route names that node, not a row of nodes
+        with pytest.raises(ValueError, match=r"non-finite .* at node 0\.887"):
             run()
 
 
@@ -697,6 +697,11 @@ class TestVerifyAndreief:
             VerifyConfig(tolerance=0.0)
         with pytest.raises(ValueError, match="mc_samples"):
             VerifyConfig(mc_samples=-1)
+        # a standard error needs two samples; monte_carlo_nd itself still
+        # takes one (test_single_sample_has_zero_error)
+        with pytest.raises(ValueError, match="^mc_samples must be 0 .off. or at least 2"):
+            VerifyConfig(mc_samples=1)
+        assert VerifyConfig(mc_samples=2).mc_samples == 2
         # an infinite tolerance would pass any gap
         for tolerance in (math.inf, math.nan):
             with pytest.raises(ValueError, match="^tolerance must be positive"):
@@ -840,6 +845,38 @@ class TestDeBruijnSubsetSum:
         want, scale = point_grid_and_scale(name, two_n, n_nodes, kernel)
         monkeypatch.setattr(quadrature, "_EVAL_ROWS", chunk)
         assert abs(debruijn_lhs_quadrature(*args) - want) <= 1e-12 * scale
+
+
+class TestSubsetSumBits:
+    """The Gauss left sides equal integrate_nd_by_itertools, the subset sum
+    of itertools blocks and np.prod weights, bit for bit; Andreief's also
+    with its integrand evaluated at the points of each subset, as the Monte
+    Carlo integrand does, instead of gathered from node tables."""
+
+    @pytest.mark.parametrize("n_nodes", [5, 12, 16])
+    @pytest.mark.parametrize("name", BUILTIN_ENSEMBLE_NAMES)
+    def test_andreief_left_side(self, name, n_nodes):
+        for size in range(1, 7):
+            spec = build_ensemble(name, size)
+            rule = gauss_rule(spec.domain, n_nodes)
+            points = point_integrand(rule, _pair_integrand(spec))
+            want = integrate_nd_by_itertools(rule, size, points)
+            assert andreief_lhs_quadrature(spec, n_nodes) == want, (name, size)
+
+    @pytest.mark.parametrize("kernel", DEBRUIJN_KERNELS)
+    @pytest.mark.parametrize("two_n", [2, 4, 6])
+    def test_debruijn_left_side(self, monkeypatch, two_n, kernel):
+        spec = build_ensemble("legendre-monomial", two_n)
+        args = (spec.left, DEBRUIJN_KERNELS[kernel], spec.domain, 14)
+        value = debruijn_lhs_quadrature(*args)
+        monkeypatch.setattr(identities, "integrate_nd", integrate_nd_by_itertools)
+        assert value == debruijn_lhs_quadrature(*args)
+
+    def test_chebyshev_double_form(self, monkeypatch):
+        args = (np.exp, np.cos, Domain.finite(-1.0, 2.0), 40)
+        value = chebyshev_gap(*args)
+        monkeypatch.setattr(identities, "integrate_nd", integrate_nd_by_itertools)
+        assert value == chebyshev_gap(*args)
 
 
 class TestNodeMeasure:

@@ -27,7 +27,7 @@ from andreief.quadrature import (
     integrate_nd,
     monte_carlo_nd,
 )
-from grid_oracles import integrate_nd_by_chunks, point_integrand
+from grid_oracles import integrate_nd_by_chunks, integrate_nd_by_itertools, point_integrand
 
 UNIT = Domain.finite(0.0, 1.0)
 SYM = Domain.finite(-1.0, 1.0)
@@ -343,7 +343,7 @@ class TestIntegrateND:
         assert integrate_nd(_flat_grid(n), dim, f) == 0.0
 
     def test_index_blocks_share_one_chunker(self, monkeypatch):
-        # the helper discrete's subset and tuple sums use too, including width 0
+        # the chunker of discrete's subset and tuple sums, including width 0
         monkeypatch.setattr(quadrature, "_EVAL_ROWS", 4)
         blocks = list(quadrature._index_blocks(itertools.combinations(range(5), 3), 10, 3))
         assert [len(b) for b in blocks] == [4, 4, 2]
@@ -425,6 +425,34 @@ class TestSubsetBlocks:
         assert [row for block in blocks for row in block.tolist()] == want
         assert all(0 < len(block) <= chunk for block in blocks)
         assert threads == [caller_threads] * len(blocks)
+
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_unranked_blocks_are_the_combinations(self, monkeypatch, chunk):
+        # every (n, dim) with n <= 14 and dim <= 8, dim > n (no block) and
+        # dim = n (one row) among them: the rows of itertools.combinations,
+        # as intp blocks that are full but for the last
+        monkeypatch.setattr(quadrature, "_EVAL_ROWS", chunk)
+        for n in range(15):
+            for dim in range(1, 9):
+                blocks = list(quadrature._unranked_subsets(n, dim))
+                want = list(itertools.combinations(range(n), dim))
+                assert [tuple(row) for block in blocks for row in block.tolist()] == want
+                assert all(block.dtype == np.intp for block in blocks)
+                assert all(block.shape == (chunk, dim) for block in blocks[:-1])
+                assert len(blocks) == -(-len(want) // chunk)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("kind", ["finite", "half_line", "real_line"])
+    def test_bitwise_the_itertools_sum(self, monkeypatch, chunk, kind):
+        # the unranked blocks and column weight products add the same terms
+        # in the same order as itertools blocks with np.prod weights
+        monkeypatch.setattr(quadrature, "_EVAL_ROWS", chunk)
+        domain = SYM if kind == "finite" else Domain(kind)
+        for n, dim in [(9, 1), (9, 2), (9, 4), (12, 5), (5, 5), (3, 4)]:
+            rule = gauss_rule(domain, n)
+            f = symmetric_integrand(rule)
+            assert integrate_nd(rule, dim, f) == integrate_nd_by_itertools(rule, dim, f)
 
 
 class TestMonteCarlo:
