@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, evaluate, family_matrix
+from .ensembles import EnsembleSpec, evaluate
 from .identities import _factorial, _node_measure, gram_matrix
-from .linalg import determinant
 from .quadrature import DEFAULT_NODES_1D
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "biorthogonality_residuals",
     "biorthogonalize",
     "partition_function",
-    "verify_invariance_under_biorthogonalization",
 ]
 
 # a pivot of the row- and column-equilibrated Gram matrix at or below this
@@ -182,27 +180,3 @@ def partition_function(spec: EnsembleSpec, n_nodes: int = DEFAULT_NODES_1D) -> f
     """
     system = biorthogonalize(spec, n_nodes)
     return _factorial(spec.size) * float(np.prod(system.h))
-
-
-def verify_invariance_under_biorthogonalization(
-    spec: EnsembleSpec, points, n_nodes: int = DEFAULT_NODES_1D
-) -> tuple:
-    """Evaluate both family determinants at given points before and after
-    recombination.
-
-    Returns (det_f, det_F, det_phi, det_Phi); the triangular coefficient
-    matrices have unit determinant, so the first pair and the second pair
-    agree up to roundoff.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size != spec.size:
-        raise ValueError(f"needs exactly {spec.size} points, got shape {pts.shape}")
-    system = biorthogonalize(spec, n_nodes)
-    left_raw = family_matrix(spec.left, pts)
-    right_raw = family_matrix(spec.right, pts)
-    return (
-        determinant(left_raw),
-        determinant(system.c @ left_raw),
-        determinant(right_raw),
-        determinant(system.d @ right_raw),
-    )

@@ -21,7 +21,11 @@ the sum over row subsets of products of two table entries.  The exact
 minor summation right side is the one full-order entry of the Pfaffian
 table of T A T^T, and cauchy_binet_rhs runs Bareiss elimination.  Float
 input gathers the row subsets into stacks and evaluates them with the
-batched determinant and Pfaffian kernels.
+batched determinant and Pfaffian kernels.  Its subsets come in blocks from
+quadrature.subsets, the enumerator integrate_nd walks; ordered_tuple_sum
+takes each block of subsets in every order of its columns.  The exact
+tables grow their own colex subsets (_grow), whose parent ranks make each
+table level a gather.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -41,9 +44,8 @@ from .linalg import (
     determinant_batch,
     pfaffian,
     pfaffian_batch,
-    subsets,
 )
-from .quadrature import _check_budget, _check_subset_budget, _index_blocks
+from .quadrature import _check_budget, _check_subset_budget, subsets
 
 __all__ = [
     "block_reclaims_cauchy_binet",
@@ -118,14 +120,6 @@ def _check_tall(x: np.ndarray, y: np.ndarray) -> None:
     m, n = x.shape
     if m < n:
         raise ValueError(f"requires at least as many rows as columns, got {m} < {n}")
-
-
-def _subset_blocks(m: int, n: int) -> Iterator[np.ndarray]:
-    """The row subsets in lexicographic order, as (c, n) index arrays of at
-    most _EVAL_ROWS subsets each, so a gathered stack stays bounded."""
-    for block in _index_blocks(subsets(m, n), math.comb(m, n), n):
-        # subsets() enumerates 1-based
-        yield block - 1
 
 
 def _row_stack(x: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -297,7 +291,7 @@ def cauchy_binet_lhs(x, y):
         pair = _MinorTable(_exact_array(np.stack([xa.T, ya.T], axis=1), div))
         return _table_sum(m, n, [pair], lambda v: np.dot(v[0], v[1]))
     total = 0.0
-    for idx in _subset_blocks(m, n):
+    for idx in subsets(m, n):
         total += float(np.sum(determinant_batch(_row_stack(xa, idx))
                               * determinant_batch(_row_stack(ya, idx))))
     return total
@@ -331,16 +325,23 @@ def ordered_tuple_sum(weights, f, phi) -> float:
     over N!: the sum over ordered N-tuples t of rows of det((W F)_t) *
     det(Phi_t), as it stands.  Only the M!/(M-N)! tuples of distinct rows
     are enumerated (a repeated row makes both determinants 0), within
-    DEFAULT_EVAL_BUDGET.  Cauchy-Binet reduces the sum to cauchy_binet_lhs."""
+    DEFAULT_EVAL_BUDGET.  Cauchy-Binet reduces the sum to cauchy_binet_lhs.
+
+    Each block of row subsets is taken in the N! orders of its columns, as
+    few orders at once as keep a gathered stack within _EVAL_ROWS rows."""
     x, y = _weighted_tables(weights, f, phi)
     _check_tall(x, y)
     m, n = x.shape
     _check_tuple_budget(m, n)
     total = 0.0
-    tuples = itertools.permutations(range(m), n)
-    for idx in _index_blocks(tuples, math.perm(m, n), n):
-        total += float(np.sum(determinant_batch(_row_stack(x, idx))
-                              * determinant_batch(_row_stack(y, idx))))
+    for idx in subsets(m, n):
+        orders = itertools.permutations(range(n))
+        while chunk := list(itertools.islice(orders, quadrature._EVAL_ROWS // len(idx))):
+            order = np.array(chunk, dtype=np.intp)
+            # (not reshape(-1, n), which fails on an empty row at n = 0)
+            tuples = idx[:, order].reshape(len(idx) * len(order), n)
+            total += float(np.sum(determinant_batch(_row_stack(x, tuples))
+                                  * determinant_batch(_row_stack(y, tuples))))
     return total / math.factorial(n)
 
 
@@ -406,7 +407,7 @@ def minor_summation_lhs(a, t):
         tables = [_MinorTable(_exact_array(ta, div)), _PfaffianTable(entries.astype(object))]
         return _table_sum(m, n_rows, tables, np.dot)
     total = 0.0
-    for idx in _subset_blocks(m, n_rows):
+    for idx in subsets(m, n_rows):
         terms = _pf_det_terms(entries, ta, idx, pfaffian_batch, determinant_batch)
         total += float(np.sum(terms))
     return total

@@ -18,12 +18,11 @@ tabulates families on a finite measure, a Gauss rule's or a point set's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import determinant
 from .quadrature import EMBEDDED_WEIGHTS, Domain, _check_finite
 
 __all__ = [
@@ -35,9 +34,6 @@ __all__ = [
     "Weight",
     "build_ensemble",
     "evaluate",
-    "family_matrix",
-    "rescale",
-    "vandermonde_check",
     "weight_factorization",
 ]
 
@@ -143,16 +139,6 @@ class FunctionFamily:
         return 1.0 if self.scales is None else self.scales[j]
 
 
-def rescale(family: FunctionFamily, factors: Sequence[float]) -> FunctionFamily:
-    """Copy of the family with member j multiplied by factors[j]."""
-    if len(factors) != family.size:
-        raise ValueError(f"expected {family.size} factors, got {len(factors)}")
-    combined = tuple(
-        family.scale_of(j) * float(factors[j]) for j in range(family.size)
-    )
-    return replace(family, scales=combined)
-
-
 def _form(family: FunctionFamily) -> tuple:
     """(powers, q, linear): member j is x**powers[j] * exp(-q x^2 +
     linear[j] x), with no power of x for a power of None; one row per kind."""
@@ -225,12 +211,6 @@ def evaluate(family: FunctionFamily, j: int, x):
         raise ValueError(f"member index {j} outside 0..{family.size - 1}")
     val = _member(family, j)(x)
     return float(val) if np.ndim(x) == 0 else val
-
-
-def family_matrix(family: FunctionFamily, x) -> np.ndarray:
-    """Matrix [f_j(x_k)] of shape (size, len(x))."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.stack([member(arr) for member in _members(family)])
 
 
 def weight_factorization(
@@ -429,22 +409,6 @@ class KernelFunction:
             return self.evaluator
         fn = self.evaluator
         return lambda x, y: 0.5 * (fn(x, y) - fn(y, x))
-
-
-def vandermonde_check(nodes) -> tuple[float, float]:
-    """(det[x_k^j], product of differences) for the given nodes.
-
-    The two values agree by the Vandermonde identity; repeated nodes give
-    a pair of (near-)zeros rather than an error.
-    """
-    arr = np.atleast_1d(np.asarray(nodes, dtype=float))
-    det = determinant(np.vander(arr, increasing=True).T)
-    prod = 1.0
-    n = arr.size
-    for k in range(n):
-        for j in range(k):
-            prod *= arr[k] - arr[j]
-    return det, prod
 
 
 def _default_shifts(size: int) -> tuple[float, ...]:

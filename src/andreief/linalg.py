@@ -1,5 +1,4 @@
-"""Dense real linear algebra: determinants, Pfaffians, and the combinatorial
-expansions used as brute-force cross-checks.
+"""Dense real linear algebra: batched determinants and Pfaffians.
 
 Everything operates on plain numpy arrays (or array-likes).  Determinants
 come in three order ranges: cofactor expansions at orders <= 3, a
@@ -7,8 +6,8 @@ row-pivoted LU run on a whole stack in lockstep at orders 4 and 5, and
 LAPACK's row-pivoted LU (numpy.linalg.det) from order 6.  Pfaffians are
 closed forms at orders <= 4 and a lockstep Parlett-Reid from order 6; the
 scalar routines are the batch ones on a one-matrix stack, and all convert
-to float64, rejecting complex input.  The expansion oracles keep the input
-dtype so that integer inputs are evaluated in exact integer arithmetic.
+to float64, rejecting complex input.  The exact routines of
+andreief.discrete keep integer and Fraction input exact instead.
 
 The package-wide relative-tolerance convention lives here:
 |a - b| <= tol * max(1, |a|, |b|).
@@ -16,26 +15,18 @@ The package-wide relative-tolerance convention lives here:
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Sequence
-
 import numpy as np
 
 __all__ = [
-    "EXPANSION_LIMIT",
     "PIVOT_FLOOR",
     "SKEW_TOLERANCE",
     "SkewMatrix",
-    "det_by_permutation_expansion",
     "determinant",
     "determinant_batch",
     "pfaffian",
     "pfaffian_batch",
-    "pfaffian_by_expansion",
-    "permutation_signature",
     "relative_gap",
     "skew_symmetrize",
-    "subsets",
 ]
 
 # Pfaffian elimination treats pivots at or below this magnitude as exact zeros.
@@ -43,9 +34,6 @@ PIVOT_FLOOR = 1e-300
 
 # Absolute asymmetry tolerated by the SkewMatrix constructor.
 SKEW_TOLERANCE = 1e-12
-
-# Largest order accepted by the factorial-cost expansion oracles.
-EXPANSION_LIMIT = 9
 
 # Largest order whose determinants come from the lockstep LU; LAPACK
 # takes over above it (see determinant_batch).
@@ -318,79 +306,3 @@ def pfaffian(a) -> float:
     """
     m = a.entries if isinstance(a, SkewMatrix) else SkewMatrix(a).entries
     return float(pfaffian_batch(m[None])[0])
-
-
-def permutation_signature(images: Sequence[int]) -> int:
-    """Signature (+1/-1) from the parity of the inversion count."""
-    inversions = 0
-    n = len(images)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if images[i] > images[j]:
-                inversions += 1
-    return 1 if inversions % 2 == 0 else -1
-
-
-def det_by_permutation_expansion(m):
-    """Leibniz-sum determinant: sum over all n! permutations P of
-    sign(P) * prod_j m[j, P(j)].
-
-    Test oracle only: factorial cost, order capped at ``EXPANSION_LIMIT``.
-    Integer input is evaluated in exact (arbitrary-precision) integer
-    arithmetic.
-    """
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"square matrix required, got shape {a.shape}")
-    n = a.shape[0]
-    if n > EXPANSION_LIMIT:
-        raise ValueError(f"expansion oracle size limit: order {n} > {EXPANSION_LIMIT}")
-    rows = a.tolist()
-    total = 0
-    for images in itertools.permutations(range(n)):
-        term = permutation_signature(images)
-        for j, image in enumerate(images):
-            term = term * rows[j][image]
-        total = total + term
-    return total
-
-
-def pfaffian_by_expansion(a):
-    """Pfaffian by recursive expansion along the first row.
-
-    Test oracle only: (order-1)!! terms, order capped at ``EXPANSION_LIMIT + 3``.
-    Keeps the input dtype, so integer input is evaluated exactly.
-    """
-    arr = a.entries if isinstance(a, SkewMatrix) else np.asarray(a)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"square matrix required, got shape {arr.shape}")
-    n = arr.shape[0]
-    if n % 2:
-        raise ValueError("Pfaffian requires even order")
-    if n > EXPANSION_LIMIT + 3:
-        raise ValueError(f"expansion oracle size limit: order {n} > {EXPANSION_LIMIT + 3}")
-    return _expand_pfaffian(arr.tolist(), list(range(n)))
-
-
-def _expand_pfaffian(rows: list, active: list[int]):
-    """Pf of the nested lists rows on the indices active, by expansion."""
-    if not active:
-        return 1
-    first = active[0]
-    total = 0
-    sign = 1
-    for pos in range(1, len(active)):
-        rest = active[1:pos] + active[pos + 1 :]
-        total = total + sign * rows[first][active[pos]] * _expand_pfaffian(rows, rest)
-        sign = -sign
-    return total
-
-
-def subsets(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All C(m, n) sorted n-element subsets of {1..m} in lexicographic order.
-
-    n > m yields the empty sequence; n = 0 yields the single empty subset.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("subset sizes must be non-negative")
-    return itertools.combinations(range(1, m + 1), n)

@@ -22,11 +22,12 @@ Scalar returns are broadcast.
 Every sum over node subsets or point tuples, here and in andreief.discrete,
 checks DEFAULT_EVAL_BUDGET (_check_budget) before any term is computed and
 runs in blocks of at most _EVAL_ROWS rows, as Monte Carlo integrands do, so
-the arrays made per block stay cache-sized.  integrate_nd unranks each block
-of node subsets in numpy (_unranked_subsets); the discrete sums chunk
-itertools enumerations (_index_blocks).  Monte Carlo integrands must be
-row-wise: row i of their values depends on row i of their input only, so
-a slice gives the same values as the whole block would.
+the arrays made per block stay cache-sized.  One enumerator, subsets,
+unranks each block of sorted index subsets in numpy; integrate_nd and the
+float subset and tuple sums of andreief.discrete walk it.  Monte Carlo
+integrands must be row-wise: row i of their values depends on row i of
+their input only, so a slice gives the same values as the whole block
+would.
 
 integrate_nd sums its subset blocks in order on the calling thread.  Only
 monte_carlo_nd uses the thread pool: it evaluates up to one sample block
@@ -40,7 +41,6 @@ bit for bit.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from collections import deque
@@ -59,7 +59,9 @@ __all__ = [
     "QuadratureRule",
     "gauss_rule",
     "integrate_1d",
+    "integrate_nd",
     "monte_carlo_nd",
+    "subsets",
 ]
 
 DEFAULT_EVAL_BUDGET = 10**8
@@ -172,12 +174,11 @@ EMBEDDED_WEIGHTS = {
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes, positive weights, and the weight the rule absorbs (if any)."""
+    """Nodes and positive weights of a rule on a domain."""
 
     domain: Domain
     nodes: np.ndarray
     weights: np.ndarray
-    embedded_weight: object = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -267,7 +268,7 @@ def gauss_rule(domain: Domain, n_nodes: int) -> QuadratureRule:
     elif domain.kind == "half_line":
         # eigh can return a slightly negative smallest node for large n
         nodes = np.maximum(nodes, np.finfo(float).tiny)
-    return QuadratureRule(domain, nodes, weights, EMBEDDED_WEIGHTS[domain.kind])
+    return QuadratureRule(domain, nodes, weights)
 
 
 def _check_finite(values: np.ndarray, where: np.ndarray) -> None:
@@ -282,8 +283,8 @@ def _check_finite(values: np.ndarray, where: np.ndarray) -> None:
 def integrate_1d(rule: QuadratureRule, f) -> float:
     """Weighted node sum of f over the rule.
 
-    If the rule has an embedded weight, f must be the integrand divided by
-    that weight.
+    On an infinite domain the rule embeds the domain's weight
+    (EMBEDDED_WEIGHTS), and f must be the integrand divided by it.
     """
     return float(np.dot(rule.weights, _block_values(f, rule.nodes, lambda: rule.nodes)))
 
@@ -325,31 +326,23 @@ def _block_values(f, block: np.ndarray, points) -> np.ndarray:
     return values
 
 
-def _index_blocks(tuples, count: int, width: int):
-    """The count tuples of width integers that the iterator tuples yields,
-    as consecutive (P, width) intp arrays of at most _EVAL_ROWS rows each."""
-    for start in range(0, count, _EVAL_ROWS):
-        size = min(_EVAL_ROWS, count - start)
-        flat = itertools.chain.from_iterable(itertools.islice(tuples, size))
-        yield np.fromiter(flat, np.intp, size * width).reshape(size, width)
-
-
-def _unranked_subsets(n: int, dim: int):
-    """The C(n, dim) sorted dim-subsets of range(n) in lexicographic order,
-    as consecutive (P, dim) intp blocks of at most _EVAL_ROWS rows.
+def subsets(m: int, n: int):
+    """The C(m, n) sorted n-subsets of range(m) in lexicographic order, as
+    consecutive (P, n) intp blocks of at most _EVAL_ROWS rows: n = 0 gives
+    one empty row, n > m no block, and a negative size raises ValueError.
 
     Each block is unranked, not enumerated: the lex rank r of a subset A is
-    the colex rank C(n, dim) - 1 - r of its reflection n - 1 - A, and the
-    colex rank of c_1 < ... < c_dim is sum_i C(c_i, i) (the combinatorial
-    number system), so its largest element c_dim is the last c with
-    C(c, dim) <= rank: one searchsorted per position, from the first
-    element of A on.  A block is the transpose of a contiguous (dim, P)
-    array, so each of its columns is a contiguous (P,) vector."""
-    count = math.comb(n, dim)
-    # C(c, i) for c < n, capped at count (no rank reaches it) to fit an intp
+    the colex rank C(m, n) - 1 - r of its reflection m - 1 - A, and the
+    colex rank of c_1 < ... < c_n is sum_i C(c_i, i) (the combinatorial
+    number system), so its largest element c_n is the last c with
+    C(c, n) <= rank: one searchsorted per position, from the first element
+    of A on.  A block is the transpose of a contiguous (n, P) array, so
+    each of its columns is a contiguous (P,) vector."""
+    count = math.comb(m, n)
+    # C(c, i) for c < m, capped at count (no rank reaches it) to fit an intp
     binomials = [
-        np.array([min(math.comb(c, i), count) for c in range(n)], dtype=np.intp)
-        for i in range(dim, 0, -1)
+        np.array([min(math.comb(c, i), count) for c in range(m)], dtype=np.intp)
+        for i in range(n, 0, -1)
     ]
 
     def block(start: int) -> np.ndarray:
@@ -357,11 +350,11 @@ def _unranked_subsets(n: int, dim: int):
         # the caller evaluates the block
         size = min(_EVAL_ROWS, count - start)
         rank = np.arange(count - 1 - start, count - 1 - start - size, -1, dtype=np.intp)
-        index = np.empty((dim, size), dtype=np.intp)
+        index = np.empty((n, size), dtype=np.intp)
         for column, binomial in zip(index, binomials):
             c = binomial.searchsorted(rank, side="right") - 1
             rank -= binomial[c]
-            np.subtract(n - 1, c, out=column)
+            np.subtract(m - 1, c, out=column)
         return index.T
 
     return map(block, range(0, count, _EVAL_ROWS))
@@ -384,7 +377,7 @@ def integrate_nd(rule: QuadratureRule, dim: int, f) -> float:
     f receives (P, dim) blocks of node indices into rule.nodes: rows of
     strictly increasing indices, in lexicographic order, at most _EVAL_ROWS
     per block, on the calling thread.  The blocks are unranked in numpy
-    (_unranked_subsets), and their columns are contiguous.  So f can gather
+    (subsets), and their columns are contiguous.  So f can gather
     values computed once per node instead of evaluating its functions at
     every point; a point integrand g becomes
     ``lambda index: g(rule.nodes[index])``.  Each row's weight product is
@@ -395,7 +388,7 @@ def integrate_nd(rule: QuadratureRule, dim: int, f) -> float:
         raise ValueError("dim must be positive")
     _check_subset_budget(rule.n_nodes, dim, "nodes")
     total = 0.0
-    for index in _unranked_subsets(rule.n_nodes, dim):
+    for index in subsets(rule.n_nodes, dim):
         values = _block_values(f, index, lambda: rule.nodes[index])
         columns = iter(index.T)
         weights = rule.weights[next(columns)]

@@ -32,19 +32,38 @@ integrate_nd_by_chunks is the full grid sum in fixed chunks of flat grid
 numbers, each chunk's index rebuilt with np.unravel_index and its weights
 multiplied coordinate by coordinate; andreief_lhs_permutation_oracle and
 debruijn_lhs_point_grid sum through it.
+
+det_by_permutation_expansion and pfaffian_by_expansion are the Leibniz
+and first-row expansions, exact on int, Fraction and object input;
+family_matrix, rescale and vandermonde_check tabulate, rescale and check
+families point by point; verify_invariance_under_biorthogonalization
+evaluates both family determinants before and after a biorthogonal
+recombination.  No command of the package calls them.
 """
 
 import itertools
 import math
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
+from andreief.biortho import biorthogonalize
 from andreief.discrete import _exact_array, _exact_det, _exact_division
-from andreief.ensembles import weight_factorization
+from andreief.ensembles import EnsembleSpec, FunctionFamily, _members, weight_factorization
 from andreief.identities import _member_values
-from andreief.linalg import PIVOT_FLOOR, _expand_pfaffian, determinant_batch, pfaffian_batch
+from andreief.linalg import (
+    PIVOT_FLOOR,
+    SkewMatrix,
+    determinant,
+    determinant_batch,
+    pfaffian_batch,
+)
 from andreief import quadrature
-from andreief.quadrature import gauss_rule, integrate_1d
+from andreief.quadrature import DEFAULT_NODES_1D, gauss_rule, integrate_1d
+
+# Largest order accepted by the factorial-cost expansion oracles.
+EXPANSION_LIMIT = 9
 
 
 def integrate_nd_by_itertools(rule, dim, f):
@@ -283,3 +302,125 @@ def closed_form_members(family, domain):
                 for j in size
             ]
     return None
+
+
+def permutation_signature(images: Sequence[int]) -> int:
+    """Signature (+1/-1) from the parity of the inversion count."""
+    inversions = 0
+    n = len(images)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if images[i] > images[j]:
+                inversions += 1
+    return 1 if inversions % 2 == 0 else -1
+
+
+def det_by_permutation_expansion(m):
+    """Leibniz-sum determinant: sum over all n! permutations P of
+    sign(P) * prod_j m[j, P(j)].
+
+    Test oracle only: factorial cost, order capped at ``EXPANSION_LIMIT``.
+    Integer input is evaluated in exact (arbitrary-precision) integer
+    arithmetic.
+    """
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"square matrix required, got shape {a.shape}")
+    n = a.shape[0]
+    if n > EXPANSION_LIMIT:
+        raise ValueError(f"expansion oracle size limit: order {n} > {EXPANSION_LIMIT}")
+    rows = a.tolist()
+    total = 0
+    for images in itertools.permutations(range(n)):
+        term = permutation_signature(images)
+        for j, image in enumerate(images):
+            term = term * rows[j][image]
+        total = total + term
+    return total
+
+
+def pfaffian_by_expansion(a):
+    """Pfaffian by recursive expansion along the first row.
+
+    Test oracle only: (order-1)!! terms, order capped at ``EXPANSION_LIMIT + 3``.
+    Keeps the input dtype, so integer input is evaluated exactly.
+    """
+    arr = a.entries if isinstance(a, SkewMatrix) else np.asarray(a)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"square matrix required, got shape {arr.shape}")
+    n = arr.shape[0]
+    if n % 2:
+        raise ValueError("Pfaffian requires even order")
+    if n > EXPANSION_LIMIT + 3:
+        raise ValueError(f"expansion oracle size limit: order {n} > {EXPANSION_LIMIT + 3}")
+    return _expand_pfaffian(arr.tolist(), list(range(n)))
+
+
+def _expand_pfaffian(rows: list, active: list[int]):
+    """Pf of the nested lists rows on the indices active, by expansion."""
+    if not active:
+        return 1
+    first = active[0]
+    total = 0
+    sign = 1
+    for pos in range(1, len(active)):
+        rest = active[1:pos] + active[pos + 1 :]
+        total = total + sign * rows[first][active[pos]] * _expand_pfaffian(rows, rest)
+        sign = -sign
+    return total
+
+
+def rescale(family: FunctionFamily, factors: Sequence[float]) -> FunctionFamily:
+    """Copy of the family with member j multiplied by factors[j]."""
+    if len(factors) != family.size:
+        raise ValueError(f"expected {family.size} factors, got {len(factors)}")
+    combined = tuple(
+        family.scale_of(j) * float(factors[j]) for j in range(family.size)
+    )
+    return replace(family, scales=combined)
+
+
+def family_matrix(family: FunctionFamily, x) -> np.ndarray:
+    """Matrix [f_j(x_k)] of shape (size, len(x))."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.stack([member(arr) for member in _members(family)])
+
+
+def vandermonde_check(nodes) -> tuple[float, float]:
+    """(det[x_k^j], product of differences) for the given nodes.
+
+    The two values agree by the Vandermonde identity; repeated nodes give
+    a pair of (near-)zeros rather than an error.
+    """
+    arr = np.atleast_1d(np.asarray(nodes, dtype=float))
+    det = determinant(np.vander(arr, increasing=True).T)
+    prod = 1.0
+    n = arr.size
+    for k in range(n):
+        for j in range(k):
+            prod *= arr[k] - arr[j]
+    return det, prod
+
+
+def verify_invariance_under_biorthogonalization(
+    spec: EnsembleSpec, points, n_nodes: int = DEFAULT_NODES_1D
+) -> tuple:
+    """Evaluate both family determinants at given points before and after
+    recombination.
+
+    Returns (det_f, det_F, det_phi, det_Phi); the triangular coefficient
+    matrices have unit determinant, so the first pair and the second pair
+    agree up to roundoff.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or pts.size != spec.size:
+        raise ValueError(f"needs exactly {spec.size} points, got shape {pts.shape}")
+    system = biorthogonalize(spec, n_nodes)
+    left_raw = family_matrix(spec.left, pts)
+    right_raw = family_matrix(spec.right, pts)
+    return (
+        determinant(left_raw),
+        determinant(system.c @ left_raw),
+        determinant(right_raw),
+        determinant(system.d @ right_raw),
+    )

@@ -34,7 +34,6 @@ from andreief.ensembles import (
     KernelFunction,
     NodeMeasure,
     build_ensemble,
-    family_matrix,
 )
 from andreief.identities import (
     VerifyConfig,
@@ -50,7 +49,7 @@ from andreief.identities import (
 )
 from andreief.linalg import determinant, pfaffian, relative_gap
 from andreief.quadrature import Domain, _sample_block
-from grid_oracles import andreief_lhs_permutation_oracle
+from grid_oracles import andreief_lhs_permutation_oracle, family_matrix
 
 
 def report(number, label, ok, detail):

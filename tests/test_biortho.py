@@ -12,11 +12,11 @@ from andreief.biortho import (
     biorthogonality_residuals,
     biorthogonalize,
     partition_function,
-    verify_invariance_under_biorthogonalization,
 )
 from andreief.ensembles import build_ensemble
 from andreief.identities import andreief_lhs_quadrature, andreief_rhs, gram_matrix
 from andreief.linalg import relative_gap
+from grid_oracles import verify_invariance_under_biorthogonalization
 
 CATALOGUE = [
     "uniform-monomial",

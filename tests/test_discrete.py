@@ -7,7 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from grid_oracles import cauchy_binet_lhs_by_subsets, minor_summation_lhs_by_subsets
+from grid_oracles import (
+    cauchy_binet_lhs_by_subsets,
+    det_by_permutation_expansion,
+    family_matrix,
+    minor_summation_lhs_by_subsets,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,10 +32,9 @@ from andreief.ensembles import (
     NodeMeasure,
     build_ensemble,
     evaluate,
-    family_matrix,
 )
 from andreief.identities import andreief_lhs_quadrature, debruijn_lhs_quadrature, gram_matrix
-from andreief.linalg import SkewMatrix, det_by_permutation_expansion, relative_gap
+from andreief.linalg import SkewMatrix, relative_gap
 from andreief.quadrature import BudgetError, gauss_rule
 
 
@@ -237,6 +241,26 @@ class TestOrderedTupleSum:
         weights = rng.uniform(0.5, 2.0, 5)
         exact = cauchy_binet_rhs(weights[:, None] * x, y)
         assert relative_gap(ordered_tuple_sum(weights, x, y), exact) < 1e-12
+
+    def test_zero_columns_is_one(self):
+        # one empty tuple, whose two empty determinants are 1
+        assert ordered_tuple_sum(np.ones(3), np.ones((3, 0)), np.ones((3, 0))) == 1.0
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_orders_in_chunks_are_exact(self, monkeypatch, rows, n):
+        # integer-valued floats at N <= 3, where the cofactor determinants
+        # and every partial sum are exact: the N! orders of each subset add
+        # to N! times the exact subset sum, so the sum over N! equals it.
+        # C(5, N) subsets in blocks of 1 or 3 rows: one order per stack, and
+        # at rows = 3 a last one-subset block whose orders go 3 at a time
+        monkeypatch.setattr(quadrature, "_EVAL_ROWS", rows)
+        rng = np.random.default_rng(41 + n)
+        x, y = random_int_matrix(rng, 5, n), random_int_matrix(rng, 5, n)
+        weights = rng.integers(1, 4, 5)
+        exact = cauchy_binet_lhs(weights[:, None] * x, y)
+        floats = weights.astype(float), x.astype(float), y.astype(float)
+        assert ordered_tuple_sum(*floats) == exact
 
     def test_budget_bounds_tuple_count(self, monkeypatch):
         # 4 rows, N = 2: the 4 * 3 tuples of distinct rows, not 4**2

@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from grid_oracles import closed_form_members, evaluate_by_kind
+from grid_oracles import (
+    closed_form_members,
+    evaluate_by_kind,
+    family_matrix,
+    rescale,
+    vandermonde_check,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +24,6 @@ from andreief.ensembles import (
     build_ensemble,
     ensure_family_legal,
     evaluate,
-    family_matrix,
-    rescale,
-    vandermonde_check,
     weight_factorization,
 )
 from andreief.linalg import determinant, relative_gap

@@ -20,7 +20,6 @@ from andreief.ensembles import (
     KernelFunction,
     Weight,
     build_ensemble,
-    rescale,
     weight_factorization,
 )
 from andreief import ensembles, identities
@@ -52,6 +51,7 @@ from grid_oracles import (
     integrate_nd_by_chunks,
     integrate_nd_by_itertools,
     point_integrand,
+    rescale,
 )
 
 SQRT_PI = math.sqrt(math.pi)

@@ -12,21 +12,22 @@ from hypothesis.extra.numpy import arrays
 
 from andreief import linalg
 from andreief.linalg import (
-    EXPANSION_LIMIT,
     SkewMatrix,
-    det_by_permutation_expansion,
     determinant,
     determinant_batch,
     pfaffian,
     pfaffian_batch,
-    pfaffian_by_expansion,
-    permutation_signature,
     relative_gap,
     skew_symmetrize,
-    subsets,
 )
 
-from grid_oracles import pfaffian_by_elimination
+from grid_oracles import (
+    EXPANSION_LIMIT,
+    det_by_permutation_expansion,
+    pfaffian_by_elimination,
+    pfaffian_by_expansion,
+    permutation_signature,
+)
 
 
 def random_skew(rng, n):
@@ -474,24 +475,6 @@ class TestLockstepPfaffian:
             expected = [pfaffian_by_elimination(m) for m in view]
             assert pfaffian_batch(view).tolist() == expected
         assert np.array_equal(gathered, before)
-
-
-class TestSubsets:
-    def test_choose_two_of_three(self):
-        assert list(subsets(3, 2)) == [(1, 2), (1, 3), (2, 3)]
-
-    def test_count(self):
-        assert sum(1 for _ in subsets(6, 3)) == 20
-
-    def test_empty_subset(self):
-        assert list(subsets(4, 0)) == [()]
-
-    def test_oversized_is_empty(self):
-        assert list(subsets(2, 3)) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            subsets(-1, 2)
 
 
 class TestToleranceConvention:

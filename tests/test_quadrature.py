@@ -26,6 +26,7 @@ from andreief.quadrature import (
     integrate_1d,
     integrate_nd,
     monte_carlo_nd,
+    subsets,
 )
 from grid_oracles import integrate_nd_by_chunks, integrate_nd_by_itertools, point_integrand
 
@@ -121,13 +122,6 @@ class TestGaussRule:
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             gauss_rule(UNIT, 0)
-
-    def test_embedded_weight_tagging(self):
-        assert gauss_rule(UNIT, 3).embedded_weight is None
-        w = gauss_rule(HALF, 3).embedded_weight
-        assert w(np.array([1.0]))[0] == pytest.approx(math.exp(-1.0))
-        w = gauss_rule(REAL, 3).embedded_weight
-        assert w(np.array([2.0]))[0] == pytest.approx(math.exp(-4.0))
 
 
 class TestGaussRuleMemo:
@@ -342,17 +336,6 @@ class TestIntegrateND:
 
         assert integrate_nd(_flat_grid(n), dim, f) == 0.0
 
-    def test_index_blocks_share_one_chunker(self, monkeypatch):
-        # the chunker of discrete's subset and tuple sums, including width 0
-        monkeypatch.setattr(quadrature, "_EVAL_ROWS", 4)
-        blocks = list(quadrature._index_blocks(itertools.combinations(range(5), 3), 10, 3))
-        assert [len(b) for b in blocks] == [4, 4, 2]
-        assert np.concatenate(blocks).tolist() == [
-            list(t) for t in itertools.combinations(range(5), 3)
-        ]
-        empty = list(quadrature._index_blocks(iter([()]), 1, 0))
-        assert [b.shape for b in empty] == [(1, 0)]
-
 
 def _refuse_rule(*args):
     raise AssertionError("the rule was built before the budget check")
@@ -385,10 +368,12 @@ def test_one_budget_binding(monkeypatch, route):
 
 
 class TestSubsetBlocks:
-    """integrate_nd hands its integrand the node subsets (the grid points
-    with increasing coordinates), in lexicographic order, in consecutive
-    blocks of at most _EVAL_ROWS on the calling thread, and the sum does not
-    depend on the block size."""
+    """subsets, the one enumerator of every float subset and tuple sum,
+    yields the rows of itertools.combinations.  integrate_nd hands its
+    integrand the node subsets (the grid points with increasing
+    coordinates), in lexicographic order, in consecutive blocks of at most
+    _EVAL_ROWS on the calling thread, and the sum does not depend on the
+    block size."""
 
     # (dim, nodes): with the block size patched to 1, 7, 64 and 8192 these
     # give one-point blocks, partial last blocks, the whole sum in one
@@ -429,18 +414,24 @@ class TestSubsetBlocks:
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_unranked_blocks_are_the_combinations(self, monkeypatch, chunk):
-        # every (n, dim) with n <= 14 and dim <= 8, dim > n (no block) and
-        # dim = n (one row) among them: the rows of itertools.combinations,
-        # as intp blocks that are full but for the last
+        # every (n, dim) with n <= 14 and dim <= 8, dim = 0 (one empty row),
+        # dim > n (no block) and dim = n (one row) among them: the rows of
+        # itertools.combinations, as intp blocks that are full but for the last
         monkeypatch.setattr(quadrature, "_EVAL_ROWS", chunk)
         for n in range(15):
-            for dim in range(1, 9):
-                blocks = list(quadrature._unranked_subsets(n, dim))
+            for dim in range(9):
+                blocks = list(subsets(n, dim))
                 want = list(itertools.combinations(range(n), dim))
                 assert [tuple(row) for block in blocks for row in block.tolist()] == want
                 assert all(block.dtype == np.intp for block in blocks)
                 assert all(block.shape == (chunk, dim) for block in blocks[:-1])
                 assert len(blocks) == -(-len(want) // chunk)
+
+    @pytest.mark.parametrize("m, n", [(-1, 2), (3, -1)])
+    def test_negative_size_rejected(self, m, n):
+        # at the call, before any block is asked for
+        with pytest.raises(ValueError):
+            subsets(m, n)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("kind", ["finite", "half_line", "real_line"])

@@ -5,7 +5,8 @@ callers look them up by, and a metric is absent when its attribute is
 gone or no call reaches it.  These tests load perfbench/tracing.py and
 perfbench/workloads.py read-only, run one pass of each workload's own job
 list under the tracer and check that every per_layer name in
-BENCHMARK.json comes out.
+BENCHMARK.json comes out, and that each count its job list reaches is
+positive: a hooked name that no call reaches still prints, as 0.
 """
 
 import contextlib
@@ -42,6 +43,15 @@ MODULES = {"cli": cli, "identities": identities, "quadrature": quadrature,
            "biortho": biortho}
 
 
+# the count metrics that some call of each workload's job list reaches
+REACHED_COUNTS = {
+    "montecarlo": ("discrete.subsets", "quadrature.mc_samples", "quadrature.grid_points",
+                   "linalg.det_batch_matrices", "quadrature.integrate_1d_calls"),
+    "tensor": ("quadrature.grid_points", "linalg.det_batch_matrices",
+               "linalg.pf_batch_matrices"),
+}
+
+
 def declared_layer_names() -> list:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     return [metric["name"] for metric in spec["per_layer"]]
@@ -62,3 +72,5 @@ def test_every_declared_layer_metric_is_printed(workload):
     missing = [name for name in declared_layer_names() if name not in metrics]
     assert not missing
     assert not tracer.hook_errors
+    unreached = [name for name in REACHED_COUNTS[workload] if not metrics[name]["value"] > 0]
+    assert not unreached

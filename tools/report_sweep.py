@@ -40,8 +40,9 @@ SEEDS = (1, 31, 42, 2324)
 
 # Sizes and settings the job lists leave out: N = 6 on the three
 # real-line and half-line ensembles and N = 1, the fewest Monte Carlo
-# samples that have a standard error, the size gate, and de Bruijn at
-# 2n = 6 on 40 nodes (about 5 s).
+# samples that have a standard error, the size gate, de Bruijn at 2n = 6
+# on 40 nodes (about 5 s), and discrete bridges whose ordered-tuple sums
+# take each subset in more than two column orders (N = 4 and 6).
 EDGE_RUNS = {
     "andreief-gue-monomial-6": ("verify-andreief", "--ensemble", "gue-monomial", "--n", "6"),
     "andreief-shifted-gue-6": ("verify-andreief", "--ensemble", "shifted-gue", "--n", "6"),
@@ -55,6 +56,12 @@ EDGE_RUNS = {
     "debruijn-sign-6-40": (
         "verify-debruijn", "--ensemble", "legendre-monomial", "--n", "6",
         "--kernel", "sign", "--n-nodes", "40"),
+    "discrete-gue-monomial-4": (
+        "verify-discrete", "--ensemble", "gue-monomial", "--n", "4", "--rows", "8"),
+    "discrete-shifted-gue-6": (
+        "verify-discrete", "--ensemble", "shifted-gue", "--n", "6", "--rows", "8"),
+    "discrete-muttalib-borodin-6": (
+        "verify-discrete", "--ensemble", "muttalib-borodin", "--n", "6"),
 }
 
 
